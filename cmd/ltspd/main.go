@@ -35,8 +35,7 @@
 //	GET  /v2/requests/{trace-id}   GET /debug/requests
 //	GET  /healthz      GET /metrics
 //
-// The /v1 prefix serves the same handlers for existing callers; /v2 is
-// the documented resilient surface: every error carries the structured
+// Every error carries the structured
 // envelope {"error":{"code","message","retryable"}}, requests may carry
 // an X-Request-Deadline-Ms header that the server propagates into the
 // compile, and overload or drain is signaled with 503 + Retry-After

@@ -11,14 +11,6 @@ import (
 	"ltsp/internal/sched"
 )
 
-// DefaultParallelism returns the speculative II-search width for callers
-// that want the search as wide as the machine allows.
-//
-// Deprecated: the II search moved behind the sched.Scheduler interface;
-// use sched.DefaultParallelism. This alias shim delegates and will be
-// removed once external callers migrate.
-func DefaultParallelism() int { return sched.DefaultParallelism() }
-
 // kernelPayload carries the compiled artifacts of one completed attempt
 // through the scheduler-agnostic search as sched.Candidate.Payload.
 type kernelPayload struct {

@@ -10,6 +10,7 @@ import (
 	"ltsp/internal/hlo"
 	"ltsp/internal/machine"
 	"ltsp/internal/obs"
+	"ltsp/internal/sched"
 	"ltsp/internal/workload"
 )
 
@@ -114,7 +115,7 @@ func TestParallelSearchUntraced(t *testing.T) {
 		}
 		return c
 	}
-	seq, parc := run(1), run(core.DefaultParallelism()+3)
+	seq, parc := run(1), run(sched.DefaultParallelism()+3)
 	if !reflect.DeepEqual(seq.Schedule, parc.Schedule) || seq.FinalII != parc.FinalII {
 		t.Fatalf("untraced parallel schedule differs: seq II=%d par II=%d", seq.FinalII, parc.FinalII)
 	}

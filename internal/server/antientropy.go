@@ -180,7 +180,7 @@ func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int
 				}
 				continue
 			}
-			e, ferr := s.fetchArtifact(ctx, p, k.Hash, tr, parent, "")
+			e, ferr := s.fetchArtifact(telemetry.WithSpan(ctx, tr, parent), p, k.Hash)
 			if ferr != nil || e == nil {
 				if ferr != nil && firstErr == nil {
 					firstErr = ferr

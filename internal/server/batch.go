@@ -66,9 +66,8 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	} else if !decodeJSONBody(w, body.Bytes(), &req) {
 		return
 	}
-	if req.Version != wire.Version {
-		writeError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion,
-			"unsupported request version %d (want %d)", req.Version, wire.Version)
+	if err := checkVersion(req.Version); err != nil {
+		writeError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion, "%v", err)
 		return
 	}
 	if len(req.Items) == 0 {
@@ -96,70 +95,21 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	results := make([]BatchItemResult, len(req.Items))
-	tr, parent := telemetry.FromContext(ctx)
 	reqID := requestIDFrom(ctx)
 	var wg sync.WaitGroup
 	for i := range req.Items {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// The item span covers the item's whole life — waiting for a
-			// worker slot included — and the item context parents the
-			// cache/peer/compile spans recorded underneath it.
-			ispan := tr.Start("batch_item", parent)
-			ispan.SetAttr("index", strconv.Itoa(i))
-			defer ispan.End()
-			ictx := telemetry.WithSpan(ctx, tr, ispan)
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				ispan.SetAttr("outcome", "timeout")
-				s.metrics.Timeouts.Add(1)
-				s.metrics.BatchItemErrors.Add(1)
-				results[i] = BatchItemResult{
-					Error:     "batch deadline exceeded waiting for a worker slot",
-					ErrorCode: wire.CodeDeadlineExceeded,
-					Retryable: true,
+			// The item stage covers the item's whole life — waiting for a
+			// worker slot included — and its span parents the cache, peer
+			// and compile stages recorded underneath it.
+			s.stage(ctx, stageBatchItem, func(ictx context.Context) string {
+				if tr, ispan := telemetry.FromContext(ictx); tr.On() {
+					ispan.SetAttr("index", strconv.Itoa(i))
 				}
-				s.logBatchItem(ctx, reqID, i, "", false, ctx.Err())
-				return
-			}
-			s.work.Add(1)
-			s.metrics.InFlight.Add(1)
-			slotStart := time.Now()
-			defer func() {
-				s.shed.Observe(time.Since(slotStart))
-				s.metrics.InFlight.Add(-1)
-				s.work.Done()
-				<-s.sem
-			}()
-			// Outer panic safety net for the item goroutine (compile
-			// panics are contained with repro capture in compileCached):
-			// the item fails with code "internal", the rest of the batch
-			// is unaffected, and the slot is still released.
-			defer func() {
-				if r := recover(); r != nil {
-					s.metrics.PanicsRecovered.Add(1)
-					s.metrics.BatchItemErrors.Add(1)
-					results[i] = BatchItemResult{
-						Error:     fmt.Sprintf("worker panic: %v", r),
-						ErrorCode: wire.CodeInternal,
-						Retryable: true,
-					}
-				}
-			}()
-			art, hash, cached, err := s.compileCached(ictx, req.Item(i))
-			if err != nil {
-				ispan.SetAttr("outcome", "error")
-				s.metrics.BatchItemErrors.Add(1)
-				results[i] = batchItemError(err)
-				s.logBatchItem(ctx, reqID, i, hash, false, err)
-				return
-			}
-			served := cached || art.Thin()
-			ispan.SetAttr("outcome", "ok")
-			results[i] = BatchItemResult{CompileResponse: respondCompile(hash, served, art)}
-			s.logBatchItem(ctx, reqID, i, hash, served, nil)
+				return s.batchItem(ctx, ictx, reqID, i, req.Item(i), &results[i])
+			})
 		}(i)
 	}
 	wg.Wait()
@@ -170,6 +120,61 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// batchItem runs one batch item on a worker slot, writing its result to
+// *res, and returns the item's outcome. ctx is the batch's context and
+// ictx the item's, which parents the item's stages.
+func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *BatchItemResult) (outcome string) {
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		s.metrics.Timeouts.Add(1)
+		s.metrics.BatchItemErrors.Add(1)
+		*res = BatchItemResult{
+			Error:     "batch deadline exceeded waiting for a worker slot",
+			ErrorCode: wire.CodeDeadlineExceeded,
+			Retryable: true,
+		}
+		s.logBatchItem(ctx, reqID, i, "", false, ctx.Err())
+		return "timeout"
+	}
+	s.work.Add(1)
+	s.metrics.InFlight.Add(1)
+	slotStart := time.Now()
+	defer func() {
+		s.shed.Observe(time.Since(slotStart))
+		s.metrics.InFlight.Add(-1)
+		s.work.Done()
+		<-s.sem
+	}()
+	// Outer panic safety net for the item (compile panics are contained
+	// with repro capture in compileStep): the item fails with code
+	// "internal", the rest of the batch is unaffected, and the slot is
+	// still released.
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.PanicsRecovered.Add(1)
+			s.metrics.BatchItemErrors.Add(1)
+			*res = BatchItemResult{
+				Error:     fmt.Sprintf("worker panic: %v", r),
+				ErrorCode: wire.CodeInternal,
+				Retryable: true,
+			}
+			outcome = "error"
+		}
+	}()
+	art, hash, cached, err := s.compileCached(ictx, item)
+	if err != nil {
+		s.metrics.BatchItemErrors.Add(1)
+		*res = batchItemError(err)
+		s.logBatchItem(ctx, reqID, i, hash, false, err)
+		return "error"
+	}
+	served := cached || art.Thin()
+	*res = BatchItemResult{CompileResponse: respondCompile(hash, served, art)}
+	s.logBatchItem(ctx, reqID, i, hash, served, nil)
+	return "ok"
 }
 
 // logBatchItem emits one log line per batch item carrying the batch's

@@ -29,7 +29,7 @@ func TestCompileBatch(t *testing.T) {
 			mk(104),
 		},
 	}
-	resp, body := post(t, ts.URL+"/v1/compile-batch", &batch)
+	resp, body := post(t, ts.URL+"/v2/compile-batch", &batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s: %s", resp.Status, body)
 	}
@@ -66,7 +66,7 @@ func TestCompileBatch(t *testing.T) {
 	}
 
 	// Batch items share the artifact cache with single compiles.
-	single, sbody := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(101)))
+	single, sbody := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(101)))
 	if single.StatusCode != http.StatusOK {
 		t.Fatalf("single compile after batch: %s", single.Status)
 	}
@@ -112,7 +112,7 @@ func TestCompileBatchValidation(t *testing.T) {
 		{"too many", wire.CompileBatchRequest{Version: wire.Version, Items: []wire.CompileItem{item(1), item(2), item(3)}}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		resp, body := post(t, ts.URL+"/v1/compile-batch", &tc.req)
+		resp, body := post(t, ts.URL+"/v2/compile-batch", &tc.req)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.code, body)
 		}
@@ -128,7 +128,7 @@ func TestCompileBatchLargerThanPool(t *testing.T) {
 		req := compileRequest(t, copyAddLoop(200+k))
 		items = append(items, wire.CompileItem{Loop: req.Loop, Options: req.Options})
 	}
-	resp, body := post(t, ts.URL+"/v1/compile-batch", &wire.CompileBatchRequest{Version: wire.Version, Items: items})
+	resp, body := post(t, ts.URL+"/v2/compile-batch", &wire.CompileBatchRequest{Version: wire.Version, Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s: %s", resp.Status, body)
 	}

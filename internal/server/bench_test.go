@@ -62,7 +62,7 @@ func BenchmarkCompileCold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL+"/v1/compile", bodies[i])
+		benchPost(b, ts.URL+"/v2/compile", bodies[i])
 	}
 }
 
@@ -79,9 +79,9 @@ func BenchmarkCompileCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchPost(b, ts.URL+"/v1/compile", body) // warm the cache
+	benchPost(b, ts.URL+"/v2/compile", body) // warm the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL+"/v1/compile", body)
+		benchPost(b, ts.URL+"/v2/compile", body)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ltsp"
 	"ltsp/internal/obs"
@@ -91,6 +90,7 @@ type flightCall struct {
 	val    *Artifact
 	err    error
 	refs   atomic.Int64
+	ctx    context.Context
 	cancel context.CancelFunc
 }
 
@@ -140,7 +140,7 @@ func (c *ArtifactCache) Stats() CacheStats {
 // Add inserts an artifact under key (most recently used), evicting LRU
 // entries beyond capacity. It is the cache-fill path for artifacts that
 // arrived outside a compile flight (a disk hit on the simulate or trace
-// path); an existing entry is replaced in place.
+// path, a materialization); an existing entry is replaced.
 func (c *ArtifactCache) Add(key string, val *Artifact) {
 	if c.capacity <= 0 {
 		return
@@ -148,20 +148,6 @@ func (c *ArtifactCache) Add(key string, val *Artifact) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insertLocked(key, val)
-}
-
-// Replace swaps the artifact stored under key (preserving its LRU
-// position) if the key is present — the materialization path upgrades a
-// thin artifact to its compiled form in place. It does not touch hit or
-// miss counters.
-func (c *ArtifactCache) Replace(key string, val *Artifact) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		ce := el.Value.(*cacheEntry)
-		c.bytes += val.Size - ce.size
-		ce.val, ce.size = val, val.Size
-	}
 }
 
 // insertLocked pushes a new entry (replacing in place if the key landed
@@ -242,25 +228,50 @@ func runFlight(fctx context.Context, fn func(context.Context) (*Artifact, error)
 // while an identical computation is in flight returns ctx.Err()
 // immediately without dooming the flight for the others.
 func (c *ArtifactCache) GetOrCompute(ctx context.Context, key string, fn func(context.Context) (*Artifact, error)) (*Artifact, bool, error) {
-	// The mem_lookup stage histogram is observed at the three lookup-exit
-	// points below — hit, joined an in-flight computation, registered a
-	// new flight — never across a dedup wait, so it measures the lookup
-	// itself, not the coalesced computation.
-	lookupStart := time.Now()
+	return c.resolve(ctx, key, c.probe(key), fn)
+}
+
+// cacheProbe is the memory tier's lookup result: a completed artifact
+// (outcome "hit"), an in-flight computation to join ("dedup"), or a new
+// flight the caller must run through resolve ("miss").
+type cacheProbe struct {
+	art     *Artifact
+	call    *flightCall
+	outcome string
+}
+
+// probe is the lookup half of GetOrCompute, split out so the server
+// times the lookup itself as the mem_lookup stage, apart from any wait
+// on a coalesced computation.
+func (c *ArtifactCache) probe(key string) cacheProbe {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		c.metrics.CacheHits.Add(1)
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		c.metrics.StageMemLookup.Observe(time.Since(lookupStart))
-		return v, true, nil
+		return cacheProbe{art: el.Value.(*cacheEntry).val, outcome: outcomeHit}
 	}
 	if call, ok := c.inflight[key]; ok {
 		c.metrics.CacheDedups.Add(1)
 		call.refs.Add(1)
-		c.mu.Unlock()
-		c.metrics.StageMemLookup.Observe(time.Since(lookupStart))
+		return cacheProbe{call: call, outcome: outcomeDedup}
+	}
+	fctx, cancel := context.WithCancel(context.Background())
+	call := &flightCall{done: make(chan struct{}), ctx: fctx, cancel: cancel}
+	call.refs.Store(1)
+	c.inflight[key] = call
+	c.metrics.CacheMisses.Add(1)
+	return cacheProbe{call: call, outcome: outcomeMiss}
+}
+
+// resolve completes a probe: a hit returns at once, a joined flight is
+// awaited under ctx, and a fresh flight runs fn and publishes its result.
+func (c *ArtifactCache) resolve(ctx context.Context, key string, p cacheProbe, fn func(context.Context) (*Artifact, error)) (*Artifact, bool, error) {
+	call := p.call
+	switch p.outcome {
+	case outcomeHit:
+		return p.art, true, nil
+	case outcomeDedup:
 		select {
 		case <-call.done:
 			call.release()
@@ -270,23 +281,15 @@ func (c *ArtifactCache) GetOrCompute(ctx context.Context, key string, fn func(co
 			return nil, false, ctx.Err()
 		}
 	}
-	fctx, cancel := context.WithCancel(context.Background())
-	call := &flightCall{done: make(chan struct{}), cancel: cancel}
-	call.refs.Store(1)
-	c.inflight[key] = call
-	c.metrics.CacheMisses.Add(1)
-	c.mu.Unlock()
-	c.metrics.StageMemLookup.Observe(time.Since(lookupStart))
-
 	// The creator's own reference is released when its ctx ends (freeing
 	// the flight to stop if nobody else is waiting) or, at the latest,
 	// when fn returns.
 	stop := context.AfterFunc(ctx, call.release)
-	call.val, call.err = runFlight(fctx, fn)
+	call.val, call.err = runFlight(call.ctx, fn)
 	if stop() {
 		call.release()
 	}
-	cancel() // flight over either way; free the context's resources
+	call.cancel() // flight over either way; free the context's resources
 
 	c.mu.Lock()
 	delete(c.inflight, key)

@@ -354,9 +354,9 @@ func TestMuxErrorsUseEnvelope(t *testing.T) {
 	}
 }
 
-// TestDrainEnvelope: while draining, both prefixes reject new work with
-// the "draining" code and a Retry-After hint (clients fail over to
-// another replica or wait it out).
+// TestDrainEnvelope: while draining, new work is rejected with the
+// "draining" code and a Retry-After hint (clients fail over to another
+// replica or wait it out).
 func TestDrainEnvelope(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{DrainRetryAfter: 7 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -364,27 +364,26 @@ func TestDrainEnvelope(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	for _, path := range []string{"/v1/compile", "/v2/compile"} {
-		resp, body := post(t, ts.URL+path, compileRequest(t, copyAddLoop(3)))
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s while draining: got %s, want 503", path, resp.Status)
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "7" {
-			t.Fatalf("%s while draining: Retry-After = %q, want \"7\"", path, ra)
-		}
-		var env wire.ErrorEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			t.Fatalf("%s drain body is not the envelope: %v: %s", path, err, body)
-		}
-		if env.Error.Code != wire.CodeDraining || !env.Error.Retryable {
-			t.Fatalf("%s drain envelope = %+v", path, env.Error)
-		}
+	const path = "/v2/compile"
+	resp, body := post(t, ts.URL+path, compileRequest(t, copyAddLoop(3)))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("%s while draining: got %s, want 503", path, resp.Status)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "7" {
+		t.Fatalf("%s while draining: Retry-After = %q, want \"7\"", path, ra)
+	}
+	var env wire.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("%s drain body is not the envelope: %v: %s", path, err, body)
+	}
+	if env.Error.Code != wire.CodeDraining || !env.Error.Retryable {
+		t.Fatalf("%s drain envelope = %+v", path, env.Error)
 	}
 }
 
-// TestV2PrefixServes: the v2 surface is the same handler set as v1 —
-// compile on one prefix, fetch the trace on the other, both see the same
-// artifact.
+// TestV2PrefixServes: a compile and the trace fetched for its hash see
+// the same artifact, and POST /v1/compile is not routed: it answers with
+// the not_found envelope.
 func TestV2PrefixServes(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(90)))
@@ -396,8 +395,16 @@ func TestV2PrefixServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tr traceDoc
-	get(t, ts.URL+fmt.Sprintf("/v1/artifacts/%s/trace", cr.Hash), &tr)
+	get(t, ts.URL+fmt.Sprintf("/v2/artifacts/%s/trace", cr.Hash), &tr)
 	if tr.Hash != cr.Hash {
-		t.Fatalf("v1 trace for v2 artifact: %q != %q", tr.Hash, cr.Hash)
+		t.Fatalf("trace for compiled artifact: %q != %q", tr.Hash, cr.Hash)
+	}
+	resp, body = post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(90)))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/compile: %s, want 404", resp.Status)
+	}
+	var env wire.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != wire.CodeNotFound {
+		t.Fatalf("POST /v1/compile body = %s (%v), want the not_found envelope", body, err)
 	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"ltsp"
 	"ltsp/internal/cluster"
-	"ltsp/internal/obs"
 	"ltsp/internal/store"
 	"ltsp/internal/telemetry"
 	"ltsp/internal/wire"
@@ -36,16 +35,12 @@ import (
 // peerFill asks the replica set that owns hash for the finished
 // artifact, hedged and bounded. It returns nil when no peer had it (or
 // none answered in time) — the caller then compiles locally. ctx is the
-// flight context: it ends when every waiter has given up. tr/parent
-// come from the originating request (nil when untraced): each hedged
-// leg records a peer_leg span — peer ID, hedge index, outcome — and
-// forwards reqID plus the trace headers so the peer's logs and spans
-// stitch to this request.
-func (s *Server) peerFill(ctx context.Context, hash string, tr *telemetry.Trace, parent *telemetry.Span, reqID string) *store.Entry {
-	ring := s.ring()
-	if ring == nil {
-		return nil
-	}
+// flight context: it ends when every waiter has given up, and carries
+// the originating request's ID and trace. Each hedged leg runs as a
+// peer_leg stage — span with peer ID, hedge index and outcome — and
+// forwards the request ID plus the trace headers so the peer's logs and
+// spans stitch to this request.
+func (s *Server) peerFill(ctx context.Context, ring *cluster.Ring, hash string) *store.Entry {
 	owners := ring.Owners(hash, s.cfg.Replication)
 	targets := make([]cluster.Peer, 0, len(owners))
 	for _, p := range owners {
@@ -58,10 +53,7 @@ func (s *Server) peerFill(ctx context.Context, hash string, tr *telemetry.Trace,
 		}
 	}
 	if len(targets) == 0 {
-		// Every replica is dead (or this node is the set): count the miss
-		// so fill accounting still adds up per request.
-		s.metrics.PeerMisses.Add(1)
-		return nil
+		return nil // every replica is dead (or this node is the set)
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
 	defer cancel()
@@ -81,33 +73,30 @@ func (s *Server) peerFill(ctx context.Context, hash string, tr *telemetry.Trace,
 		leg := launched
 		launched++
 		go func() {
-			lspan := tr.Start("peer_leg", parent)
-			lspan.SetAttr("peer", p.ID)
-			lspan.SetAttr("hedge", strconv.Itoa(leg))
-			lstart := time.Now()
-			e, err := s.fetchArtifact(ctx, p, hash, tr, lspan, reqID)
-			s.metrics.StagePeerLeg.Observe(time.Since(lstart))
-			// Health accounting: a completed exchange (hit or clean miss)
-			// is a success; a transport/status failure counts toward
-			// ejection — unless the flight context ended, which says
-			// nothing about the peer.
-			if err != nil {
-				if ctx.Err() == nil {
-					s.health.ReportFailure(p.ID)
+			var r result
+			s.stage(ctx, stagePeerLeg, func(lctx context.Context) string {
+				if tr, lspan := telemetry.FromContext(lctx); tr.On() {
+					lspan.SetAttr("peer", p.ID)
+					lspan.SetAttr("hedge", strconv.Itoa(leg))
 				}
-			} else {
+				r.e, r.err = s.fetchArtifact(lctx, p, hash)
+				// Health accounting: a completed exchange (hit or clean
+				// miss) is a success; a transport/status failure counts
+				// toward ejection — unless the flight context ended, which
+				// says nothing about the peer.
+				if r.err != nil {
+					if ctx.Err() == nil {
+						s.health.ReportFailure(p.ID)
+					}
+					return "error"
+				}
 				s.health.ReportSuccess(p.ID)
-			}
-			switch {
-			case err != nil:
-				lspan.SetAttr("outcome", "error")
-			case e != nil:
-				lspan.SetAttr("outcome", "hit")
-			default:
-				lspan.SetAttr("outcome", "miss")
-			}
-			lspan.End()
-			results <- result{e, err}
+				if r.e == nil {
+					return outcomeMiss
+				}
+				return outcomeHit
+			})
+			results <- r
 		}()
 	}
 	launch()
@@ -126,7 +115,6 @@ func (s *Server) peerFill(ctx context.Context, hash string, tr *telemetry.Trace,
 		case r := <-results:
 			pending--
 			if r.err == nil && r.e != nil {
-				s.metrics.PeerHits.Add(1)
 				s.metrics.PeerFillLatency.Observe(time.Since(start))
 				return r.e
 			}
@@ -142,20 +130,18 @@ func (s *Server) peerFill(ctx context.Context, hash string, tr *telemetry.Trace,
 			}
 		case <-ctx.Done():
 			// Budget exhausted (or every waiter gave up): compile locally.
-			s.metrics.PeerMisses.Add(1)
 			return nil
 		}
 	}
-	s.metrics.PeerMisses.Add(1)
 	return nil
 }
 
 // fetchArtifact retrieves one artifact from one peer. A clean 404
 // (the peer does not have it) returns (nil, nil); anything else that
-// isn't a valid artifact is an error. The originating request's ID and
-// trace context (when present) ride along as headers, so the peer's
-// log lines carry the same ID and its spans nest under this leg.
-func (s *Server) fetchArtifact(ctx context.Context, p cluster.Peer, hash string, tr *telemetry.Trace, leg *telemetry.Span, reqID string) (*store.Entry, error) {
+// isn't a valid artifact is an error. The request ID and trace context
+// ctx carries (when present) ride along as headers, so the peer's log
+// lines carry the same ID and its spans nest under the current span.
+func (s *Server) fetchArtifact(ctx context.Context, p cluster.Peer, hash string) (*store.Entry, error) {
 	url := strings.TrimRight(p.Addr, "/") + "/v2/artifacts/" + hash
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -166,10 +152,10 @@ func (s *Server) fetchArtifact(ctx context.Context, p cluster.Peer, hash string,
 			req.Header.Set(wire.DeadlineHeader, strconv.FormatInt(ms, 10))
 		}
 	}
-	if reqID != "" {
+	if reqID := requestIDFrom(ctx); reqID != "" {
 		req.Header.Set(wire.RequestIDHeader, reqID)
 	}
-	if tr.On() {
+	if tr, leg := telemetry.FromContext(ctx); tr.On() {
 		req.Header.Set(wire.TraceHeader, tr.ID())
 		if id := leg.ID(); id != "" {
 			req.Header.Set(wire.ParentSpanHeader, id)
@@ -287,13 +273,20 @@ func (s *Server) persist(e *store.Entry, source string) {
 	s.scheduleRepair(e)
 }
 
-// artifactWire renders a cached artifact as the transfer envelope,
-// serializing the response and trace when the artifact holds only their
-// live forms.
+// artifactWire renders a cached artifact as the transfer envelope from
+// its serialized sections. Every artifact has them but one whose
+// serialization failed at compile time, which stays memory-only.
 func artifactWire(hash string, art *Artifact) (*wire.ArtifactResponse, error) {
-	respJSON, traceJSON, err := artifactSections(hash, art)
+	if art.Response == nil {
+		return nil, fmt.Errorf("artifact was never serialized")
+	}
+	respJSON, err := json.Marshal(art.Response)
 	if err != nil {
 		return nil, err
+	}
+	traceJSON := art.TraceRaw
+	if traceJSON == nil {
+		traceJSON = json.RawMessage("[]")
 	}
 	return &wire.ArtifactResponse{
 		Hash:        hash,
@@ -303,34 +296,6 @@ func artifactWire(hash string, art *Artifact) (*wire.ArtifactResponse, error) {
 		Verify:      wire.ArtifactVerify{Sampled: art.Verify.Sampled, Passed: art.Verify.Passed},
 		CreatedUnix: art.CreatedUnix,
 	}, nil
-}
-
-// artifactSections returns the serialized response and trace of an
-// artifact, marshaling from the live forms when needed.
-func artifactSections(hash string, art *Artifact) (respJSON, traceJSON json.RawMessage, err error) {
-	switch {
-	case art.Response != nil:
-		respJSON, err = json.Marshal(art.Response)
-	case art.Compiled != nil:
-		respJSON, err = json.Marshal(compileResponse(hash, false, art.Compiled))
-	default:
-		err = fmt.Errorf("artifact has neither response nor compilation")
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case art.TraceRaw != nil:
-		traceJSON = art.TraceRaw
-	case art.Trace != nil:
-		traceJSON, err = json.Marshal(art.Trace)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		traceJSON = json.RawMessage("[]")
-	}
-	return respJSON, traceJSON, nil
 }
 
 // handleArtifact serves the artifact-transfer envelope for a hash: the
@@ -378,18 +343,19 @@ func (s *Server) writeArtifact(w http.ResponseWriter, r *http.Request, ar *wire.
 		writeBinary(w, frame)
 		return
 	}
-	n := writeJSONSized(w, http.StatusOK, ar)
+	n := writeJSON(w, http.StatusOK, ar)
 	s.metrics.ArtifactBytesJSON.Add(int64(n))
 }
 
 // materialize recompiles a thin artifact's canonical request so the
 // executable program exists in this process (the simulate path needs
-// it), upgrading the cache entry in place. The recompilation is not a
-// new compilation decision — the artifact's stored response stays
-// authoritative — so it does not bump the compile outcome counters.
-// Concurrent materializations of the same hash waste at most one
-// compile each; they converge on identical programs (compilation is
-// deterministic).
+// it), upgrading the cache entry. It runs the same compile step
+// as the compile flight — compile stage, panic containment, repro
+// capture — but the recompilation is not a new compilation decision: the
+// artifact's stored response stays authoritative, so it is neither
+// re-verified nor counted in the compile outcome counters. Concurrent
+// materializations of the same hash waste at most one compile each;
+// they converge on identical programs (compilation is deterministic).
 func (s *Server) materialize(ctx context.Context, hash string, art *Artifact) (*ltsp.Compiled, error) {
 	var creq wire.CompileRequest
 	if err := json.Unmarshal(art.Request, &creq); err != nil {
@@ -403,16 +369,13 @@ func (s *Server) materialize(ctx context.Context, hash string, art *Artifact) (*
 	if err != nil {
 		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored options invalid: %v", err)}
 	}
-	tr := obs.New()
-	opts.Trace = tr
-	c, err := ltsp.CompileContext(ctx, l, opts)
+	compiled, err := s.compileStep(ctx, &creq, l, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	full := *art
-	full.Compiled = c
-	full.Trace = tr
-	s.cache.Replace(hash, &full)
+	full.Compiled, full.Trace = compiled.Compiled, compiled.Trace
+	s.cache.Add(hash, &full)
 	s.metrics.Materializations.Add(1)
-	return c, nil
+	return full.Compiled, nil
 }

@@ -17,15 +17,15 @@ var latencyBucketsMs = [numBounds]float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50,
 const numBounds = 13
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent use.
+// It keeps no separate count: the count is the bucket total, so a
+// snapshot's count always equals its le_+Inf bucket.
 type Histogram struct {
-	count   atomic.Int64
 	sumUs   atomic.Int64 // accumulated microseconds
 	buckets [numBounds + 1]atomic.Int64
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	h.count.Add(1)
 	h.sumUs.Add(d.Microseconds())
 	ms := float64(d) / float64(time.Millisecond)
 	for i, ub := range latencyBucketsMs {
@@ -50,23 +50,21 @@ type histogramJSON struct {
 
 func (h *Histogram) snapshot() histogramJSON {
 	out := histogramJSON{
-		Count:   h.count.Load(),
 		SumMs:   float64(h.sumUs.Load()) / 1000,
 		Buckets: make(map[string]int64, len(h.buckets)),
 	}
-	if out.Count > 0 {
-		out.MeanMs = out.SumMs / float64(out.Count)
-	}
 	// Buckets are stored disjoint but rendered cumulative (the "le_"
-	// convention): le_+Inf always equals count.
-	var cum int64
+	// convention); the count is the running total, so le_+Inf equals it.
 	for i := range h.buckets {
 		label := "+Inf"
 		if i < len(latencyBucketsMs) {
 			label = formatBound(latencyBucketsMs[i])
 		}
-		cum += h.buckets[i].Load()
-		out.Buckets["le_"+label] = cum
+		out.Count += h.buckets[i].Load()
+		out.Buckets["le_"+label] = out.Count
+	}
+	if out.Count > 0 {
+		out.MeanMs = out.SumMs / float64(out.Count)
 	}
 	return out
 }
@@ -83,7 +81,7 @@ type Metrics struct {
 	CompileErrors    atomic.Int64
 	SimulateRequests atomic.Int64
 	SimulateErrors   atomic.Int64
-	// BatchRequests counts POST /v1/compile-batch calls; BatchItems the
+	// BatchRequests counts POST /v2/compile-batch calls; BatchItems the
 	// loops submitted through them; BatchItemErrors the items that failed
 	// (the batch itself still returns 200 with per-item errors).
 	BatchRequests   atomic.Int64
@@ -200,17 +198,10 @@ type Metrics struct {
 	// byte to verified artifact.
 	PeerFillLatency Histogram
 
-	// Per-stage latency histograms: where a request's wall clock goes
-	// inside the serving pipeline. Observed on every request (traced or
-	// not) at the stage sites themselves — queue wait in acquire, memory
-	// lookup in the artifact cache, disk reads, each hedged peer-fill leg,
-	// compile, and sampled verification.
-	StageQueueWait Histogram
-	StageMemLookup Histogram
-	StageDiskRead  Histogram
-	StagePeerLeg   Histogram
-	StageCompile   Histogram
-	StageVerify    Histogram
+	// stages are the per-stage latency histograms, indexed by stageID:
+	// where a request's wall clock goes inside the serving pipeline.
+	// Observed on every request (traced or not), only by Server.stage.
+	stages [numStages]Histogram
 }
 
 // backendOutcomes is one backend's slice of the outcome counters.
@@ -338,17 +329,6 @@ type provenanceJSON struct {
 	PeerMismatches int64 `json:"peer_mismatches"`
 }
 
-// stagesJSON is the /metrics "stage_latency" block: one histogram per
-// pipeline stage, keyed by stage name.
-type stagesJSON struct {
-	QueueWait histogramJSON `json:"queue_wait"`
-	MemLookup histogramJSON `json:"mem_lookup"`
-	DiskRead  histogramJSON `json:"disk_read"`
-	PeerLeg   histogramJSON `json:"peer_leg"`
-	Compile   histogramJSON `json:"compile"`
-	Verify    histogramJSON `json:"verify"`
-}
-
 // metricsJSON is the /metrics document. LatencyBounds documents the
 // shared histogram bucket upper bounds exactly once; every histogram's
 // buckets map uses these bounds cumulatively (le_ convention).
@@ -393,13 +373,19 @@ type metricsJSON struct {
 	CompileLatency           histogramJSON           `json:"compile_latency"`
 	SimulateLatency          histogramJSON           `json:"simulate_latency"`
 	BatchLatency             histogramJSON           `json:"batch_latency"`
-	Stages                   stagesJSON              `json:"stage_latency"`
-	Disk                     *diskJSON               `json:"disk,omitempty"`
-	Cluster                  *clusterJSON            `json:"cluster,omitempty"`
-	Provenance               *provenanceJSON         `json:"provenance,omitempty"`
+	// Stages is the "stage_latency" block: one histogram per serving
+	// stage, keyed by stage name.
+	Stages     map[string]histogramJSON `json:"stage_latency"`
+	Disk       *diskJSON                `json:"disk,omitempty"`
+	Cluster    *clusterJSON             `json:"cluster,omitempty"`
+	Provenance *provenanceJSON          `json:"provenance,omitempty"`
 }
 
 func (m *Metrics) snapshot(cache CacheStats, disk *diskJSON, cluster *clusterJSON, prov *provenanceJSON, uptime time.Duration) metricsJSON {
+	stages := make(map[string]histogramJSON, numStages)
+	for id, name := range stageNames {
+		stages[name] = m.stages[id].snapshot()
+	}
 	return metricsJSON{
 		BuildInfo: buildInfoJSON{
 			Version: buildinfo.Version,
@@ -447,16 +433,9 @@ func (m *Metrics) snapshot(cache CacheStats, disk *diskJSON, cluster *clusterJSO
 		CompileLatency:           m.CompileLatency.snapshot(),
 		SimulateLatency:          m.SimulateLatency.snapshot(),
 		BatchLatency:             m.BatchLatency.snapshot(),
-		Stages: stagesJSON{
-			QueueWait: m.StageQueueWait.snapshot(),
-			MemLookup: m.StageMemLookup.snapshot(),
-			DiskRead:  m.StageDiskRead.snapshot(),
-			PeerLeg:   m.StagePeerLeg.snapshot(),
-			Compile:   m.StageCompile.snapshot(),
-			Verify:    m.StageVerify.snapshot(),
-		},
-		Disk:       disk,
-		Cluster:    cluster,
-		Provenance: prov,
+		Stages:                   stages,
+		Disk:                     disk,
+		Cluster:                  cluster,
+		Provenance:               prov,
 	}
 }

@@ -2,16 +2,14 @@ package server
 
 // Wire-encoding negotiation and the prerendered hot path.
 //
-// JSON is the default encoding everywhere. On the /v2 endpoints a client
-// may send its compile (or batch) request as a binary frame by setting
-// Content-Type: application/x-ltsp-bin, and may ask for a binary
-// response body by listing the same media type in Accept. The two are
-// independent: a binary request may ask for a JSON response and vice
-// versa. v1 paths are frozen wire-compatible — bodies are parsed as
-// JSON whatever the Content-Type says, exactly as before the binary
-// format existed. Error responses are always the JSON envelope,
-// regardless of Accept: a client that cannot parse its own error is
-// debugging blind, and every client already speaks JSON.
+// JSON is the default encoding everywhere. A client may send its compile
+// (or batch) request as a binary frame by setting Content-Type:
+// application/x-ltsp-bin, and may ask for a binary response body by
+// listing the same media type in Accept. The two are independent: a
+// binary request may ask for a JSON response and vice versa. Error
+// responses are always the JSON envelope, regardless of Accept: a client
+// that cannot parse its own error is debugging blind, and every client
+// already speaks JSON.
 //
 // The artifact content hash is defined over canonical JSON bytes no
 // matter how the request traveled (see wire.CompileRequest.Canonical),
@@ -41,13 +39,9 @@ const (
 	encUnknown
 )
 
-// requestEncoding classifies the request body from its Content-Type.
-// Only /v2 paths negotiate: an unknown Content-Type there is rejected
-// with 415 rather than misparsed.
+// requestEncoding classifies the request body from its Content-Type. An
+// unknown Content-Type is rejected with 415 rather than misparsed.
 func requestEncoding(r *http.Request) encoding {
-	if !strings.HasPrefix(r.URL.Path, "/v2/") {
-		return encJSON
-	}
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = ct[:i]
@@ -62,10 +56,9 @@ func requestEncoding(r *http.Request) encoding {
 }
 
 // wantsBinary reports whether the client asked for a binary response
-// body. Successful /v2 responses honor it; errors stay JSON.
+// body. Successful responses honor it; errors stay JSON.
 func wantsBinary(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/v2/") &&
-		strings.Contains(r.Header.Get("Accept"), binary.ContentType)
+	return strings.Contains(r.Header.Get("Accept"), binary.ContentType)
 }
 
 // rejectMedia emits the 415 envelope for a Content-Type the server does
@@ -110,9 +103,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 	return buf, true
 }
 
-// decodeJSONBody parses a JSON body with the same tolerance the
-// streaming decoder had (a single top-level value is consumed; the
-// error wording matches encoding/json).
+// decodeJSONBody parses a JSON body: a single top-level value is
+// consumed, and the error wording is encoding/json's.
 func decodeJSONBody(w http.ResponseWriter, body []byte, v any) bool {
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest,

@@ -84,21 +84,6 @@ func TestV2UnknownContentType(t *testing.T) {
 	}
 }
 
-// TestV1IgnoresContentType: the frozen v1 surface parses JSON whatever
-// the Content-Type says, exactly as before negotiation existed.
-func TestV1IgnoresContentType(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{})
-	req, err := wire.NewCompileRequest(testLoop(t), ltsp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := json.Marshal(req)
-	resp, data := postRaw(t, ts.URL+"/v1/compile", "application/octet-stream", "", payload)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 with odd Content-Type: status = %d, body %s", resp.StatusCode, data)
-	}
-}
-
 // TestNegotiationMatrix: request and response encodings are independent.
 // All four corners of the matrix must produce the same compile result.
 func TestNegotiationMatrix(t *testing.T) {

@@ -26,7 +26,7 @@ type traceDoc struct {
 // TestTraceEndpoint compiles a loop and retrieves its decision trace.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(31)))
+	resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(31)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
@@ -42,7 +42,7 @@ func TestTraceEndpoint(t *testing.T) {
 	get(t, ts.URL+"/metrics", &m1)
 
 	var tr traceDoc
-	get(t, ts.URL+"/v1/artifacts/"+cr.Hash+"/trace", &tr)
+	get(t, ts.URL+"/v2/artifacts/"+cr.Hash+"/trace", &tr)
 	if tr.Hash != cr.Hash || tr.Outcome != obs.OutcomePipelined {
 		t.Fatalf("trace header = %s/%s, want %s/%s", tr.Hash, tr.Outcome, cr.Hash, obs.OutcomePipelined)
 	}
@@ -71,7 +71,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	// Unknown hashes are a clean 404.
-	r, err := http.Get(ts.URL + "/v1/artifacts/deadbeef/trace")
+	r, err := http.Get(ts.URL + "/v2/artifacts/deadbeef/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ type outcomeMetricsDoc struct {
 func TestOutcomeCountersCountCompilesNotRequests(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for i := 0; i < 3; i++ {
-		resp, body := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(41)))
+		resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(41)))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("compile %d: %s: %s", i, resp.Status, body)
 		}
@@ -112,7 +112,7 @@ func TestOutcomeCountersCountCompilesNotRequests(t *testing.T) {
 		t.Fatalf("pipelined = %d after 3 identical requests, want 1", m.CompileOutcomes.Pipelined)
 	}
 
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(42)))
+	resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(42)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
@@ -239,7 +239,7 @@ func TestTimedOutCompileIsCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body := post(t, ts.URL+"/v1/compile", req)
+	resp, body := post(t, ts.URL+"/v2/compile", req)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("compile under 1ns deadline: got %s (%s), want 504", resp.Status, body)
 	}
@@ -264,7 +264,7 @@ func TestTimedOutCompileIsCanceled(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if resp, _ := http.Get(ts.URL + fmt.Sprintf("/v1/artifacts/%s/trace", hash)); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := http.Get(ts.URL + fmt.Sprintf("/v2/artifacts/%s/trace", hash)); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("trace for canceled compile: got %s, want 404", resp.Status)
 	}
 }

@@ -83,6 +83,18 @@ func (p *promWriter) histogram(name, help, labelKey, labelVal string, h histogra
 	p.printf("%s_count%s %d\n", name, label(""), h.Count)
 }
 
+// outcomePair is one compile outcome counter with its label value.
+type outcomePair struct {
+	k string
+	v int64
+}
+
+// pairs lists the outcome counters under their obs.Outcome* labels.
+func (o outcomesJSON) pairs() [4]outcomePair {
+	return [4]outcomePair{{"pipelined", o.Pipelined}, {"fallback_reduced_latency", o.ReducedLatency},
+		{"fallback_raised_ii", o.RaisedII}, {"sequential", o.Sequential}}
+}
+
 // writePrometheus renders the full snapshot. Histogram bounds (and so
 // the le labels, sums and means) are in milliseconds, matching the
 // JSON document's latency_bounds_ms; the _ms suffix on every family
@@ -132,16 +144,8 @@ func writePrometheus(w io.Writer, m *metricsJSON) error {
 
 	p.printf("# HELP ltspd_compile_outcomes_total Compilations by pipeliner outcome.\n" +
 		"# TYPE ltspd_compile_outcomes_total counter\n")
-	for _, oc := range []struct {
-		k string
-		v int64
-	}{
-		{"pipelined", m.CompileOutcomes.Pipelined},
-		{"fallback_reduced_latency", m.CompileOutcomes.ReducedLatency},
-		{"fallback_raised_ii", m.CompileOutcomes.RaisedII},
-		{"sequential", m.CompileOutcomes.Sequential},
-	} {
-		p.printf("ltspd_compile_outcomes_total{outcome=%q} %d\n", oc.k, oc.v)
+	for _, kv := range m.CompileOutcomes.pairs() {
+		p.printf("ltspd_compile_outcomes_total{outcome=%q} %d\n", kv.k, kv.v)
 	}
 	if len(m.CompileOutcomesByBackend) > 0 {
 		p.printf("# HELP ltspd_compile_outcomes_by_backend_total Compilations by scheduling backend and pipeliner outcome.\n" +
@@ -152,16 +156,7 @@ func writePrometheus(w io.Writer, m *metricsJSON) error {
 		}
 		sort.Strings(backends)
 		for _, b := range backends {
-			oc := m.CompileOutcomesByBackend[b]
-			for _, kv := range []struct {
-				k string
-				v int64
-			}{
-				{"pipelined", oc.Pipelined},
-				{"fallback_reduced_latency", oc.ReducedLatency},
-				{"fallback_raised_ii", oc.RaisedII},
-				{"sequential", oc.Sequential},
-			} {
+			for _, kv := range m.CompileOutcomesByBackend[b].pairs() {
 				p.printf("ltspd_compile_outcomes_by_backend_total{backend=%q,outcome=%q} %d\n", b, kv.k, kv.v)
 			}
 		}
@@ -171,19 +166,9 @@ func writePrometheus(w io.Writer, m *metricsJSON) error {
 	p.histogram("ltspd_simulate_latency_ms", "Simulate request latency (milliseconds).", "", "", m.SimulateLatency, true)
 	p.histogram("ltspd_batch_latency_ms", "Compile-batch request latency (milliseconds).", "", "", m.BatchLatency, true)
 
-	for i, st := range []struct {
-		name string
-		h    histogramJSON
-	}{
-		{"queue_wait", m.Stages.QueueWait},
-		{"mem_lookup", m.Stages.MemLookup},
-		{"disk_read", m.Stages.DiskRead},
-		{"peer_leg", m.Stages.PeerLeg},
-		{"compile", m.Stages.Compile},
-		{"verify", m.Stages.Verify},
-	} {
+	for i, name := range stageNames {
 		p.histogram("ltspd_stage_latency_ms", "Per-stage request latency (milliseconds), by pipeline stage.",
-			"stage", st.name, st.h, i == 0)
+			"stage", name, m.Stages[name], i == 0)
 	}
 
 	if m.Cluster != nil {

@@ -3,31 +3,28 @@
 //
 // Endpoints:
 //
-//	POST /v1/compile  — wire.CompileRequest body; compiles the loop (or
+//	POST /v2/compile  — wire.CompileRequest body; compiles the loop (or
 //	                    serves it from the artifact cache) and returns the
 //	                    II/stage structure, per-load reports, register
 //	                    footprint, kernel listing and the artifact hash.
-//	POST /v1/compile-batch — wire.CompileBatchRequest body; shards a list
+//	POST /v2/compile-batch — wire.CompileBatchRequest body; shards a list
 //	                    of compile items over the bounded worker pool with
 //	                    per-item singleflight cache hits, returning results
 //	                    (or per-item errors) in request order.
-//	POST /v1/simulate — wire.SimulateRequest body; simulates a compiled
+//	POST /v2/simulate — wire.SimulateRequest body; simulates a compiled
 //	                    artifact (by hash, or compiling inline through the
 //	                    same cache) for a trip count and returns cycles
 //	                    with full Fig.-10 stall accounting.
-//	GET  /v1/artifacts/{hash}/trace — the pipeliner's decision trace for a
+//	GET  /v2/artifacts/{hash}/trace — the pipeliner's decision trace for a
 //	                    cached artifact: load classifications, II search,
 //	                    fallback rungs, register allocation, outcome.
 //	GET  /healthz     — liveness plus the build version.
 //	GET  /metrics     — expvar-style JSON counters, latency histograms,
 //	                    pipeliner outcome counters, uptime and build info.
 //
-// Every POST/trace endpoint is mounted under both /v1 and /v2. The two
-// prefixes share handlers and semantics; /v2 names the redesigned
-// resilient surface every error response of which is the JSON envelope
-// {"error":{"code","message","retryable"}} (v1 paths keep their status
-// codes but return the same body — see package wire). Resilience
-// behaviors, on both prefixes:
+// Every error response is the JSON envelope
+// {"error":{"code","message","retryable"}} (see package wire). Resilience
+// behaviors:
 //
 //   - Deadline propagation: the effective deadline is the server's
 //     per-endpoint timeout tightened by the client's X-Request-Deadline-Ms
@@ -419,15 +416,11 @@ func New(cfg Config) *Server {
 			s.startAntiEntropy(cfg.AntiEntropyInterval)
 		}
 	}
-	// /v1 and /v2 share handlers: v2 is the documented resilient surface,
-	// v1 stays wire-compatible for existing clients.
-	for _, v := range []string{"/v1", "/v2"} {
-		s.mux.HandleFunc("POST "+v+"/compile", s.handleCompile)
-		s.mux.HandleFunc("POST "+v+"/compile-batch", s.handleCompileBatch)
-		s.mux.HandleFunc("POST "+v+"/simulate", s.handleSimulate)
-		s.mux.HandleFunc("GET "+v+"/artifacts/{hash}", s.handleArtifact)
-		s.mux.HandleFunc("GET "+v+"/artifacts/{hash}/trace", s.handleTrace)
-	}
+	s.mux.HandleFunc("POST /v2/compile", s.handleCompile)
+	s.mux.HandleFunc("POST /v2/compile-batch", s.handleCompileBatch)
+	s.mux.HandleFunc("POST /v2/simulate", s.handleSimulate)
+	s.mux.HandleFunc("GET /v2/artifacts/{hash}", s.handleArtifact)
+	s.mux.HandleFunc("GET /v2/artifacts/{hash}/trace", s.handleTrace)
 	s.mux.HandleFunc("PUT /v2/artifacts/{hash}", s.handleArtifactPut)
 	s.mux.HandleFunc("GET /v2/sync/digest", s.handleSyncDigest)
 	s.mux.HandleFunc("GET /v2/sync/keys", s.handleSyncKeys)
@@ -656,13 +649,10 @@ func (s *Server) stopBackground() {
 // path does not allocate a fresh encode buffer per request.
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeJSONSized(w, status, v)
-}
-
-// writeJSONSized is writeJSON returning the number of body bytes
-// written (transfer byte accounting wants the true on-the-wire size).
-func writeJSONSized(w http.ResponseWriter, status int, v any) int {
+// writeJSON renders v as the indented JSON response body and returns the
+// number of body bytes written (transfer byte accounting wants the true
+// on-the-wire size).
+func writeJSON(w http.ResponseWriter, status int, v any) int {
 	buf := encBufPool.Get().(*bytes.Buffer)
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
@@ -757,30 +747,31 @@ func (s *Server) acquire(w http.ResponseWriter, ctx context.Context) bool {
 		qctx, cancel = context.WithTimeout(ctx, s.cfg.QueueTimeout)
 		defer cancel()
 	}
-	tr, parent := telemetry.FromContext(ctx)
-	qspan := tr.Start("queue_wait", parent)
-	qstart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-		s.metrics.StageQueueWait.Observe(time.Since(qstart))
-		qspan.End()
-		return true
-	case <-qctx.Done():
-		qspan.SetAttr("outcome", "timeout")
-		qspan.End()
-		s.metrics.Rejected.Add(1)
-		if ctx.Err() != nil {
-			// The request's own deadline (or the client) gave up while
-			// queued — that is a deadline failure, not back-pressure.
-			s.metrics.Timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, wire.CodeDeadlineExceeded,
-				"request deadline expired while waiting for a worker slot")
-			return false
+	acquired := false
+	s.stage(ctx, stageQueueWait, func(context.Context) string {
+		select {
+		case s.sem <- struct{}{}:
+			acquired = true
+			return ""
+		case <-qctx.Done():
+			return "timeout"
 		}
-		wait := s.shed.MedianServiceTime()
-		writeUnavailable(w, wire.CodeOverloaded, wait, "worker pool saturated")
+	})
+	if acquired {
+		return true
+	}
+	s.metrics.Rejected.Add(1)
+	if ctx.Err() != nil {
+		// The request's own deadline (or the client) gave up while
+		// queued — that is a deadline failure, not back-pressure.
+		s.metrics.Timeouts.Add(1)
+		writeError(w, http.StatusGatewayTimeout, wire.CodeDeadlineExceeded,
+			"request deadline expired while waiting for a worker slot")
 		return false
 	}
+	wait := s.shed.MedianServiceTime()
+	writeUnavailable(w, wire.CodeOverloaded, wait, "worker pool saturated")
+	return false
 }
 
 // runBounded executes fn on the calling goroutine's worker slot under
@@ -928,25 +919,24 @@ func respondCompile(hash string, cached bool, art *Artifact) *CompileResponse {
 	return compileResponse(hash, cached, art.Compiled)
 }
 
-// compileCached resolves the request through the layered artifact cache
-// — memory, then disk store, then peer cache-fill (when another node
-// owns the hash), then a local compilation — returning the artifact, its
-// hash, and whether it was served from any cache layer rather than
-// compiled by this call. ctx is this caller's interest in the result —
-// the fill itself runs under the cache's flight context, which stays
-// alive while any identical request still waits (see
-// ArtifactCache.GetOrCompute). Each compilation actually executed
-// records its decision trace in the artifact, bumps the matching outcome
-// counter exactly once, and is written through to the disk store.
+// compileCached resolves the request through the tier chain — memory,
+// then disk store, then peer cache-fill (when another node owns the
+// hash), then a local compilation — returning the artifact, its hash,
+// and whether it was served from any cache layer rather than compiled by
+// this call. ctx is this caller's interest in the result — the fill
+// itself runs under the cache's flight context, which stays alive while
+// any identical request still waits (see ArtifactCache.GetOrCompute).
+// Each compilation actually executed records its decision trace in the
+// artifact, bumps the matching outcome counter exactly once, and is
+// written through to the disk store.
 func (s *Server) compileCached(ctx context.Context, req *wire.CompileRequest) (*Artifact, string, bool, error) {
 	if err := ctx.Err(); err != nil {
 		// The deadline already expired (e.g. while queued): don't start a
 		// compilation nobody will wait for.
 		return nil, "", false, err
 	}
-	if req.Version != wire.Version {
-		return nil, "", false, &codedError{wire.CodeUnsupportedVersion,
-			fmt.Errorf("unsupported request version %d (want %d)", req.Version, wire.Version)}
+	if err := checkVersion(req.Version); err != nil {
+		return nil, "", false, err
 	}
 	canon, err := req.Canonical()
 	if err != nil {
@@ -957,169 +947,202 @@ func (s *Server) compileCached(ctx context.Context, req *wire.CompileRequest) (*
 	if err != nil {
 		return nil, "", false, err
 	}
-	// The flight context is detached from this request (it lives while
-	// any waiter remains), so the trace and request ID come from the
-	// request context here, captured once and used inside the closure.
-	tr, parent := telemetry.FromContext(ctx)
-	reqID := requestIDFrom(ctx)
-	memSpan := tr.Start("mem_lookup", parent)
-	entered := false
-	art, cached, err := s.cache.GetOrCompute(ctx, hash, func(fctx context.Context) (art *Artifact, err error) {
-		// The closure runs inline on the calling goroutine (or not at
-		// all), so entered needs no synchronization.
-		entered = true
-		memSpan.SetAttr("outcome", "miss")
-		memSpan.End()
-		// Layer 2: the persistent store. A disk hit yields a thin artifact
-		// that serves compile and trace requests without recompiling.
-		if s.store != nil {
-			dspan := tr.Start("disk_read", parent)
-			dstart := time.Now()
-			var hit *Artifact
-			if e, derr := s.storeGet(hash); derr == nil {
-				if a, aerr := thinArtifact(e); aerr == nil {
-					hit = a
-					// Serving an owned hash from disk is a read-repair
-					// opportunity: peers in the replica set that restarted
-					// empty get the entry pushed.
-					if ring := s.ring(); ring != nil && ring.IsOwner(s.cfg.Self, hash, s.cfg.Replication) {
-						s.scheduleRepair(e)
-					}
-				} else {
-					s.logger.Warn("disk artifact unusable", "hash", hash[:12], "err", aerr)
-				}
-			}
-			s.metrics.StageDiskRead.Observe(time.Since(dstart))
-			if hit != nil {
-				s.metrics.DiskHits.Add(1)
-				dspan.SetAttr("outcome", "hit")
-				dspan.End()
-				return hit, nil
-			}
-			s.metrics.DiskMisses.Add(1)
-			dspan.SetAttr("outcome", "miss")
-			dspan.End()
-		}
-		// Layer 3: peer cache-fill. When another replica set owns this
-		// hash, its members have probably compiled (or will compile) it —
-		// ask them before burning a local compile, and write a fill through
-		// to disk so it survives restarts.
-		if ring := s.ring(); ring != nil && !ring.IsOwner(s.cfg.Self, hash, s.cfg.Replication) {
-			pspan := tr.Start("peer_fill", parent)
-			e := s.peerFill(fctx, hash, tr, pspan, reqID)
-			if e != nil {
-				pspan.SetAttr("outcome", "hit")
-			} else {
-				pspan.SetAttr("outcome", "miss")
-			}
-			pspan.End()
-			if e != nil {
-				if a, aerr := thinArtifact(e); aerr == nil {
-					wspan := tr.Start("write_through", parent)
-					s.persist(e, store.SourcePeerFill)
-					wspan.End()
-					return a, nil
-				} else {
-					s.logger.Warn("peer artifact unusable", "hash", hash[:12], "err", aerr)
-				}
-			}
-		}
-		// Layer 4: compile locally.
-		l, err := req.DecodeLoop()
-		if err != nil {
-			return nil, mapLoopErr(err)
-		}
-		// Panic containment: a panic anywhere in the compiler (or the
-		// verifier) becomes a retryable "internal" error envelope plus a
-		// replayable on-disk bundle — the process, the worker pool and the
-		// other flights are unaffected.
-		defer func() {
-			if r := recover(); r != nil {
-				s.metrics.PanicsRecovered.Add(1)
-				s.writeRepro(repro.Capture(repro.KindPanic, req, r, debug.Stack(), nil))
-				art, err = nil, &codedError{wire.CodeInternal, fmt.Errorf("compiler panic: %v", r)}
-			}
-		}()
-		if hook := testCompileHook; hook != nil {
-			hook(l)
-		}
-		cspan := tr.Start("compile", parent)
-		cstart := time.Now()
-		otr := obs.New()
-		opts.Trace = otr
-		c, err := ltsp.CompileContext(fctx, l, opts)
-		s.metrics.StageCompile.Observe(time.Since(cstart))
-		if err != nil {
-			cspan.SetAttr("outcome", "error")
-			cspan.End()
-			return nil, err
-		}
-		cspan.SetAttr("outcome", c.Outcome())
-		cspan.End()
-		// Trust but verify: a sampled slice of successful compilations is
-		// re-checked by the independent structural verifier and the
-		// semantic differential oracle. A failure here means the compiler
-		// produced a wrong kernel — fail the request rather than serve it.
-		sampled := s.shouldVerify()
-		if sampled {
-			s.metrics.VerifyRuns.Add(1)
-			check := (*ltsp.Compiled).Verify
-			if hook := testVerifyHook; hook != nil {
-				check = hook
-			}
-			vspan := tr.Start("verify", parent)
-			vstart := time.Now()
-			verr := check(c)
-			s.metrics.StageVerify.Observe(time.Since(vstart))
-			if verr != nil {
-				vspan.SetAttr("outcome", "failed")
-				vspan.End()
-				s.metrics.VerifyFailures.Add(1)
-				s.writeRepro(repro.Capture(repro.KindVerifyFailure, req, nil, nil, verr))
-				return nil, &codedError{wire.CodeInternal, fmt.Errorf("kernel verification failed: %v", verr)}
-			}
-			vspan.SetAttr("outcome", "passed")
-			vspan.End()
-		}
-		s.metrics.CountOutcome(c.Backend, c.Outcome())
-		a := &Artifact{Compiled: c, Trace: otr, Request: canon,
-			Verify: store.VerifyMeta{Sampled: sampled, Passed: sampled}}
-		// Serialize the artifact once: the serialized sections weight the
-		// in-memory LRU, feed the write-through below, and let repeated
-		// serves and peer fills skip re-marshaling. A serialization failure
-		// (never expected) leaves the artifact memory-only.
-		resp := compileResponse(hash, false, c)
-		respJSON, jerr := json.Marshal(resp)
-		traceJSON, terr := json.Marshal(otr)
-		if jerr == nil && terr == nil {
-			entry := &store.Entry{
-				Hash:        hash,
-				Request:     canon,
-				Response:    respJSON,
-				Trace:       traceJSON,
-				Verify:      a.Verify,
-				CreatedUnix: time.Now().Unix(),
-			}
-			a.Response = resp
-			a.TraceRaw = traceJSON
-			a.CreatedUnix = entry.CreatedUnix
-			a.Size = store.EncodedSize(entry)
-			wspan := tr.Start("write_through", parent)
-			s.persist(entry, store.SourceCompile)
-			wspan.End()
-		} else {
-			s.logger.Warn("artifact serialization failed", "hash", hash[:12],
-				"response_err", jerr, "trace_err", terr)
-		}
-		return a, nil
+	var probe cacheProbe
+	s.stage(ctx, stageMemLookup, func(context.Context) string {
+		probe = s.cache.probe(hash)
+		return probe.outcome
 	})
-	if !entered {
-		// Served from memory (or coalesced onto another request's flight)
-		// without this call ever entering the fill layers.
-		memSpan.SetAttr("outcome", "hit")
-		memSpan.End()
-	}
+	art, cached, err := s.cache.resolve(ctx, hash, probe, func(fctx context.Context) (*Artifact, error) {
+		// The flight context is detached from this request (it lives
+		// while any waiter remains); it carries this request's trace and
+		// ID so the tiers' spans and peer fetches stitch to it.
+		tr, parent := telemetry.FromContext(ctx)
+		fctx = context.WithValue(telemetry.WithSpan(fctx, tr, parent), reqIDKey{}, requestIDFrom(ctx))
+		if a := s.diskTier(fctx, hash); a != nil {
+			return a, nil
+		}
+		if a := s.peerTier(fctx, hash); a != nil {
+			return a, nil
+		}
+		return s.compileTier(fctx, hash, req, canon, opts)
+	})
 	return art, hash, cached, err
+}
+
+// diskTier is the disk_read stage: it reads hash from the persistent
+// store into a thin artifact that serves compile and trace requests
+// without recompiling. It is the one place a request turns a store entry
+// into a cache artifact: the compile flight, simulate by hash and the
+// trace endpoint all read through it. nil means a miss (or no store).
+func (s *Server) diskTier(ctx context.Context, hash string) (art *Artifact) {
+	if s.store == nil {
+		return nil
+	}
+	s.stage(ctx, stageDiskRead, func(context.Context) string {
+		e, err := s.storeGet(hash)
+		if err != nil {
+			return outcomeMiss
+		}
+		if art, err = thinArtifact(e); err != nil {
+			s.logger.Warn("disk artifact unusable", "hash", hash[:min(12, len(hash))], "err", err)
+			return outcomeMiss
+		}
+		// Serving an owned hash from disk is a read-repair opportunity:
+		// replica peers that restarted empty get the entry pushed.
+		if ring := s.ring(); ring != nil && ring.IsOwner(s.cfg.Self, hash, s.cfg.Replication) {
+			s.scheduleRepair(e)
+		}
+		return outcomeHit
+	})
+	return art
+}
+
+// readThrough serves an artifact missing from memory out of the disk
+// tier and warms the memory cache with it: the simulate-by-hash and trace
+// paths, which never compile.
+func (s *Server) readThrough(ctx context.Context, hash string) *Artifact {
+	art := s.diskTier(ctx, hash)
+	if art != nil {
+		s.cache.Add(hash, art)
+	}
+	return art
+}
+
+// peerTier is the peer_fill stage: when another replica set owns the
+// hash, its members have probably compiled (or will compile) it — ask
+// them before burning a local compile, and write a fill through to disk
+// so it survives restarts. nil means a miss (or this node owns the hash).
+func (s *Server) peerTier(ctx context.Context, hash string) (art *Artifact) {
+	ring := s.ring()
+	if ring == nil || ring.IsOwner(s.cfg.Self, hash, s.cfg.Replication) {
+		return nil
+	}
+	var e *store.Entry
+	s.stage(ctx, stagePeerFill, func(ctx context.Context) string {
+		if e = s.peerFill(ctx, ring, hash); e == nil {
+			return outcomeMiss
+		}
+		var err error
+		if art, err = thinArtifact(e); err != nil {
+			s.logger.Warn("peer artifact unusable", "hash", hash[:12], "err", err)
+			return outcomeMiss
+		}
+		return outcomeHit
+	})
+	if art != nil {
+		s.writeThrough(ctx, e, store.SourcePeerFill)
+	}
+	return art
+}
+
+// compileTier compiles the request locally (with sampled verification),
+// counts its outcome, serializes the artifact once and writes it through.
+func (s *Server) compileTier(ctx context.Context, hash string, req *wire.CompileRequest, canon json.RawMessage, opts ltsp.Options) (*Artifact, error) {
+	l, err := req.DecodeLoop()
+	if err != nil {
+		return nil, mapLoopErr(err)
+	}
+	a, err := s.compileStep(ctx, req, l, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	c := a.Compiled
+	s.metrics.CountOutcome(c.Backend, c.Outcome())
+	a.Request = canon
+	// Serialize the artifact once: the serialized sections weight the
+	// in-memory LRU, feed the write-through below, and let repeated
+	// serves and peer fills skip re-marshaling. A serialization failure
+	// (never expected) leaves the artifact memory-only.
+	resp := compileResponse(hash, false, c)
+	respJSON, jerr := json.Marshal(resp)
+	traceJSON, terr := json.Marshal(a.Trace)
+	if jerr != nil || terr != nil {
+		s.logger.Warn("artifact serialization failed", "hash", hash[:12],
+			"response_err", jerr, "trace_err", terr)
+		return a, nil
+	}
+	entry := &store.Entry{Hash: hash, Request: canon, Response: respJSON, Trace: traceJSON,
+		Verify: a.Verify, CreatedUnix: time.Now().Unix()}
+	a.Response, a.TraceRaw = resp, traceJSON
+	a.CreatedUnix, a.Size = entry.CreatedUnix, store.EncodedSize(entry)
+	s.writeThrough(ctx, entry, store.SourceCompile)
+	return a, nil
+}
+
+// compileStep is the one compile path: the compile flight and
+// materialization both run it. It compiles l under the compile stage
+// and, when verify is set, puts a sampled slice of compilations through
+// the verify stage. A panic anywhere in the compiler (or the verifier)
+// becomes a retryable "internal" error plus a replayable on-disk bundle
+// of req — the process, the worker pool and the other flights are
+// unaffected.
+func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *ir.Loop, opts ltsp.Options, verify bool) (art *Artifact, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.PanicsRecovered.Add(1)
+			s.writeRepro(repro.Capture(repro.KindPanic, req, r, debug.Stack(), nil))
+			art, err = nil, &codedError{wire.CodeInternal, fmt.Errorf("compiler panic: %v", r)}
+		}
+	}()
+	if hook := testCompileHook; hook != nil {
+		hook(l)
+	}
+	otr := obs.New()
+	opts.Trace = otr
+	var c *ltsp.Compiled
+	s.stage(ctx, stageCompile, func(context.Context) string {
+		if c, err = ltsp.CompileContext(ctx, l, opts); err != nil {
+			return "error"
+		}
+		return c.Outcome()
+	})
+	if err != nil {
+		return nil, err
+	}
+	art = &Artifact{Compiled: c, Trace: otr}
+	if !verify || !s.shouldVerify() {
+		return art, nil
+	}
+	// Trust but verify: the independent structural verifier and the
+	// semantic differential oracle re-check the kernel. A failure here
+	// means the compiler produced a wrong kernel — fail the request
+	// rather than serve it.
+	check := (*ltsp.Compiled).Verify
+	if hook := testVerifyHook; hook != nil {
+		check = hook
+	}
+	s.stage(ctx, stageVerify, func(context.Context) string {
+		s.metrics.VerifyRuns.Add(1)
+		if err = check(c); err != nil {
+			return "failed"
+		}
+		return "passed"
+	})
+	if err != nil {
+		s.metrics.VerifyFailures.Add(1)
+		s.writeRepro(repro.Capture(repro.KindVerifyFailure, req, nil, nil, err))
+		return nil, &codedError{wire.CodeInternal, fmt.Errorf("kernel verification failed: %v", err)}
+	}
+	art.Verify = store.VerifyMeta{Sampled: true, Passed: true}
+	return art, nil
+}
+
+// writeThrough is the write_through stage: persist e to the disk store
+// (a no-op without one).
+func (s *Server) writeThrough(ctx context.Context, e *store.Entry, source string) {
+	s.stage(ctx, stageWriteThrough, func(context.Context) string {
+		s.persist(e, source)
+		return ""
+	})
+}
+
+// checkVersion rejects a request body of another wire version.
+func checkVersion(v int) error {
+	if v != wire.Version {
+		return &codedError{wire.CodeUnsupportedVersion,
+			fmt.Errorf("unsupported request version %d (want %d)", v, wire.Version)}
+	}
+	return nil
 }
 
 // mapLoopErr pins the invalid_loop envelope code on semantic loop
@@ -1212,8 +1235,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.SimulateRequests.Add(1)
 	start := time.Now()
+	body, ok := s.readBody(w, r)
+	if !ok {
+		s.metrics.SimulateErrors.Add(1)
+		return
+	}
 	var req wire.SimulateRequest
-	if !s.decodeBody(w, r, &req) {
+	ok = decodeJSONBody(w, body.Bytes(), &req)
+	putBody(body)
+	if !ok {
 		s.metrics.SimulateErrors.Add(1)
 		return
 	}
@@ -1238,9 +1268,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 var errUnknownArtifact = errors.New("unknown artifact hash (compile first, or send the loop inline)")
 
 func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, int, error) {
-	if req.Version != wire.Version {
-		return nil, http.StatusBadRequest, &codedError{wire.CodeUnsupportedVersion,
-			fmt.Errorf("unsupported request version %d (want %d)", req.Version, wire.Version)}
+	if err := checkVersion(req.Version); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	if req.Trip < 1 {
 		return nil, http.StatusBadRequest, fmt.Errorf("trip count %d < 1", req.Trip)
@@ -1260,20 +1289,10 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 		return nil, http.StatusBadRequest, fmt.Errorf("set either hash or loop, not both")
 	case req.Hash != "":
 		art, ok := s.cache.Get(req.Hash)
-		if !ok && s.store != nil {
-			// Memory miss: fall through to the persistent store and warm
-			// the memory cache with the thin artifact.
-			if e, derr := s.storeGet(req.Hash); derr == nil {
-				if a, aerr := thinArtifact(e); aerr == nil {
-					s.metrics.DiskHits.Add(1)
-					s.cache.Add(req.Hash, a)
-					art, ok = a, true
-				}
-			} else {
-				s.metrics.DiskMisses.Add(1)
-			}
-		}
 		if !ok {
+			art = s.readThrough(ctx, req.Hash)
+		}
+		if art == nil {
 			return nil, http.StatusNotFound, errUnknownArtifact
 		}
 		c, hash, cached = art.Compiled, req.Hash, true
@@ -1328,23 +1347,6 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 	}, http.StatusOK, nil
 }
 
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.metrics.Rejected.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				"body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "malformed request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // handleTrace serves the decision trace stored with a cached artifact,
 // falling through to the persistent store when the artifact is not in
 // memory (a warm restart serves traces straight from disk, and the disk
@@ -1353,18 +1355,10 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	art, ok := s.cache.Peek(hash)
-	if !ok && s.store != nil {
-		if e, err := s.storeGet(hash); err == nil {
-			if a, aerr := thinArtifact(e); aerr == nil {
-				s.metrics.DiskHits.Add(1)
-				s.cache.Add(hash, a)
-				art, ok = a, true
-			}
-		} else {
-			s.metrics.DiskMisses.Add(1)
-		}
-	}
 	if !ok {
+		art = s.readThrough(r.Context(), hash)
+	}
+	if art == nil {
 		writeError(w, http.StatusNotFound, wire.CodeNotFound, "trace: %v", errUnknownArtifact)
 		return
 	}

@@ -93,7 +93,7 @@ func compileRequest(t testing.TB, l *ir.Loop) *wire.CompileRequest {
 // TestCompileEndpoint drives one compile and checks the response shape.
 func TestCompileEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	resp, body := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(1)))
+	resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(1)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
@@ -115,7 +115,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	req := compileRequest(t, copyAddLoop(2))
 
-	resp, body := post(t, ts.URL+"/v1/compile", req)
+	resp, body := post(t, ts.URL+"/v2/compile", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
@@ -125,7 +125,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	}
 
 	simByHash := wire.SimulateRequest{Version: wire.Version, Hash: cr.Hash, Trip: 500}
-	resp, body = post(t, ts.URL+"/v1/simulate", simByHash)
+	resp, body = post(t, ts.URL+"/v2/simulate", simByHash)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate by hash: %s: %s", resp.Status, body)
 	}
@@ -141,7 +141,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	}
 
 	simInline := wire.SimulateRequest{Version: wire.Version, Loop: req.Loop, Options: req.Options, Trip: 500}
-	resp, body = post(t, ts.URL+"/v1/simulate", simInline)
+	resp, body = post(t, ts.URL+"/v2/simulate", simInline)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate inline: %s: %s", resp.Status, body)
 	}
@@ -160,7 +160,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	}
 
 	// Unknown hashes are a clean 404.
-	resp, _ = post(t, ts.URL+"/v1/simulate", wire.SimulateRequest{Version: wire.Version, Hash: "deadbeef", Trip: 10})
+	resp, _ = post(t, ts.URL+"/v2/simulate", wire.SimulateRequest{Version: wire.Version, Hash: "deadbeef", Trip: 10})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown hash: got %s, want 404", resp.Status)
 	}
@@ -182,7 +182,7 @@ func TestSimulateWithMemory(t *testing.T) {
 		{Addr: 0x0200_0000 + 32, Size: 8, Val: 0x0200_0000},
 	}
 	sim := wire.SimulateRequest{Version: wire.Version, Loop: req.Loop, Options: req.Options, Trip: 64, Memory: mem}
-	resp, body := post(t, ts.URL+"/v1/simulate", sim)
+	resp, body := post(t, ts.URL+"/v2/simulate", sim)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate: %s: %s", resp.Status, body)
 	}
@@ -190,7 +190,7 @@ func TestSimulateWithMemory(t *testing.T) {
 	if err := json.Unmarshal(body, &s1); err != nil {
 		t.Fatal(err)
 	}
-	_, body = post(t, ts.URL+"/v1/simulate", sim)
+	_, body = post(t, ts.URL+"/v2/simulate", sim)
 	if err := json.Unmarshal(body, &s2); err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +208,13 @@ func TestValidation(t *testing.T) {
 		body string
 		want int
 	}{
-		{"malformed json", "/v1/compile", "{", http.StatusBadRequest},
-		{"wrong version", "/v1/compile", `{"v":9,"loop":{"v":1,"body":[]},"options":{}}`, http.StatusBadRequest},
-		{"no loop", "/v1/compile", `{"v":1,"options":{}}`, http.StatusBadRequest},
-		{"bad mode", "/v1/compile", `{"v":1,"loop":{"v":1,"body":[]},"options":{"mode":"warp"}}`, http.StatusBadRequest},
-		{"zero trip", "/v1/simulate", `{"v":1,"hash":"x","trip":0}`, http.StatusBadRequest},
-		{"trip too big", "/v1/simulate", `{"v":1,"hash":"x","trip":1000000}`, http.StatusBadRequest},
-		{"hash and loop", "/v1/simulate", `{"v":1,"hash":"x","loop":{"v":1,"body":[]},"trip":5}`, http.StatusBadRequest},
+		{"malformed json", "/v2/compile", "{", http.StatusBadRequest},
+		{"wrong version", "/v2/compile", `{"v":9,"loop":{"v":1,"body":[]},"options":{}}`, http.StatusBadRequest},
+		{"no loop", "/v2/compile", `{"v":1,"options":{}}`, http.StatusBadRequest},
+		{"bad mode", "/v2/compile", `{"v":1,"loop":{"v":1,"body":[]},"options":{"mode":"warp"}}`, http.StatusBadRequest},
+		{"zero trip", "/v2/simulate", `{"v":1,"hash":"x","trip":0}`, http.StatusBadRequest},
+		{"trip too big", "/v2/simulate", `{"v":1,"hash":"x","trip":1000000}`, http.StatusBadRequest},
+		{"hash and loop", "/v2/simulate", `{"v":1,"hash":"x","loop":{"v":1,"body":[]},"trip":5}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,7 +246,7 @@ type metricsDoc struct {
 }
 
 // TestConcurrentCompiles is the acceptance-criteria integration test: 96
-// concurrent /v1/compile requests over a mix of duplicate and distinct
+// concurrent /v2/compile requests over a mix of duplicate and distinct
 // loops (run under -race in CI). All must succeed; the duplicates must be
 // served by the artifact cache or deduplicated in flight, and the counts
 // must be visible in /metrics.
@@ -288,7 +288,7 @@ func TestConcurrentCompiles(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			idx := w % distinct
-			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(bodies[idx]))
+			resp, err := http.Post(ts.URL+"/v2/compile", "application/json", bytes.NewReader(bodies[idx]))
 			if err != nil {
 				mu.Lock()
 				errs = append(errs, err.Error())
@@ -361,7 +361,7 @@ func TestConcurrentCompiles(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{CacheCapacity: 2})
 	for i := 0; i < 4; i++ {
-		resp, body := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(int64(100+i))))
+		resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(int64(100+i))))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("compile %d: %s: %s", i, resp.Status, body)
 		}
@@ -394,7 +394,7 @@ func TestHealthzAndShutdown(t *testing.T) {
 	if h["status"] != "draining" {
 		t.Fatalf("healthz after shutdown: %v", h)
 	}
-	resp, _ := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(55)))
+	resp, _ := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(55)))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("compile after shutdown: got %s, want 503", resp.Status)
 	}
@@ -421,7 +421,7 @@ func TestCachedSpeedup(t *testing.T) {
 	}
 
 	doPost := func(body []byte) {
-		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v2/compile", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

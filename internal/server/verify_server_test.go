@@ -168,7 +168,7 @@ func TestVerifyFailureSurfaces(t *testing.T) {
 func TestVerifySampling(t *testing.T) {
 	srv, ts := newTestServer(t, server.Config{VerifySample: 0.5})
 	for i := 0; i < 4; i++ {
-		resp, body := post(t, ts.URL+"/v1/compile", compileRequest(t, copyAddLoop(int64(120+i))))
+		resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(int64(120+i))))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("compile %d: %s\n%s", i, resp.Status, body)
 		}
@@ -178,7 +178,7 @@ func TestVerifySampling(t *testing.T) {
 	}
 
 	srvOff, tsOff := newTestServer(t, server.Config{VerifySample: -1})
-	resp, body := post(t, tsOff.URL+"/v1/compile", compileRequest(t, copyAddLoop(130)))
+	resp, body := post(t, tsOff.URL+"/v2/compile", compileRequest(t, copyAddLoop(130)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s\n%s", resp.Status, body)
 	}

@@ -2,12 +2,11 @@ package wire
 
 import "fmt"
 
-// The v2 error envelope. Every non-2xx ltspd response (on v1 and v2
-// paths alike) carries this JSON body, so clients branch on a stable
-// machine-readable code instead of parsing message strings. The
-// Retryable flag is authoritative: it tells clients whether resubmitting
-// the identical request can ever succeed (after the Retry-After delay,
-// when the response carries one).
+// The v2 error envelope. Every non-2xx ltspd response carries this JSON
+// body, so clients branch on a stable machine-readable code instead of
+// parsing message strings. The Retryable flag is authoritative: it tells
+// clients whether resubmitting the identical request can ever succeed
+// (after the Retry-After delay, when the response carries one).
 
 // Error codes of the v2 error envelope.
 const (

@@ -35,8 +35,7 @@ type HLOJSON struct {
 	HintsSet        int `json:"hintsSet"`
 }
 
-// CompileResponse is the body of a successful POST /v2/compile (and the
-// compatible /v1/compile).
+// CompileResponse is the body of a successful POST /v2/compile.
 type CompileResponse struct {
 	// Hash is the content-addressed artifact key; POST /v2/simulate
 	// accepts it in place of an inline loop.

@@ -194,7 +194,7 @@ type MemInit struct {
 	Float bool    `json:"float,omitempty"`
 }
 
-// CompileRequest is the body of POST /v1/compile.
+// CompileRequest is the body of POST /v2/compile.
 type CompileRequest struct {
 	Version int `json:"v"`
 	// Loop is the ir wire-format loop (see ir.EncodeLoop).
@@ -362,7 +362,7 @@ func NewDecodedItem(l *ir.Loop, opts Options) (CompileItem, error) {
 	return CompileItem{Options: canonOpts, decoded: l}, nil
 }
 
-// CompileBatchRequest is the body of POST /v1/compile-batch: a list of
+// CompileBatchRequest is the body of POST /v2/compile-batch: a list of
 // compile items the server shards over its bounded worker pool.
 // Responses preserve item order. Each item hashes exactly like the
 // equivalent single CompileRequest, so batch compiles share artifacts
@@ -383,12 +383,12 @@ func (r *CompileBatchRequest) Item(i int) *CompileRequest {
 	}
 }
 
-// SimulateRequest is the body of POST /v1/simulate. Exactly one of Hash
+// SimulateRequest is the body of POST /v2/simulate. Exactly one of Hash
 // (a previously compiled artifact) or Loop (compiled inline, through the
 // same cache) must be set.
 type SimulateRequest struct {
 	Version int `json:"v"`
-	// Hash references an artifact from an earlier /v1/compile response.
+	// Hash references an artifact from an earlier /v2/compile response.
 	Hash string `json:"hash,omitempty"`
 	// Loop + Options compile inline when Hash is empty.
 	Loop    json.RawMessage `json:"loop,omitempty"`

@@ -467,10 +467,3 @@ func Run(c *Compiled, trip int64, mem *Memory) (*interp.State, error) {
 // CacheConfig is the cache hierarchy geometry of the timing simulator
 // (SimConfig.Cache).
 type CacheConfig = cache.Config
-
-// DefaultCacheConfig returns the Itanium 2 cache hierarchy geometry.
-//
-// Deprecated: use DefaultSimConfig().Cache, which names the same
-// geometry through the simulator configuration that actually consumes
-// it; this accessor remains only for existing callers.
-func DefaultCacheConfig() CacheConfig { return cache.DefaultItanium2() }

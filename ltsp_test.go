@@ -126,7 +126,7 @@ func TestDefaultConfigs(t *testing.T) {
 	if DefaultSimConfig().Model == nil {
 		t.Error("sim config has no model")
 	}
-	if DefaultCacheConfig().MemLat != 200 {
+	if DefaultSimConfig().Cache.MemLat != 200 {
 		t.Error("cache config wrong")
 	}
 	m := Itanium2()
