@@ -267,6 +267,15 @@ func TestClusterIntegration(t *testing.T) {
 	if ma.DiskHits < 1 {
 		t.Fatalf("restarted node a disk_hits = %d, want >= 1", ma.DiskHits)
 	}
+	// An inline simulate of the other loop compiled before the restart
+	// reads its artifact thin from disk and materializes the program.
+	var sr wire.SimulateResponse
+	postJSON(t, peers[0].Addr+"/v2/simulate", &wire.SimulateRequest{
+		Version: wire.Version, Loop: reqs[1].Loop, Options: reqs[1].Options, Trip: 64,
+	}, &sr)
+	if sr.Hash != hashes[1] || sr.Cycles < 64 {
+		t.Fatalf("inline simulate on restarted a: hash %s, %d cycles", sr.Hash, sr.Cycles)
+	}
 
 	// Self-healing: kill c, write a batch that c co-owns on the surviving
 	// owners, restart c, and prove anti-entropy repopulates it — with

@@ -171,9 +171,8 @@ func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item 
 		s.logBatchItem(ctx, reqID, i, hash, false, err)
 		return "error"
 	}
-	served := cached || art.Thin()
-	*res = BatchItemResult{CompileResponse: respondCompile(hash, served, art)}
-	s.logBatchItem(ctx, reqID, i, hash, served, nil)
+	*res = BatchItemResult{CompileResponse: respondCompile(hash, cached, art)}
+	s.logBatchItem(ctx, reqID, i, hash, cached, nil)
 	return "ok"
 }
 

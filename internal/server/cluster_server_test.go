@@ -166,6 +166,42 @@ func TestWarmRestartFromDisk(t *testing.T) {
 	}
 }
 
+// TestInlineSimulateAfterWarmRestart: an inline simulate of a loop whose
+// artifact a restarted server reads thin from disk materializes the
+// program like simulate by hash does, instead of running a nil program.
+func TestInlineSimulateAfterWarmRestart(t *testing.T) {
+	dir := t.TempDir()
+	req := compileRequest(t, copyAddLoop(43))
+	inline := &wire.SimulateRequest{Version: wire.Version, Loop: req.Loop, Options: req.Options, Trip: 64}
+
+	_, ts1 := newStoreServer(t, dir, server.Config{})
+	resp, body := post(t, ts1.URL+"/v2/simulate", inline)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first-life simulate: %s: %s", resp.Status, body)
+	}
+	var want server.SimulateResponse
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := newStoreServer(t, dir, server.Config{})
+	resp, body = post(t, ts2.URL+"/v2/simulate", inline)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm inline simulate: %s: %s", resp.Status, body)
+	}
+	var got server.SimulateResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached || got.Hash != want.Hash || got.Cycles != want.Cycles || got.KernelIters != want.KernelIters {
+		t.Fatalf("warm inline simulate = cached %v hash %s %d cycles, want cached hash %s %d cycles",
+			got.Cached, got.Hash, got.Cycles, want.Hash, want.Cycles)
+	}
+	if n := srv2.Metrics().PanicsRecovered.Load(); n != 0 {
+		t.Fatalf("panics_recovered = %d, want 0", n)
+	}
+}
+
 // TestCacheStatsMatchDisk: the in-memory cache and the disk store weigh
 // entries with the same accounting (store.EncodedSize), so after N
 // compiles /metrics reports the same entries and bytes for both layers.

@@ -1,7 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +21,23 @@ import (
 var latencyBucketsMs = [numBounds]float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000}
 
 const numBounds = 13
+
+// boundLabels are the bucket bounds as both forms print them: the JSON
+// buckets' le_ keys and the Prometheus le label values.
+var boundLabels = func() (out [numBounds + 1]string) {
+	for i, ub := range latencyBucketsMs {
+		out[i] = jsonNumber(ub)
+	}
+	out[numBounds] = "+Inf"
+	return out
+}()
+
+// jsonNumber renders a number the way the JSON document does, so the
+// text exposition prints the very same digits.
+func jsonNumber(v any) string {
+	b, _ := json.Marshal(v)
+	return string(b)
+}
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent use.
 // It keeps no separate count: the count is the bucket total, so a
@@ -37,45 +60,42 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[len(latencyBucketsMs)].Add(1)
 }
 
-// histogramJSON is the /metrics rendering of a histogram. Every
-// histogram shares the same bucket bounds, documented once in the
-// document's top-level latency_bounds_ms field rather than repeated
-// per histogram.
-type histogramJSON struct {
-	Count   int64            `json:"count"`
-	SumMs   float64          `json:"sum_ms"`
-	MeanMs  float64          `json:"mean_ms"`
-	Buckets map[string]int64 `json:"buckets"`
+// histSnapshot is one read of a Histogram. Buckets are stored disjoint
+// but read cumulative (the le_ convention), so the last, +Inf, is the
+// count.
+type histSnapshot struct {
+	cum   [numBounds + 1]int64
+	sumMs float64
 }
 
-func (h *Histogram) snapshot() histogramJSON {
-	out := histogramJSON{
-		SumMs:   float64(h.sumUs.Load()) / 1000,
-		Buckets: make(map[string]int64, len(h.buckets)),
-	}
-	// Buckets are stored disjoint but rendered cumulative (the "le_"
-	// convention); the count is the running total, so le_+Inf equals it.
+func (h *Histogram) snapshot() histSnapshot {
+	out := histSnapshot{sumMs: float64(h.sumUs.Load()) / 1000}
+	var n int64
 	for i := range h.buckets {
-		label := "+Inf"
-		if i < len(latencyBucketsMs) {
-			label = formatBound(latencyBucketsMs[i])
-		}
-		out.Count += h.buckets[i].Load()
-		out.Buckets["le_"+label] = out.Count
-	}
-	if out.Count > 0 {
-		out.MeanMs = out.SumMs / float64(out.Count)
+		n += h.buckets[i].Load()
+		out.cum[i] = n
 	}
 	return out
 }
 
-func formatBound(f float64) string {
-	b, _ := json.Marshal(f)
-	return string(b)
+// jsonValue is the snapshot's /metrics JSON object. Every histogram
+// shares the bucket bounds, documented once in latency_bounds_ms.
+func (h histSnapshot) jsonValue() map[string]any {
+	count := h.cum[numBounds]
+	buckets := make(map[string]int64, len(h.cum))
+	for i, n := range h.cum {
+		buckets["le_"+boundLabels[i]] = n
+	}
+	mean := 0.0
+	if count > 0 {
+		mean = h.sumMs / float64(count)
+	}
+	return map[string]any{"count": count, "sum_ms": h.sumMs, "mean_ms": mean, "buckets": buckets}
 }
 
-// Metrics aggregates the service counters exposed at GET /metrics
-// (expvar-style JSON, no external dependencies).
+// Metrics aggregates the service counters exposed at GET /metrics. Each
+// is bumped by one atomic add on its field; Server.metricSet declares
+// how it renders.
 type Metrics struct {
 	CompileRequests  atomic.Int64
 	CompileErrors    atomic.Int64
@@ -109,21 +129,12 @@ type Metrics struct {
 	CacheMisses    atomic.Int64
 	CacheEvictions atomic.Int64
 
-	// Disk-store layer, counted at the server's lookup sites (the store
-	// keeps its own internal counters, reported in the /metrics "disk"
-	// section): DiskHits are artifacts served from the persistent store
-	// without recompiling; DiskWriteErrors are failed write-throughs (the
-	// artifact stayed memory-only).
-	DiskHits        atomic.Int64
-	DiskMisses      atomic.Int64
+	// DiskWriteErrors are failed write-throughs (the artifact stayed
+	// memory-only). The disk and peer tiers' hits and misses are counted
+	// by their stages (see stageMetrics).
 	DiskWriteErrors atomic.Int64
-	// Peer cache-fill layer: PeerHits are artifacts obtained from a
-	// cluster peer instead of compiling; PeerMisses are fills that came
-	// back empty (every peer missed, errored or timed out); PeerErrors
-	// counts individual failed peer fetches (several can contribute to
-	// one miss).
-	PeerHits   atomic.Int64
-	PeerMisses atomic.Int64
+	// PeerErrors counts individual failed peer fetches (several can
+	// contribute to one peer_fill miss).
 	PeerErrors atomic.Int64
 	// Read-repair layer: RepairRuns counts repair evaluations scheduled
 	// after an artifact creation; RepairPushes counts entries actually
@@ -179,17 +190,11 @@ type Metrics struct {
 	// error envelopes instead of crashing the process.
 	PanicsRecovered atomic.Int64
 
-	// Pipeliner outcomes, incremented once per compilation actually
-	// executed (cache hits and singleflight piggybacks do not recount).
-	OutcomePipelined      atomic.Int64
-	OutcomeReducedLatency atomic.Int64
-	OutcomeRaisedII       atomic.Int64
-	OutcomeSequential     atomic.Int64
-	// outcomesByBackend splits the outcome counters by scheduling backend
-	// (heuristic/exact/oracle), lazily keyed by the backend label so a
-	// newly registered backend needs no metrics change. The aggregate
-	// counters above are authoritative; this map is the per-backend view.
-	outcomesByBackend sync.Map // string -> *backendOutcomes
+	// outcomes counts compilations actually executed (cache hits and
+	// singleflight piggybacks do not recount) by scheduling backend and
+	// pipeliner outcome: backend label -> *outcomeCounts, created on first
+	// use so a newly registered backend needs no metrics change.
+	outcomes sync.Map
 
 	CompileLatency  Histogram
 	SimulateLatency Histogram
@@ -198,244 +203,307 @@ type Metrics struct {
 	// byte to verified artifact.
 	PeerFillLatency Histogram
 
-	// stages are the per-stage latency histograms, indexed by stageID:
-	// where a request's wall clock goes inside the serving pipeline.
-	// Observed on every request (traced or not), only by Server.stage.
-	stages [numStages]Histogram
+	// stages are the per-stage instruments, indexed by stageID, recorded
+	// on every request (traced or not), only by Server.stage.
+	stages [numStages]stageMetrics
 }
 
-// backendOutcomes is one backend's slice of the outcome counters.
-type backendOutcomes struct {
-	Pipelined      atomic.Int64
-	ReducedLatency atomic.Int64
-	RaisedII       atomic.Int64
-	Sequential     atomic.Int64
+// stageMetrics is one serving stage's instruments: where a request's
+// wall clock goes, and — for the artifact tiers below memory — the hits
+// and misses its outcomes name (the memory tier's are the cache
+// counters).
+type stageMetrics struct {
+	latency      Histogram
+	hits, misses atomic.Int64
 }
 
-func (b *backendOutcomes) count(outcome string) {
-	switch outcome {
-	case obs.OutcomePipelined:
-		b.Pipelined.Add(1)
-	case obs.OutcomeReducedLatency:
-		b.ReducedLatency.Add(1)
-	case obs.OutcomeRaisedII:
-		b.RaisedII.Add(1)
-	case obs.OutcomeSequential:
-		b.Sequential.Add(1)
-	}
-}
+// outcomeNames are the obs.Outcome* results in /metrics order. Their
+// labels, the JSON keys and Prometheus outcome values, spell - as _.
+var outcomeNames = [...]string{obs.OutcomePipelined, obs.OutcomeReducedLatency, obs.OutcomeRaisedII, obs.OutcomeSequential}
 
-// CountOutcome bumps the counter matching an obs.Outcome* string, both
-// in aggregate and under the scheduling backend's label ("" is
-// normalized to "heuristic").
+// outcomeCounts is one backend's compile outcome counters, indexed like
+// outcomeNames.
+type outcomeCounts [len(outcomeNames)]atomic.Int64
+
+// CountOutcome bumps the counter of one executed compilation's
+// scheduling backend ("" is normalized to "heuristic") and obs.Outcome*
+// string. The aggregate compile_outcomes is the sum over backends.
 func (m *Metrics) CountOutcome(backend, outcome string) {
-	switch outcome {
-	case obs.OutcomePipelined:
-		m.OutcomePipelined.Add(1)
-	case obs.OutcomeReducedLatency:
-		m.OutcomeReducedLatency.Add(1)
-	case obs.OutcomeRaisedII:
-		m.OutcomeRaisedII.Add(1)
-	case obs.OutcomeSequential:
-		m.OutcomeSequential.Add(1)
+	i := slices.Index(outcomeNames[:], outcome)
+	if i < 0 {
+		return
 	}
 	if backend == "" {
 		backend = "heuristic"
 	}
-	bo, ok := m.outcomesByBackend.Load(backend)
+	c, ok := m.outcomes.Load(backend)
 	if !ok {
-		bo, _ = m.outcomesByBackend.LoadOrStore(backend, &backendOutcomes{})
+		c, _ = m.outcomes.LoadOrStore(backend, new(outcomeCounts))
 	}
-	bo.(*backendOutcomes).count(outcome)
+	c.(*outcomeCounts)[i].Add(1)
 }
 
-// snapshotByBackend renders the per-backend outcome split; map keys are
-// the backend labels (encoding/json emits them sorted).
-func (m *Metrics) snapshotByBackend() map[string]outcomesJSON {
-	out := map[string]outcomesJSON{}
-	m.outcomesByBackend.Range(func(k, v any) bool {
-		bo := v.(*backendOutcomes)
-		out[k.(string)] = outcomesJSON{
-			Pipelined:      bo.Pipelined.Load(),
-			ReducedLatency: bo.ReducedLatency.Load(),
-			RaisedII:       bo.RaisedII.Load(),
-			Sequential:     bo.Sequential.Load(),
+// metric is one /metrics entry, declared once with everything both
+// renderings need.
+type metric struct {
+	path   string // JSON key path, "." between levels; "" when exposition-only
+	family string // Prometheus family; "" when JSON-only
+	labels string // the entry's label pairs within its family, e.g. `stage="compile"`
+	kind   string // Prometheus TYPE: counter, gauge or histogram
+	help   string
+	value  any // int64 counter, float64 gauge, histSnapshot, or a JSON-only value
+}
+
+// metricSet is the registry: every metric of one render with its value,
+// in declaration order, which is the exposition order. Both forms walk
+// the same set, so a scrape's JSON and text agree exactly.
+type metricSet []metric
+
+func (ms *metricSet) add(m metric) { *ms = append(*ms, m) }
+
+func (ms *metricSet) counter(path, family, help string, v int64) {
+	ms.add(metric{path: path, family: family, kind: "counter", help: help, value: v})
+}
+
+func (ms *metricSet) gauge(path, family, help string, v float64) {
+	ms.add(metric{path: path, family: family, kind: "gauge", help: help, value: v})
+}
+
+func (ms *metricSet) histogram(path, family, labels, help string, h *Histogram) {
+	ms.add(metric{path: path, family: family, labels: labels, kind: "histogram", help: help, value: h.snapshot()})
+}
+
+// jsonOnly declares a JSON value with no Prometheus sample.
+func (ms *metricSet) jsonOnly(path string, v any) { ms.add(metric{path: path, value: v}) }
+
+// metricSet declares every /metrics metric and reads its value. State
+// owned elsewhere — the cache, store, provenance log and cluster
+// membership — is read once here per render; the disk, cluster and
+// provenance sections exist only when their layer is configured.
+// Histogram bounds (and so sums and means) are in milliseconds; the _ms
+// family suffix makes the unit explicit.
+func (s *Server) metricSet() metricSet {
+	m := s.metrics
+	var ms metricSet
+	ms.jsonOnly("build_info.version", buildinfo.Version)
+	ms.jsonOnly("build_info.go", buildinfo.GoVersion())
+	ms.gauge("uptime_seconds", "ltspd_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
+	ms.add(metric{family: "ltspd_build_info", kind: "gauge", help: "Build metadata (value is always 1).", value: 1.0,
+		labels: fmt.Sprintf("version=%q,go=%q", buildinfo.Version, buildinfo.GoVersion())})
+	ms.jsonOnly("latency_bounds_ms", latencyBucketsMs[:])
+
+	ms.counter("compile_requests", "ltspd_compile_requests_total", "Compile requests received.", m.CompileRequests.Load())
+	ms.counter("compile_errors", "ltspd_compile_errors_total", "Compile requests that failed.", m.CompileErrors.Load())
+	ms.counter("simulate_requests", "ltspd_simulate_requests_total", "Simulate requests received.", m.SimulateRequests.Load())
+	ms.counter("simulate_errors", "ltspd_simulate_errors_total", "Simulate requests that failed.", m.SimulateErrors.Load())
+	ms.counter("batch_requests", "ltspd_batch_requests_total", "Compile-batch requests received.", m.BatchRequests.Load())
+	ms.counter("batch_items", "ltspd_batch_items_total", "Loops submitted through compile batches.", m.BatchItems.Load())
+	ms.counter("batch_item_errors", "ltspd_batch_item_errors_total", "Batch items that failed.", m.BatchItemErrors.Load())
+	ms.counter("rejected", "ltspd_rejected_total", "Requests rejected before doing work.", m.Rejected.Load())
+	ms.counter("shed", "ltspd_shed_total", "Requests rejected by deadline-aware admission control.", m.Shed.Load())
+	ms.counter("timeouts", "ltspd_timeouts_total", "Requests abandoned at their deadline.", m.Timeouts.Load())
+	ms.gauge("in_flight", "ltspd_in_flight", "Requests currently holding a worker slot.", float64(m.InFlight.Load()))
+
+	ms.counter("cache_hits", "ltspd_cache_hits_total", "Artifact-cache hits.", m.CacheHits.Load())
+	ms.counter("cache_dedups", "ltspd_cache_dedups_total", "Requests coalesced onto an in-flight compile.", m.CacheDedups.Load())
+	ms.counter("cache_misses", "ltspd_cache_misses_total", "Compilations actually executed.", m.CacheMisses.Load())
+	ms.counter("cache_evictions", "ltspd_cache_evictions_total", "Artifacts evicted from the memory cache.", m.CacheEvictions.Load())
+	cache := s.cache.Stats()
+	ms.gauge("cache_entries", "ltspd_cache_entries", "Artifacts in the memory cache.", float64(cache.Entries))
+	ms.gauge("cache_bytes", "ltspd_cache_bytes", "Serialized bytes in the memory cache.", float64(cache.Bytes))
+	ms.jsonOnly("cache_capacity", cache.Capacity)
+	disk := &m.stages[stageDiskRead]
+	ms.counter("disk_hits", "ltspd_disk_hits_total", "Artifacts served from the persistent store.", disk.hits.Load())
+	ms.counter("disk_misses", "ltspd_disk_misses_total", "Persistent-store lookups that missed.", disk.misses.Load())
+	ms.counter("disk_write_errors", "ltspd_disk_write_errors_total", "Failed artifact write-throughs.", m.DiskWriteErrors.Load())
+	ms.counter("artifact_requests", "ltspd_artifact_requests_total", "GET /v2/artifacts serves (peer cache-fill traffic).", m.ArtifactRequests.Load())
+	ms.counter("materializations", "ltspd_materializations_total", "Thin artifacts recompiled on demand.", m.Materializations.Load())
+	for _, b := range []struct {
+		path, family, help string
+		json, binary       *atomic.Int64
+	}{
+		{"artifact_bytes_", "ltspd_artifact_bytes_total", "Artifact envelope bytes served, by negotiated wire encoding.",
+			&m.ArtifactBytesJSON, &m.ArtifactBytesBinary},
+		{"peer_fill_bytes_", "ltspd_peer_fill_bytes_total", "Artifact envelope bytes received by peer cache-fills, by wire encoding.",
+			&m.PeerBytesJSON, &m.PeerBytesBinary},
+	} {
+		ms.add(metric{b.path + "json", b.family, `encoding="json"`, "counter", b.help, b.json.Load()})
+		ms.add(metric{b.path + "binary", b.family, `encoding="binary"`, "counter", b.help, b.binary.Load()})
+	}
+	ms.counter("verify_runs", "ltspd_verify_runs_total", "Compilations independently verified.", m.VerifyRuns.Load())
+	ms.counter("verify_failures", "ltspd_verify_failures_total", "Verifications that rejected a compilation.", m.VerifyFailures.Load())
+	ms.counter("panics_recovered", "ltspd_panics_recovered_total", "Panics contained at a recovery boundary.", m.PanicsRecovered.Load())
+
+	ms.outcomes(m)
+
+	ms.histogram("compile_latency", "ltspd_compile_latency_ms", "", "Compile request latency (milliseconds).", &m.CompileLatency)
+	ms.histogram("simulate_latency", "ltspd_simulate_latency_ms", "", "Simulate request latency (milliseconds).", &m.SimulateLatency)
+	ms.histogram("batch_latency", "ltspd_batch_latency_ms", "", "Compile-batch request latency (milliseconds).", &m.BatchLatency)
+	for id, d := range stageDescs {
+		ms.histogram("stage_latency."+d.name, "ltspd_stage_latency_ms", fmt.Sprintf("stage=%q", d.name),
+			"Per-stage request latency (milliseconds), by pipeline stage.", &m.stages[id].latency)
+	}
+
+	if ring := s.ring(); ring != nil {
+		peer := &m.stages[stagePeerFill]
+		ms.counter("cluster.peer_hits", "ltspd_peer_hits_total", "Artifacts obtained from a cluster peer.", peer.hits.Load())
+		ms.counter("cluster.peer_misses", "ltspd_peer_misses_total", "Peer cache-fills that came back empty.", peer.misses.Load())
+		ms.counter("cluster.peer_errors", "ltspd_peer_errors_total", "Individual failed peer fetches.", m.PeerErrors.Load())
+		ms.histogram("cluster.fill_latency", "ltspd_peer_fill_latency_ms", "", "Successful peer cache-fill latency (milliseconds).", &m.PeerFillLatency)
+		ms.jsonOnly("cluster.self", s.cfg.Self)
+		ms.jsonOnly("cluster.replication", s.cfg.Replication)
+		alive, dead := s.health.Counts()
+		ms.gauge("cluster.peers", "ltspd_cluster_peers", "Peers in the consistent-hash ring.", float64(ring.Len()))
+		ms.gauge("cluster.peers_alive", "ltspd_cluster_peers_alive", "Ring peers currently considered alive.", float64(alive))
+		ms.gauge("cluster.peers_dead", "ltspd_cluster_peers_dead", "Ring peers ejected by health tracking.", float64(dead))
+		ms.counter("cluster.ring_swaps", "ltspd_cluster_ring_swaps_total", "Atomic ring replacements from membership changes.", int64(s.member.Swaps()))
+		ms.counter("cluster.resolve_errors", "ltspd_cluster_resolve_errors_total", "Membership source resolutions that failed.", int64(s.member.ResolveErrors()))
+		ms.counter("cluster.repair_runs", "ltspd_cluster_repair_runs_total", "Read-repair rounds launched.", m.RepairRuns.Load())
+		ms.counter("cluster.repair_pushes", "ltspd_cluster_repair_pushes_total", "Artifacts pushed to under-replicated peers.", m.RepairPushes.Load())
+		ms.counter("cluster.repair_skipped", "ltspd_cluster_repair_skipped_total", "Read-repair probes that found the replica already present.", m.RepairSkipped.Load())
+		ms.counter("cluster.repair_dropped", "ltspd_cluster_repair_dropped_total", "Read-repair rounds dropped by the token budget.", m.RepairDropped.Load())
+		ms.counter("cluster.repair_errors", "ltspd_cluster_repair_errors_total", "Failed read-repair probes or pushes.", m.RepairErrors.Load())
+		ms.counter("cluster.sync_runs", "ltspd_cluster_sync_runs_total", "Anti-entropy rounds run.", m.SyncRuns.Load())
+		ms.counter("cluster.sync_pulls", "ltspd_cluster_sync_pulls_total", "Artifacts pulled by anti-entropy.", m.SyncPulls.Load())
+		ms.counter("cluster.sync_errors", "ltspd_cluster_sync_errors_total", "Failed anti-entropy exchanges.", m.SyncErrors.Load())
+	}
+	if s.prov != nil {
+		st := s.prov.Stats()
+		ms.counter("provenance.records", "ltspd_provenance_records_total", "Records appended to the provenance chain.", int64(st.Records))
+		ms.gauge("provenance.batches", "ltspd_provenance_batches", "Completed Merkle batches in the provenance chain.", float64(st.Batches))
+		ms.counter("provenance.dropped", "ltspd_provenance_dropped_total", "Provenance records lost to queue overflow.", int64(st.Dropped))
+		ms.counter("provenance.failures", "ltspd_provenance_failures_total", "Store entries quarantined for diverging from their provenance record.", m.ProvenanceFailures.Load())
+		ms.counter("provenance.peer_mismatches", "ltspd_provenance_peer_mismatches_total", "Anti-entropy checksum disagreements with peers.", m.ProvenanceMismatches.Load())
+	}
+	if s.store != nil {
+		st := s.store.Stats()
+		ms.gauge("disk.entries", "ltspd_store_entries", "Artifacts in the persistent store.", float64(st.Entries))
+		ms.gauge("disk.bytes", "ltspd_store_bytes", "Bytes in the persistent store.", float64(st.Bytes))
+		ms.counter("disk.hits", "ltspd_store_hits_total", "Persistent-store reads that hit.", st.Hits)
+		ms.counter("disk.misses", "ltspd_store_misses_total", "Persistent-store reads that missed.", st.Misses)
+		ms.counter("disk.writes", "ltspd_store_writes_total", "Persistent-store writes.", st.Writes)
+		ms.counter("disk.evictions", "ltspd_store_evictions_total", "Persistent-store budget evictions.", st.Evictions)
+		ms.counter("disk.corrupt", "ltspd_store_corrupt_total", "Corrupt store files detected and deleted.", st.Corrupt)
+		ms.jsonOnly("disk.scans", st.Scans)
+	}
+	return ms
+}
+
+// outcomes declares the compile outcome counters: per (backend,
+// outcome) once a backend has compiled, and in aggregate as the sum
+// over backends of the same reads.
+func (ms *metricSet) outcomes(m *Metrics) {
+	type backend struct {
+		name string
+		n    [len(outcomeNames)]int64
+	}
+	var backends []backend
+	m.outcomes.Range(func(k, v any) bool {
+		b := backend{name: k.(string)}
+		for i := range b.n {
+			b.n[i] = v.(*outcomeCounts)[i].Load()
 		}
+		backends = append(backends, b)
 		return true
 	})
-	return out
-}
-
-// buildInfoJSON is the /metrics build_info block.
-type buildInfoJSON struct {
-	Version string `json:"version"`
-	Go      string `json:"go"`
-}
-
-// outcomesJSON is the /metrics compile_outcomes block, keyed to match the
-// obs.Outcome* strings.
-type outcomesJSON struct {
-	Pipelined      int64 `json:"pipelined"`
-	ReducedLatency int64 `json:"fallback_reduced_latency"`
-	RaisedII       int64 `json:"fallback_raised_ii"`
-	Sequential     int64 `json:"sequential"`
-}
-
-// diskJSON is the /metrics "disk" section: the persistent artifact
-// store's own accounting. Entries/bytes use the same byte accounting as
-// the in-memory cache section, so the layers are directly comparable.
-type diskJSON struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Writes    int64 `json:"writes"`
-	Evictions int64 `json:"evictions"`
-	Corrupt   int64 `json:"corrupt"`
-	Scans     int64 `json:"scans"`
-}
-
-// clusterJSON is the /metrics "cluster" section.
-type clusterJSON struct {
-	Self        string `json:"self"`
-	Peers       int    `json:"peers"` // ring size
-	Replication int    `json:"replication"`
-	// Health prober / membership accounting.
-	PeersAlive    int           `json:"peers_alive"`
-	PeersDead     int           `json:"peers_dead"`
-	RingSwaps     int64         `json:"ring_swaps"`
-	ResolveErrors int64         `json:"resolve_errors"`
-	PeerHits      int64         `json:"peer_hits"`
-	PeerMisses    int64         `json:"peer_misses"`
-	PeerErrors    int64         `json:"peer_errors"`
-	RepairRuns    int64         `json:"repair_runs"`
-	RepairPushes  int64         `json:"repair_pushes"`
-	RepairSkipped int64         `json:"repair_skipped"`
-	RepairDropped int64         `json:"repair_dropped"`
-	RepairErrors  int64         `json:"repair_errors"`
-	SyncRuns      int64         `json:"sync_runs"`
-	SyncPulls     int64         `json:"sync_pulls"`
-	SyncErrors    int64         `json:"sync_errors"`
-	FillLatency   histogramJSON `json:"fill_latency"`
-}
-
-// provenanceJSON is the /metrics "provenance" section: the tamper-evident
-// creation log's own accounting plus the quarantine counters.
-type provenanceJSON struct {
-	Records        int64 `json:"records"`
-	Batches        int   `json:"batches"`
-	Dropped        int64 `json:"dropped"`
-	Failures       int64 `json:"failures"`
-	PeerMismatches int64 `json:"peer_mismatches"`
-}
-
-// metricsJSON is the /metrics document. LatencyBounds documents the
-// shared histogram bucket upper bounds exactly once; every histogram's
-// buckets map uses these bounds cumulatively (le_ convention).
-type metricsJSON struct {
-	BuildInfo           buildInfoJSON `json:"build_info"`
-	UptimeSeconds       float64       `json:"uptime_seconds"`
-	LatencyBounds       []float64     `json:"latency_bounds_ms"`
-	CompileRequests     int64         `json:"compile_requests"`
-	CompileErrors       int64         `json:"compile_errors"`
-	SimulateRequests    int64         `json:"simulate_requests"`
-	SimulateErrors      int64         `json:"simulate_errors"`
-	BatchRequests       int64         `json:"batch_requests"`
-	BatchItems          int64         `json:"batch_items"`
-	BatchItemErrors     int64         `json:"batch_item_errors"`
-	Rejected            int64         `json:"rejected"`
-	Shed                int64         `json:"shed"`
-	Timeouts            int64         `json:"timeouts"`
-	InFlight            int64         `json:"in_flight"`
-	CacheHits           int64         `json:"cache_hits"`
-	CacheDedups         int64         `json:"cache_dedups"`
-	CacheMisses         int64         `json:"cache_misses"`
-	CacheEvictions      int64         `json:"cache_evictions"`
-	CacheEntries        int           `json:"cache_entries"`
-	CacheBytes          int64         `json:"cache_bytes"`
-	CacheCapacity       int           `json:"cache_capacity"`
-	DiskHits            int64         `json:"disk_hits"`
-	DiskMisses          int64         `json:"disk_misses"`
-	DiskWriteErrors     int64         `json:"disk_write_errors"`
-	ArtifactRequests    int64         `json:"artifact_requests"`
-	Materializations    int64         `json:"materializations"`
-	ArtifactBytesJSON   int64         `json:"artifact_bytes_json"`
-	ArtifactBytesBinary int64         `json:"artifact_bytes_binary"`
-	PeerBytesJSON       int64         `json:"peer_fill_bytes_json"`
-	PeerBytesBinary     int64         `json:"peer_fill_bytes_binary"`
-	VerifyRuns          int64         `json:"verify_runs"`
-	VerifyFailures      int64         `json:"verify_failures"`
-	PanicsRecovered     int64         `json:"panics_recovered"`
-	CompileOutcomes     outcomesJSON  `json:"compile_outcomes"`
-	// CompileOutcomesByBackend splits the same counters by scheduling
-	// backend label; absent until the first compilation lands.
-	CompileOutcomesByBackend map[string]outcomesJSON `json:"compile_outcomes_by_backend,omitempty"`
-	CompileLatency           histogramJSON           `json:"compile_latency"`
-	SimulateLatency          histogramJSON           `json:"simulate_latency"`
-	BatchLatency             histogramJSON           `json:"batch_latency"`
-	// Stages is the "stage_latency" block: one histogram per serving
-	// stage, keyed by stage name.
-	Stages     map[string]histogramJSON `json:"stage_latency"`
-	Disk       *diskJSON                `json:"disk,omitempty"`
-	Cluster    *clusterJSON             `json:"cluster,omitempty"`
-	Provenance *provenanceJSON          `json:"provenance,omitempty"`
-}
-
-func (m *Metrics) snapshot(cache CacheStats, disk *diskJSON, cluster *clusterJSON, prov *provenanceJSON, uptime time.Duration) metricsJSON {
-	stages := make(map[string]histogramJSON, numStages)
-	for id, name := range stageNames {
-		stages[name] = m.stages[id].snapshot()
+	sort.Slice(backends, func(i, j int) bool { return backends[i].name < backends[j].name })
+	for i, o := range outcomeNames {
+		var sum int64
+		for _, b := range backends {
+			sum += b.n[i]
+		}
+		label := strings.ReplaceAll(o, "-", "_")
+		ms.add(metric{"compile_outcomes." + label, "ltspd_compile_outcomes_total", fmt.Sprintf("outcome=%q", label),
+			"counter", "Compilations by pipeliner outcome.", sum})
 	}
-	return metricsJSON{
-		BuildInfo: buildInfoJSON{
-			Version: buildinfo.Version,
-			Go:      buildinfo.GoVersion(),
-		},
-		UptimeSeconds:       uptime.Seconds(),
-		LatencyBounds:       latencyBucketsMs[:],
-		CompileRequests:     m.CompileRequests.Load(),
-		CompileErrors:       m.CompileErrors.Load(),
-		SimulateRequests:    m.SimulateRequests.Load(),
-		SimulateErrors:      m.SimulateErrors.Load(),
-		BatchRequests:       m.BatchRequests.Load(),
-		BatchItems:          m.BatchItems.Load(),
-		BatchItemErrors:     m.BatchItemErrors.Load(),
-		Rejected:            m.Rejected.Load(),
-		Shed:                m.Shed.Load(),
-		Timeouts:            m.Timeouts.Load(),
-		InFlight:            m.InFlight.Load(),
-		CacheHits:           m.CacheHits.Load(),
-		CacheDedups:         m.CacheDedups.Load(),
-		CacheMisses:         m.CacheMisses.Load(),
-		CacheEvictions:      m.CacheEvictions.Load(),
-		CacheEntries:        cache.Entries,
-		CacheBytes:          cache.Bytes,
-		CacheCapacity:       cache.Capacity,
-		DiskHits:            m.DiskHits.Load(),
-		DiskMisses:          m.DiskMisses.Load(),
-		DiskWriteErrors:     m.DiskWriteErrors.Load(),
-		ArtifactRequests:    m.ArtifactRequests.Load(),
-		Materializations:    m.Materializations.Load(),
-		ArtifactBytesJSON:   m.ArtifactBytesJSON.Load(),
-		ArtifactBytesBinary: m.ArtifactBytesBinary.Load(),
-		PeerBytesJSON:       m.PeerBytesJSON.Load(),
-		PeerBytesBinary:     m.PeerBytesBinary.Load(),
-		VerifyRuns:          m.VerifyRuns.Load(),
-		VerifyFailures:      m.VerifyFailures.Load(),
-		PanicsRecovered:     m.PanicsRecovered.Load(),
-		CompileOutcomes: outcomesJSON{
-			Pipelined:      m.OutcomePipelined.Load(),
-			ReducedLatency: m.OutcomeReducedLatency.Load(),
-			RaisedII:       m.OutcomeRaisedII.Load(),
-			Sequential:     m.OutcomeSequential.Load(),
-		},
-		CompileOutcomesByBackend: m.snapshotByBackend(),
-		CompileLatency:           m.CompileLatency.snapshot(),
-		SimulateLatency:          m.SimulateLatency.snapshot(),
-		BatchLatency:             m.BatchLatency.snapshot(),
-		Stages:                   stages,
-		Disk:                     disk,
-		Cluster:                  cluster,
-		Provenance:               prov,
+	for _, b := range backends {
+		for i, o := range outcomeNames {
+			label := strings.ReplaceAll(o, "-", "_")
+			ms.add(metric{"compile_outcomes_by_backend." + b.name + "." + label, "ltspd_compile_outcomes_by_backend_total",
+				fmt.Sprintf("backend=%q,outcome=%q", b.name, label), "counter",
+				"Compilations by scheduling backend and pipeliner outcome.", b.n[i]})
+		}
 	}
+}
+
+// jsonDoc nests the set's JSON entries by their dotted paths into the
+// /metrics document.
+func (ms metricSet) jsonDoc() map[string]any {
+	doc := map[string]any{}
+	for _, m := range ms {
+		if m.path == "" {
+			continue
+		}
+		node, key := doc, m.path
+		for head, rest, ok := strings.Cut(key, "."); ok; head, rest, ok = strings.Cut(key, ".") {
+			sub, _ := node[head].(map[string]any)
+			if sub == nil {
+				sub = map[string]any{}
+				node[head] = sub
+			}
+			node, key = sub, rest
+		}
+		if h, ok := m.value.(histSnapshot); ok {
+			node[key] = h.jsonValue()
+		} else {
+			node[key] = m.value
+		}
+	}
+	return doc
+}
+
+// PromContentType is the Content-Type of the Prometheus text form.
+const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// wantsPromText reports whether an Accept header negotiates the
+// Prometheus text form. Anything naming text/plain (a Prometheus
+// scraper's Accept always does) selects it; absent, */* or JSON keep
+// the default JSON document.
+func wantsPromText(accept string) bool {
+	for _, part := range strings.Split(accept, ",") {
+		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
+		if mt == "text/plain" {
+			return true
+		}
+	}
+	return false
+}
+
+// writeProm renders the set as Prometheus text exposition (format
+// 0.0.4). A family's entries are declared together, so its HELP and
+// TYPE print once, before its first sample.
+func (ms metricSet) writeProm(w io.Writer) error {
+	var b bytes.Buffer
+	prev := ""
+	for _, m := range ms {
+		if m.family == "" {
+			continue
+		}
+		if m.family != prev {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.family, m.help, m.family, m.kind)
+			prev = m.family
+		}
+		h, ok := m.value.(histSnapshot)
+		if !ok {
+			fmt.Fprintf(&b, "%s%s %s\n", m.family, labelSet(m.labels), jsonNumber(m.value))
+			continue
+		}
+		for i, n := range h.cum {
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", m.family, labelSet(m.labels, `le="`+boundLabels[i]+`"`), n)
+		}
+		fmt.Fprintf(&b, "%s_sum%s %s\n", m.family, labelSet(m.labels), jsonNumber(h.sumMs))
+		fmt.Fprintf(&b, "%s_count%s %d\n", m.family, labelSet(m.labels), h.cum[numBounds])
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// labelSet joins the non-empty label pairs into a Prometheus label set
+// ("" when there are none).
+func labelSet(pairs ...string) string {
+	joined := strings.Join(slices.DeleteFunc(pairs, func(p string) bool { return p == "" }), ",")
+	if joined == "" {
+		return ""
+	}
+	return "{" + joined + "}"
 }

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -223,80 +224,133 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestPrometheusJSONConsistency is satellite coverage for the one-
-// snapshot guarantee: the JSON document and the Prometheus exposition
-// report byte-for-byte identical counts and sums.
+// TestPrometheusJSONConsistency walks every registered metric of one
+// render, with every optional section live (store, provenance log,
+// 2-peer ring): a metric in both forms reports the same value in each —
+// counters and gauges exactly, histograms bucket by bucket plus count
+// and sum — and neither form carries anything the registry does not
+// declare.
 func TestPrometheusJSONConsistency(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{})
+	srvs, tss, _ := selfhealNodes(t, 2, nil)
+	base := tss[0].URL
 	for k := int64(0); k < 4; k++ {
-		resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(4200+k)))
+		resp, body := post(t, base+"/v2/compile", compileRequest(t, copyAddLoop(4200+k)))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("compile: %s: %s", resp.Status, body)
 		}
 	}
 	// Re-request one loop so hits and misses diverge.
-	post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(4200)))
+	post(t, base+"/v2/compile", compileRequest(t, copyAddLoop(4200)))
 
-	var js struct {
-		CompileRequests int64     `json:"compile_requests"`
-		CacheHits       int64     `json:"cache_hits"`
-		CacheMisses     int64     `json:"cache_misses"`
-		LatencyBounds   []float64 `json:"latency_bounds_ms"`
-		CompileLatency  struct {
-			Count   int64            `json:"count"`
-			SumMs   float64          `json:"sum_ms"`
-			Buckets map[string]int64 `json:"buckets"`
-		} `json:"compile_latency"`
-		Stages map[string]struct {
-			Count int64   `json:"count"`
-			SumMs float64 `json:"sum_ms"`
-		} `json:"stage_latency"`
+	raw, text, entries := server.RenderMetrics(srvs[0])
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
 	}
-	get(t, ts.URL+"/metrics", &js)
-	doc := scrapeProm(t, ts.URL)
-
-	if got := doc.samples["ltspd_compile_requests_total"]; got != float64(js.CompileRequests) {
-		t.Errorf("compile_requests: prom %v, json %d", got, js.CompileRequests)
-	}
-	if got := doc.samples["ltspd_cache_hits_total"]; got != float64(js.CacheHits) {
-		t.Errorf("cache_hits: prom %v, json %d", got, js.CacheHits)
-	}
-	if got := doc.samples["ltspd_cache_misses_total"]; got != float64(js.CacheMisses) {
-		t.Errorf("cache_misses: prom %v, json %d", got, js.CacheMisses)
-	}
-	if got := doc.samples["ltspd_compile_latency_ms_count"]; got != float64(js.CompileLatency.Count) {
-		t.Errorf("compile_latency count: prom %v, json %d", got, js.CompileLatency.Count)
-	}
-	if got := doc.samples["ltspd_compile_latency_ms_sum"]; got != js.CompileLatency.SumMs {
-		t.Errorf("compile_latency sum: prom %v, json %v", got, js.CompileLatency.SumMs)
-	}
-	// Every shared bucket bound appears in both forms with the same
-	// cumulative count; the bounds themselves are documented once, in the
-	// JSON document's latency_bounds_ms.
-	if len(js.LatencyBounds) == 0 {
+	prom := parseProm(t, text)
+	bounds, _ := doc["latency_bounds_ms"].([]any)
+	if len(bounds) == 0 {
 		t.Fatal("JSON document has no latency_bounds_ms")
 	}
-	for _, ub := range js.LatencyBounds {
-		b := strconv.FormatFloat(ub, 'g', -1, 64)
-		jv, ok := js.CompileLatency.Buckets["le_"+b]
+
+	labelled := func(family, labels, extra string) string {
+		pairs := strings.Trim(labels+","+extra, ",")
+		if pairs == "" {
+			return family
+		}
+		return family + "{" + pairs + "}"
+	}
+	registered := map[string]bool{} // JSON paths
+	seen := map[string]bool{}       // Prometheus sample keys
+	sample := func(key string) float64 {
+		t.Helper()
+		v, ok := prom.samples[key]
 		if !ok {
-			t.Fatalf("JSON compile_latency has no bucket le_%s", b)
+			t.Errorf("registered sample %s missing from the exposition", key)
 		}
-		pv := doc.samples[fmt.Sprintf("ltspd_compile_latency_ms_bucket{le=%q}", b)]
-		if pv != float64(jv) {
-			t.Errorf("bucket le=%s: prom %v, json %d", b, pv, jv)
+		seen[key] = true
+		return v
+	}
+	for _, e := range entries {
+		var jv any
+		if e.Path != "" {
+			registered[e.Path] = true
+			var ok bool
+			if jv, ok = lookupPath(doc, e.Path); !ok {
+				t.Errorf("registered path %s missing from the JSON document", e.Path)
+				continue
+			}
+		}
+		if e.Family == "" {
+			continue
+		}
+		if prom.types[e.Family] != e.Kind {
+			t.Errorf("%s: TYPE %q, registered as %q", e.Family, prom.types[e.Family], e.Kind)
+		}
+		if e.Kind != "histogram" {
+			pv := sample(labelled(e.Family, e.Labels, ""))
+			if e.Path != "" && jv != pv {
+				t.Errorf("%s: json %v, prom %v", e.Path, jv, pv)
+			}
+			continue
+		}
+		h := jv.(map[string]any)
+		buckets := h["buckets"].(map[string]any)
+		if len(buckets) != len(bounds)+1 {
+			t.Errorf("%s: %d buckets, want %d bounds + Inf", e.Path, len(buckets), len(bounds))
+		}
+		for _, ub := range append(bounds, "+Inf") {
+			le := fmt.Sprint(ub)
+			if f, ok := ub.(float64); ok {
+				le = strconv.FormatFloat(f, 'g', -1, 64)
+			}
+			pv := sample(labelled(e.Family+"_bucket", e.Labels, fmt.Sprintf("le=%q", le)))
+			if jv := buckets["le_"+le]; jv != pv {
+				t.Errorf("%s bucket le=%s: json %v, prom %v", e.Path, le, jv, pv)
+			}
+		}
+		if pv := sample(labelled(e.Family+"_count", e.Labels, "")); h["count"] != pv {
+			t.Errorf("%s count: json %v, prom %v", e.Path, h["count"], pv)
+		}
+		if pv := sample(labelled(e.Family+"_sum", e.Labels, "")); h["sum_ms"] != pv {
+			t.Errorf("%s sum: json %v, prom %v", e.Path, h["sum_ms"], pv)
 		}
 	}
-	for stage, h := range js.Stages {
-		ck := fmt.Sprintf("ltspd_stage_latency_ms_count{stage=%q}", stage)
-		if got := doc.samples[ck]; got != float64(h.Count) {
-			t.Errorf("%s: prom %v, json %d", ck, got, h.Count)
-		}
-		sk := fmt.Sprintf("ltspd_stage_latency_ms_sum{stage=%q}", stage)
-		if got := doc.samples[sk]; got != h.SumMs {
-			t.Errorf("%s: prom %v, json %v", sk, got, h.SumMs)
+	for _, key := range prom.order {
+		if !seen[key] {
+			t.Errorf("exposition sample %s is not a registered metric", key)
 		}
 	}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		if registered[prefix] {
+			return
+		}
+		obj, ok := v.(map[string]any)
+		if !ok {
+			t.Errorf("JSON value %s is not a registered metric", prefix)
+			return
+		}
+		for k, sub := range obj {
+			walk(strings.TrimPrefix(prefix+"."+k, "."), sub)
+		}
+	}
+	walk("", doc)
+}
+
+// lookupPath resolves a dotted JSON key path in a decoded document.
+func lookupPath(doc map[string]any, path string) (any, bool) {
+	var v any = doc
+	for _, k := range strings.Split(path, ".") {
+		obj, ok := v.(map[string]any)
+		if !ok {
+			return nil, false
+		}
+		if v, ok = obj[k]; !ok {
+			return nil, false
+		}
+	}
+	return v, true
 }
 
 // TestMetricsContentNegotiation: JSON stays the default; only an Accept

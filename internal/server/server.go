@@ -439,60 +439,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // daemon logs it on drain so a terminated replica leaves its final
 // counters in the log stream.
 func (s *Server) MetricsSnapshot() any {
-	return s.snapshotJSON()
-}
-
-// snapshotJSON assembles the /metrics document: request counters plus
-// the per-layer cache sections (memory, disk, cluster) with consistent
-// byte accounting.
-func (s *Server) snapshotJSON() metricsJSON {
-	var disk *diskJSON
-	if s.store != nil {
-		st := s.store.Stats()
-		disk = &diskJSON{
-			Entries: st.Entries, Bytes: st.Bytes,
-			Hits: st.Hits, Misses: st.Misses,
-			Writes: st.Writes, Evictions: st.Evictions,
-			Corrupt: st.Corrupt, Scans: st.Scans,
-		}
-	}
-	var clus *clusterJSON
-	if ring := s.ring(); ring != nil {
-		alive, dead := s.health.Counts()
-		clus = &clusterJSON{
-			Self:          s.cfg.Self,
-			Peers:         ring.Len(),
-			Replication:   s.cfg.Replication,
-			PeersAlive:    alive,
-			PeersDead:     dead,
-			RingSwaps:     int64(s.member.Swaps()),
-			ResolveErrors: int64(s.member.ResolveErrors()),
-			PeerHits:      s.metrics.PeerHits.Load(),
-			PeerMisses:    s.metrics.PeerMisses.Load(),
-			PeerErrors:    s.metrics.PeerErrors.Load(),
-			RepairRuns:    s.metrics.RepairRuns.Load(),
-			RepairPushes:  s.metrics.RepairPushes.Load(),
-			RepairSkipped: s.metrics.RepairSkipped.Load(),
-			RepairDropped: s.metrics.RepairDropped.Load(),
-			RepairErrors:  s.metrics.RepairErrors.Load(),
-			SyncRuns:      s.metrics.SyncRuns.Load(),
-			SyncPulls:     s.metrics.SyncPulls.Load(),
-			SyncErrors:    s.metrics.SyncErrors.Load(),
-			FillLatency:   s.metrics.PeerFillLatency.snapshot(),
-		}
-	}
-	var prov *provenanceJSON
-	if s.prov != nil {
-		st := s.prov.Stats()
-		prov = &provenanceJSON{
-			Records:        int64(st.Records),
-			Batches:        st.Batches,
-			Dropped:        int64(st.Dropped),
-			Failures:       s.metrics.ProvenanceFailures.Load(),
-			PeerMismatches: s.metrics.ProvenanceMismatches.Load(),
-		}
-	}
-	return s.metrics.snapshot(s.cache.Stats(), disk, clus, prov, time.Since(s.start))
+	return s.metricSet().jsonDoc()
 }
 
 // storeGet reads an entry from the persistent store and cross-checks it
@@ -966,7 +913,12 @@ func (s *Server) compileCached(ctx context.Context, req *wire.CompileRequest) (*
 		}
 		return s.compileTier(fctx, hash, req, canon, opts)
 	})
-	return art, hash, cached, err
+	if err != nil {
+		return nil, hash, false, err
+	}
+	// A thin artifact is by definition a cache serve (disk or peer), even
+	// on the flight that filled it.
+	return art, hash, cached || art.Thin(), nil
 }
 
 // diskTier is the disk_read stage: it reads hash from the persistent
@@ -1214,9 +1166,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		// A thin artifact is by definition a cache serve (disk or peer),
-		// even on the flight that filled it.
-		return respondCompile(hash, cached || art.Thin(), art), http.StatusOK, nil
+		return respondCompile(hash, cached, art), http.StatusOK, nil
 	})
 	s.metrics.CompileLatency.Observe(time.Since(start))
 	if err != nil {
@@ -1279,7 +1229,7 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 	}
 
 	var (
-		c      *ltsp.Compiled
+		art    *Artifact
 		hash   string
 		cached bool
 		err    error
@@ -1288,30 +1238,29 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 	case req.Hash != "" && len(req.Loop) > 0:
 		return nil, http.StatusBadRequest, fmt.Errorf("set either hash or loop, not both")
 	case req.Hash != "":
-		art, ok := s.cache.Get(req.Hash)
-		if !ok {
+		var ok bool
+		if art, ok = s.cache.Get(req.Hash); !ok {
 			art = s.readThrough(ctx, req.Hash)
 		}
 		if art == nil {
 			return nil, http.StatusNotFound, errUnknownArtifact
 		}
-		c, hash, cached = art.Compiled, req.Hash, true
-		if art.Thin() {
-			// Simulation needs the executable program: recompile the stored
-			// canonical request, upgrading the cache entry in place.
-			c, err = s.materialize(ctx, req.Hash, art)
-			if err != nil {
-				return nil, http.StatusBadRequest, err
-			}
-		}
+		hash, cached = req.Hash, true
 	default:
 		creq := &wire.CompileRequest{Version: wire.Version, Loop: req.Loop, Options: req.Options}
-		var art *Artifact
 		art, hash, cached, err = s.compileCached(ctx, creq)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		c = art.Compiled
+	}
+	c := art.Compiled
+	if art.Thin() {
+		// Simulation needs the executable program: an artifact read thin
+		// from disk or a peer recompiles its stored canonical request,
+		// upgrading the cache entry in place.
+		if c, err = s.materialize(ctx, hash, art); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
 	}
 
 	mem := ltsp.NewMemory()
@@ -1396,15 +1345,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics serves the counters document. Both forms — JSON (the
 // default) and Prometheus text exposition (negotiated via Accept:
-// text/plain) — render from one snapshot, so a scrape and a JSON read
+// text/plain) — render from one metric set, so a scrape and a JSON read
 // of the same instant report byte-for-byte consistent numbers.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.snapshotJSON()
+	ms := s.metricSet()
 	if wantsPromText(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", PromContentType)
 		w.WriteHeader(http.StatusOK)
-		_ = writePrometheus(w, &m)
+		_ = ms.writeProm(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
+	writeJSON(w, http.StatusOK, ms.jsonDoc())
 }

@@ -9,8 +9,7 @@ import (
 
 // stageID names one serving stage: an instrumented step of a request —
 // the worker-slot wait, each artifact tier, verification, write-through,
-// a batch item. stageNames holds the span names, which are also the
-// /metrics stage_latency keys.
+// a batch item. Its instruments are Metrics.stages[id].
 type stageID uint8
 
 const (
@@ -26,8 +25,14 @@ const (
 	numStages
 )
 
-var stageNames = [numStages]string{"queue_wait", "mem_lookup", "disk_read", "peer_fill",
-	"peer_leg", "compile", "verify", "write_through", "batch_item"}
+// stageDescs describe the stages: the span name, which is also the
+// stage's /metrics key, and whether the stage is an artifact tier below
+// memory whose hit and miss outcomes count in its stageMetrics.
+var stageDescs = [numStages]struct {
+	name string
+	tier bool
+}{{"queue_wait", false}, {"mem_lookup", false}, {"disk_read", true}, {"peer_fill", true},
+	{"peer_leg", false}, {"compile", false}, {"verify", false}, {"write_through", false}, {"batch_item", false}}
 
 // Tier outcomes: a tier produced the artifact, missed, or (memory only)
 // joined a computation already in flight.
@@ -47,25 +52,23 @@ const (
 // "panic" and keeps propagating.
 func (s *Server) stage(ctx context.Context, id stageID, fn func(context.Context) string) {
 	tr, parent := telemetry.FromContext(ctx)
-	span := tr.Start(stageNames[id], parent)
+	span := tr.Start(stageDescs[id].name, parent)
 	start := time.Now()
 	outcome := "panic"
 	defer func() {
-		s.metrics.stages[id].Observe(time.Since(start))
+		st := &s.metrics.stages[id]
+		st.latency.Observe(time.Since(start))
 		if outcome != "" {
 			span.SetAttr("outcome", outcome)
 		}
 		span.End()
-		m := s.metrics
-		switch {
-		case id == stageDiskRead && outcome == outcomeHit:
-			m.DiskHits.Add(1)
-		case id == stageDiskRead && outcome == outcomeMiss:
-			m.DiskMisses.Add(1)
-		case id == stagePeerFill && outcome == outcomeHit:
-			m.PeerHits.Add(1)
-		case id == stagePeerFill && outcome == outcomeMiss:
-			m.PeerMisses.Add(1)
+		if stageDescs[id].tier {
+			switch outcome {
+			case outcomeHit:
+				st.hits.Add(1)
+			case outcomeMiss:
+				st.misses.Add(1)
+			}
 		}
 	}()
 	outcome = fn(telemetry.WithSpan(ctx, tr, span))
