@@ -18,19 +18,20 @@
 // The cluster self-heals: -peers-file or -peers-dns replace the static
 // list with a live membership source (atomic ring swaps, per-peer
 // health ejection tuned by -peer-fail-threshold/-peer-probe-interval),
-// read-repair pushes under-replicated artifacts to their owners within
-// -repair-budget, and anti-entropy digest sync (-anti-entropy-interval)
-// reconverges a node after an outage. Every artifact creation is
-// recorded in a hash-chained Merkle-batched provenance log (-provenance,
-// on by default with -data-dir); poisoned cache entries are quarantined
-// instead of served, and GET /v2/provenance/{hash} exposes the verdict.
+// and anti-entropy digest sync (-anti-entropy-interval) carries every
+// artifact to the owners that lack it, after a compile on a non-owner as
+// well as after an outage, within one interval plus one round. Every
+// artifact creation is recorded in a hash-chained Merkle-batched
+// provenance log (-provenance, on by default with -data-dir); poisoned
+// cache entries are quarantined instead of served, and
+// GET /v2/provenance/{hash} exposes the verdict.
 // See the README "Self-healing cluster" and "Provenance" sections.
 //
 // Endpoints (see internal/server and the README "Service" section):
 //
 //	POST /v2/compile   POST /v2/compile-batch   POST /v2/simulate
 //	GET  /v2/artifacts/{hash}   GET /v2/artifacts/{hash}/trace
-//	PUT  /v2/artifacts/{hash}   GET /v2/provenance/{hash}
+//	GET  /v2/provenance/{hash}
 //	GET  /v2/sync/digest   GET /v2/sync/keys
 //	GET  /v2/requests/{trace-id}   GET /debug/requests
 //	GET  /healthz      GET /metrics
@@ -95,7 +96,6 @@ func main() {
 		peerHedge    = flag.Duration("peer-hedge-delay", 50*time.Millisecond, "stagger before hedging a peer fill to the next replica")
 		peerFails    = flag.Int("peer-fail-threshold", 3, "consecutive failures before a peer is ejected as dead")
 		peerProbe    = flag.Duration("peer-probe-interval", 2*time.Second, "active /healthz probe interval for dead peers (0 = passive re-admission only)")
-		repairBudget = flag.Float64("repair-budget", server.DefaultRepairBudget, "read-repair budget in repairs/second pushed to under-replicated peers (0 = off)")
 		antiEntropy  = flag.Duration("anti-entropy-interval", 30*time.Second, "background anti-entropy digest-exchange interval (0 = off)")
 		provenanceOn = flag.Bool("provenance", true, "record a tamper-evident provenance chain of artifact creations (requires -data-dir)")
 		drainRetry   = flag.Duration("drain-retry-after", time.Second, "Retry-After hint sent with 503 draining responses")
@@ -243,9 +243,6 @@ func main() {
 	if *traceSample == 0 {
 		*traceSample = -1
 	}
-	if *repairBudget == 0 {
-		*repairBudget = -1
-	}
 	srv := server.New(server.Config{
 		PoolSize:            *pool,
 		CacheCapacity:       *cacheCap,
@@ -268,7 +265,6 @@ func main() {
 		PeerHedgeDelay:      *peerHedge,
 		PeerFailThreshold:   *peerFails,
 		PeerProbeInterval:   *peerProbe,
-		RepairBudget:        *repairBudget,
 		AntiEntropyInterval: *antiEntropy,
 		Logger:              logger,
 		TraceSample:         *traceSample,

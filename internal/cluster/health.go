@@ -63,7 +63,7 @@ func (c HealthConfig) withDefaults() HealthConfig {
 
 // Health tracks per-peer liveness from observed request outcomes. It is
 // passive by design: the server reports successes and failures from the
-// traffic it already sends (peer-fill legs, repair pushes, sync pulls),
+// traffic it already sends (peer-fill legs, sync pulls),
 // and an optional active prober (see Membership.StartProber) reports
 // probe outcomes through the same two methods. Eligible is the read
 // side, called on the request hot path — it takes a read lock, touches

@@ -1,12 +1,12 @@
 package server
 
 // Anti-entropy: the background convergence loop that makes the cluster
-// self-healing. Read-repair fixes the replicas touched by live traffic;
-// anti-entropy fixes everything else — a node that restarted empty, or
-// whose arcs grew after a membership change, discovers what it is
-// missing by exchanging compact range digests with its replica peers
-// and pulls the artifacts through the ordinary (integrity-verified)
-// artifact endpoint.
+// self-healing, and the one path that copies an artifact to owners that
+// never asked for it. An owner that lacks an artifact — one compiled on
+// a non-owner, a node that restarted empty, or one whose arcs grew after
+// a membership change — discovers what it is missing by exchanging
+// compact range digests with its replica peers and pulls the artifacts
+// through the ordinary (integrity-verified) artifact endpoint.
 //
 // The key space is partitioned into 256 buckets by the first hex byte
 // of the artifact hash. A digest request names an owner; the responder
@@ -36,7 +36,6 @@ import (
 	"ltsp/internal/store"
 	"ltsp/internal/telemetry"
 	"ltsp/internal/wire"
-	"ltsp/internal/wire/binary"
 )
 
 // pokeSync wakes the anti-entropy loop out of turn (startup, membership
@@ -351,68 +350,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	resp.HeadSeq, resp.HeadSum = s.prov.Head()
 	resp.Root, resp.RootsLen = s.prov.LatestRoot()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleArtifactPut receives a read-repair push: an artifact envelope
-// for a hash this node should replicate. The envelope is re-verified
-// end to end (the canonical request must hash to the key) and the write
-// is create-only — an existing entry is never overwritten, so a push
-// can add a missing replica but can never rewrite history.
-func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if !wire.ValidHash(hash) {
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "artifact: malformed hash")
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "artifact: %v", err)
-		return
-	}
-	var ar wire.ArtifactResponse
-	if strings.HasPrefix(r.Header.Get("Content-Type"), binary.ContentType) {
-		bar, derr := binary.DecodeArtifact(data)
-		if derr != nil {
-			writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "artifact: undecodable binary envelope: %v", derr)
-			return
-		}
-		ar = *bar
-	} else if derr := json.Unmarshal(data, &ar); derr != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "artifact: undecodable envelope: %v", derr)
-		return
-	}
-	if ar.Hash != hash {
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest,
-			"artifact: envelope is for %s, not %s", ar.Hash, hash)
-		return
-	}
-	// Trust but verify, exactly like a pulled fill: the pushed canonical
-	// request must really hash to the key, or the push is cache poisoning.
-	if err := ar.Normalize(); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "artifact: %v", err)
-		return
-	}
-	if err := ar.CheckIntegrity(); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "artifact: %v", err)
-		return
-	}
-	if s.store != nil && s.store.Contains(hash) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "exists"})
-		return
-	}
-	e := entryFromWire(&ar)
-	if s.store != nil {
-		if err := s.store.Put(e); err != nil {
-			s.metrics.DiskWriteErrors.Add(1)
-			writeError(w, http.StatusInternalServerError, wire.CodeInternal, "artifact: persist failed: %v", err)
-			return
-		}
-		s.prov.Append(hash, store.SourceReadRepair, e.Checksum)
-	}
-	if a, aerr := thinArtifact(e); aerr == nil {
-		s.cache.Add(hash, a)
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "stored"})
 }
 
 // fetchSyncDigest asks one peer for its digest of the owner's keys.

@@ -407,4 +407,19 @@ func TestV2PrefixServes(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != wire.CodeNotFound {
 		t.Fatalf("POST /v1/compile body = %s (%v), want the not_found envelope", body, err)
 	}
+	// Artifacts are read-only: replicas arrive by pull, never by push.
+	preq, err := http.NewRequest(http.MethodPut, ts.URL+"/v2/artifacts/"+cr.Hash, strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preq.Header.Set("Content-Type", "application/json")
+	presp, err := http.DefaultClient.Do(preq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	env = wire.ErrorEnvelope{}
+	if err := json.NewDecoder(presp.Body).Decode(&env); err != nil || presp.StatusCode != http.StatusMethodNotAllowed || env.Error.Code != wire.CodeInvalidRequest {
+		t.Fatalf("PUT /v2/artifacts/{hash}: %s, envelope %+v (%v), want 405 with the invalid_request envelope", presp.Status, env, err)
+	}
 }

@@ -255,10 +255,9 @@ func thinArtifact(e *store.Entry) (*Artifact, error) {
 // persist writes an entry through to the disk store, best-effort: a
 // failed write is logged and the artifact stays memory-only. source
 // names how the entry came to exist (store.SourceCompile, peer fill,
-// read-repair, anti-entropy); every successful write is recorded in the
-// provenance chain under it, pinning the entry's checksum, and then
-// offered to the read-repair scheduler so under-replicated peers catch
-// up.
+// anti-entropy); every successful write is recorded in the provenance
+// chain under it, pinning the entry's checksum. Owners that lack the
+// entry pull it from the store on their next anti-entropy round.
 func (s *Server) persist(e *store.Entry, source string) {
 	if s.store == nil {
 		return
@@ -270,7 +269,6 @@ func (s *Server) persist(e *store.Entry, source string) {
 	}
 	// Put stamped e.Checksum; the provenance record pins it.
 	s.prov.Append(e.Hash, source, e.Checksum)
-	s.scheduleRepair(e)
 }
 
 // artifactWire renders a cached artifact as the transfer envelope from
@@ -304,16 +302,6 @@ func artifactWire(hash string, art *Artifact) (*wire.ArtifactResponse, error) {
 // path's metrics.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if r.Method == http.MethodHead {
-		// Existence probe (the read-repair scheduler uses it to decide
-		// whether a replica needs a push) — no envelope, no counters.
-		if _, ok := s.cache.Peek(hash); ok || (s.store != nil && s.store.Contains(hash)) {
-			w.WriteHeader(http.StatusOK)
-		} else {
-			w.WriteHeader(http.StatusNotFound)
-		}
-		return
-	}
 	s.metrics.ArtifactRequests.Add(1)
 	if art, ok := s.cache.Peek(hash); ok && len(art.Request) > 0 {
 		ar, err := artifactWire(hash, art)

@@ -136,17 +136,6 @@ type Metrics struct {
 	// PeerErrors counts individual failed peer fetches (several can
 	// contribute to one peer_fill miss).
 	PeerErrors atomic.Int64
-	// Read-repair layer: RepairRuns counts repair evaluations scheduled
-	// after an artifact creation; RepairPushes counts entries actually
-	// replicated to an under-replicated peer; RepairSkipped counts peers
-	// skipped because they already held the entry (or were dead);
-	// RepairDropped counts repairs the token budget refused; RepairErrors
-	// counts failed pushes.
-	RepairRuns    atomic.Int64
-	RepairPushes  atomic.Int64
-	RepairSkipped atomic.Int64
-	RepairDropped atomic.Int64
-	RepairErrors  atomic.Int64
 	// Anti-entropy layer: SyncRuns counts sync rounds (whole-membership
 	// digest exchanges); SyncPulls counts artifacts pulled because a
 	// replica peer held an owned key this node lacked; SyncErrors counts
@@ -358,11 +347,6 @@ func (s *Server) metricSet() metricSet {
 		ms.gauge("cluster.peers_dead", "ltspd_cluster_peers_dead", "Ring peers ejected by health tracking.", float64(dead))
 		ms.counter("cluster.ring_swaps", "ltspd_cluster_ring_swaps_total", "Atomic ring replacements from membership changes.", int64(s.member.Swaps()))
 		ms.counter("cluster.resolve_errors", "ltspd_cluster_resolve_errors_total", "Membership source resolutions that failed.", int64(s.member.ResolveErrors()))
-		ms.counter("cluster.repair_runs", "ltspd_cluster_repair_runs_total", "Read-repair rounds launched.", m.RepairRuns.Load())
-		ms.counter("cluster.repair_pushes", "ltspd_cluster_repair_pushes_total", "Artifacts pushed to under-replicated peers.", m.RepairPushes.Load())
-		ms.counter("cluster.repair_skipped", "ltspd_cluster_repair_skipped_total", "Read-repair probes that found the replica already present.", m.RepairSkipped.Load())
-		ms.counter("cluster.repair_dropped", "ltspd_cluster_repair_dropped_total", "Read-repair rounds dropped by the token budget.", m.RepairDropped.Load())
-		ms.counter("cluster.repair_errors", "ltspd_cluster_repair_errors_total", "Failed read-repair probes or pushes.", m.RepairErrors.Load())
 		ms.counter("cluster.sync_runs", "ltspd_cluster_sync_runs_total", "Anti-entropy rounds run.", m.SyncRuns.Load())
 		ms.counter("cluster.sync_pulls", "ltspd_cluster_sync_pulls_total", "Artifacts pulled by anti-entropy.", m.SyncPulls.Load())
 		ms.counter("cluster.sync_errors", "ltspd_cluster_sync_errors_total", "Failed anti-entropy exchanges.", m.SyncErrors.Load())

@@ -1,9 +1,8 @@
 package server_test
 
-// Self-healing cluster tests: read-repair replication, the artifact PUT
-// endpoint, anti-entropy reconvergence, dynamic membership swaps under
-// in-flight hedged fills, and provenance-chain quarantine of tampered
-// store entries.
+// Self-healing cluster tests: anti-entropy replication and
+// reconvergence, dynamic membership swaps under in-flight hedged fills,
+// and provenance-chain quarantine of tampered store entries.
 
 import (
 	"bytes"
@@ -34,20 +33,15 @@ type selfhealMetricsDoc struct {
 		Sequential     int64 `json:"sequential"`
 	} `json:"compile_outcomes"`
 	Cluster *struct {
-		Self          string `json:"self"`
-		Peers         int    `json:"peers"`
-		PeersAlive    int    `json:"peers_alive"`
-		PeersDead     int    `json:"peers_dead"`
-		RingSwaps     int64  `json:"ring_swaps"`
-		PeerHits      int64  `json:"peer_hits"`
-		RepairRuns    int64  `json:"repair_runs"`
-		RepairPushes  int64  `json:"repair_pushes"`
-		RepairSkipped int64  `json:"repair_skipped"`
-		RepairDropped int64  `json:"repair_dropped"`
-		RepairErrors  int64  `json:"repair_errors"`
-		SyncRuns      int64  `json:"sync_runs"`
-		SyncPulls     int64  `json:"sync_pulls"`
-		SyncErrors    int64  `json:"sync_errors"`
+		Self       string `json:"self"`
+		Peers      int    `json:"peers"`
+		PeersAlive int    `json:"peers_alive"`
+		PeersDead  int    `json:"peers_dead"`
+		RingSwaps  int64  `json:"ring_swaps"`
+		PeerHits   int64  `json:"peer_hits"`
+		SyncRuns   int64  `json:"sync_runs"`
+		SyncPulls  int64  `json:"sync_pulls"`
+		SyncErrors int64  `json:"sync_errors"`
 	} `json:"cluster,omitempty"`
 	Provenance *struct {
 		Records        int64 `json:"records"`
@@ -119,211 +113,99 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// TestReadRepairReplicatesToPeers: compiling on one node of a fully
-// replicated pair pushes the artifact to the other node in the
-// background — the replica converges without ever seeing the request,
-// and both nodes' provenance chains pin the identical checksum.
-func TestReadRepairReplicatesToPeers(t *testing.T) {
-	checkGoroutineLeaks(t)
-	_, tss, stores := selfhealNodes(t, 2, nil)
-	req := compileRequest(t, copyAddLoop(4210))
-	hash, err := req.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp, body := post(t, tss[0].URL+"/v2/compile", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile: %s: %s", resp.Status, body)
-	}
-	waitFor(t, 5*time.Second, "read-repair to replicate the entry", func() bool {
-		return stores[1].Contains(hash)
-	})
-
-	var m selfhealMetricsDoc
-	get(t, tss[0].URL+"/metrics", &m)
-	if m.Cluster == nil || m.Cluster.RepairRuns == 0 || m.Cluster.RepairPushes == 0 {
-		t.Fatalf("pusher metrics: %+v", m.Cluster)
-	}
-	// The receiver recorded the replica in its own provenance chain, under
-	// the same checksum the pusher pinned.
-	var p0, p1 wire.ProvenanceResponse
-	get(t, tss[0].URL+"/v2/provenance/"+hash, &p0)
-	get(t, tss[1].URL+"/v2/provenance/"+hash, &p1)
-	if p0.Checksum == "" || p0.Checksum != p1.Checksum {
-		t.Fatalf("provenance checksums diverge: %q vs %q", p0.Checksum, p1.Checksum)
-	}
-	if !p1.Present || !p1.Consistent {
-		t.Fatalf("replica provenance = present %v consistent %v", p1.Present, p1.Consistent)
-	}
-	if len(p1.Records) == 0 || p1.Records[len(p1.Records)-1].Source != store.SourceReadRepair {
-		t.Fatalf("replica records = %+v, want a read_repair record", p1.Records)
-	}
-
-	// Compiling the same loop again on node 0 serves from memory and, at
-	// most, schedules a repair that finds the replica present (skipped) —
-	// it must not push again.
-	if resp, body := post(t, tss[0].URL+"/v2/compile", req); resp.StatusCode != http.StatusOK {
-		t.Fatalf("re-compile: %s: %s", resp.Status, body)
-	}
-	get(t, tss[0].URL+"/metrics", &m)
-	if m.Cluster.RepairPushes != 1 {
-		t.Fatalf("repair_pushes = %d after a memory hit, want 1", m.Cluster.RepairPushes)
-	}
-}
-
-// TestArtifactPutEndpoint: the read-repair receive endpoint verifies
-// pushed envelopes end to end, records provenance, and never overwrites
-// an existing entry.
-func TestArtifactPutEndpoint(t *testing.T) {
-	// A source node to mint a valid envelope from.
-	_, src := newTestServer(t, server.Config{})
-	req := compileRequest(t, copyAddLoop(4211))
-	resp, body := post(t, src.URL+"/v2/compile", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile: %s: %s", resp.Status, body)
-	}
-	var cr server.CompileResponse
-	if err := json.Unmarshal(body, &cr); err != nil {
-		t.Fatal(err)
-	}
-	var ar wire.ArtifactResponse
-	get(t, src.URL+"/v2/artifacts/"+cr.Hash, &ar)
-
-	// The receiving node: store + provenance, no cluster needed.
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
-	prov, err := store.OpenLog(t.TempDir(), store.LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { prov.Close() })
-	_, ts := newTestServer(t, server.Config{Store: st, Provenance: prov})
-
-	put := func(hash string, env any) *http.Response {
-		t.Helper()
-		data, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preq, err := http.NewRequest(http.MethodPut, ts.URL+"/v2/artifacts/"+hash, bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		preq.Header.Set("Content-Type", "application/json")
-		presp, err := http.DefaultClient.Do(preq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { presp.Body.Close() })
-		return presp
-	}
-
-	if presp := put(cr.Hash, &ar); presp.StatusCode != http.StatusCreated {
-		t.Fatalf("valid push: %s, want 201", presp.Status)
-	}
-	if !st.Contains(cr.Hash) {
-		t.Fatal("pushed entry not persisted")
-	}
-	var pr wire.ProvenanceResponse
-	get(t, ts.URL+"/v2/provenance/"+cr.Hash, &pr)
-	if len(pr.Records) != 1 || pr.Records[0].Source != store.SourceReadRepair {
-		t.Fatalf("provenance after push = %+v", pr.Records)
-	}
-
-	// Re-push: create-only, reported as already existing.
-	if presp := put(cr.Hash, &ar); presp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate push: %s, want 200 (exists)", presp.Status)
-	}
-	get(t, ts.URL+"/v2/provenance/"+cr.Hash, &pr)
-	if len(pr.Records) != 1 {
-		t.Fatalf("duplicate push grew the chain: %d records", len(pr.Records))
-	}
-
-	// A poisoned envelope — a request section that does not hash to the
-	// key — fails the integrity check and is rejected before touching the
-	// store.
-	forged := ar
-	forged.Request = json.RawMessage(`{"forged":true}`)
-	if presp := put(cr.Hash, &forged); presp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("forged push: %s, want 400", presp.Status)
-	}
-	// A push whose envelope names a different hash than the URL is
-	// rejected too.
-	if presp := put(otherHash(cr.Hash), &ar); presp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched-hash push: %s, want 400", presp.Status)
-	}
-}
-
-// otherHash flips the first character of a hex hash.
-func otherHash(h string) string {
-	c := byte('0')
-	if h[0] == '0' {
-		c = '1'
-	}
-	return string(c) + h[1:]
-}
-
-// TestAntiEntropyReconvergesEmptyNode: a node that joins (or restarts)
-// empty pulls every owned artifact from its replica peers on the first
-// anti-entropy round — driven here by the background loop's startup
-// poke, no traffic required.
+// TestAntiEntropyReconvergesEmptyNode: anti-entropy alone carries an
+// artifact to every owner that lacks it — the empty replica of a
+// fully replicated pair, and the owners of an artifact compiled on a
+// node outside its replica set — without any request reaching them.
+// Node 0 compiles and never syncs; every other node runs the loop. A
+// round's context expires after one interval, so one interval plus one
+// round bounds how long an owner goes without the artifact.
 func TestAntiEntropyReconvergesEmptyNode(t *testing.T) {
 	checkGoroutineLeaks(t)
-	const loops = 3
-	srvs, tss, stores := selfhealNodes(t, 2, func(i int, cfg *server.Config) {
-		// Isolate anti-entropy: no read-repair, and only node 1 runs the
-		// sync loop.
-		cfg.RepairBudget = -1
-		if i == 1 {
-			cfg.AntiEntropyInterval = 30 * time.Millisecond
-		}
-	})
-	hashes := make([]string, loops)
-	for k := 0; k < loops; k++ {
-		req := compileRequest(t, copyAddLoop(4300+int64(k)))
-		h, err := req.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashes[k] = h
-		if resp, body := post(t, tss[0].URL+"/v2/compile", req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("compile %d: %s: %s", k, resp.Status, body)
-		}
-	}
-	waitFor(t, 5*time.Second, "anti-entropy to pull every artifact", func() bool {
-		for _, h := range hashes {
-			if !stores[1].Contains(h) {
-				return false
+	const (
+		loops    = 3
+		interval = 250 * time.Millisecond
+		bound    = 2*interval + 100*time.Millisecond // + polling slack
+	)
+	for _, tc := range []struct {
+		name  string
+		nodes int
+	}{
+		{"empty replica of a pair", 2},
+		{"owners of a non-owner compile, 3 nodes R=2", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvs, tss, stores := selfhealNodes(t, tc.nodes, func(i int, cfg *server.Config) {
+				cfg.Replication = 2
+				if i > 0 {
+					cfg.AntiEntropyInterval = interval
+				}
+			})
+			peers := make([]cluster.Peer, len(tss))
+			for i, ts := range tss {
+				peers[i] = cluster.Peer{ID: ts.URL, Addr: ts.URL}
 			}
-		}
-		return true
-	})
-	var m selfhealMetricsDoc
-	get(t, tss[1].URL+"/metrics", &m)
-	if m.Cluster == nil || m.Cluster.SyncRuns == 0 || m.Cluster.SyncPulls < loops {
-		t.Fatalf("sync metrics: %+v", m.Cluster)
-	}
-	// Pulled replicas are provenance-recorded as anti-entropy creations
-	// and pin the same checksum as the origin.
-	for _, h := range hashes {
-		var p0, p1 wire.ProvenanceResponse
-		get(t, tss[0].URL+"/v2/provenance/"+h, &p0)
-		get(t, tss[1].URL+"/v2/provenance/"+h, &p1)
-		if p0.Checksum != p1.Checksum {
-			t.Fatalf("checksum diverged for %s: %q vs %q", h[:12], p0.Checksum, p1.Checksum)
-		}
-		if len(p1.Records) == 0 || p1.Records[len(p1.Records)-1].Source != store.SourceAntiEntropy {
-			t.Fatalf("puller records for %s = %+v", h[:12], p1.Records)
-		}
-	}
-	// The node that already had everything pulls nothing when it syncs.
-	rep := srvs[0].SyncOnce(context.Background())
-	if rep.Pulled != 0 || rep.Errors != 0 {
-		t.Fatalf("converged node's sync = %+v, want no pulls, no errors", rep)
+			ring := cluster.New(cluster.Static(peers), 0)
+			// Pick loops node 0 does not own, so that nodes 1.. are
+			// exactly their owners (on a pair that is every loop).
+			var hashes []string
+			for k := int64(4300); len(hashes) < loops; k++ {
+				if k == 4300+512 {
+					t.Fatalf("found only %d loops not owned by node 0", len(hashes))
+				}
+				req := compileRequest(t, copyAddLoop(k))
+				h, err := req.Hash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.nodes > 2 && ring.IsOwner(peers[0].ID, h, 2) {
+					continue
+				}
+				hashes = append(hashes, h)
+				if resp, body := post(t, tss[0].URL+"/v2/compile", req); resp.StatusCode != http.StatusOK {
+					t.Fatalf("compile %d: %s: %s", k, resp.Status, body)
+				}
+			}
+			waitFor(t, bound, "anti-entropy to bring every artifact to every owner", func() bool {
+				for _, st := range stores[1:] {
+					for _, h := range hashes {
+						if !st.Contains(h) {
+							return false
+						}
+					}
+				}
+				return true
+			})
+			// Each owner recorded its pull as an anti-entropy creation,
+			// pinning the compiling node's checksum.
+			for i := 1; i < tc.nodes; i++ {
+				var m selfhealMetricsDoc
+				get(t, tss[i].URL+"/metrics", &m)
+				if m.Cluster == nil || m.Cluster.SyncRuns == 0 || m.Cluster.SyncPulls < loops {
+					t.Fatalf("node %d sync metrics: %+v", i, m.Cluster)
+				}
+				for _, h := range hashes {
+					var p0, pi wire.ProvenanceResponse
+					get(t, tss[0].URL+"/v2/provenance/"+h, &p0)
+					get(t, tss[i].URL+"/v2/provenance/"+h, &pi)
+					if p0.Checksum == "" || pi.Checksum != p0.Checksum {
+						t.Fatalf("node %d checksum for %s: %q, compiling node pinned %q", i, h[:12], pi.Checksum, p0.Checksum)
+					}
+					if !pi.Present || !pi.Consistent {
+						t.Fatalf("node %d, %s: present %v consistent %v", i, h[:12], pi.Present, pi.Consistent)
+					}
+					if len(pi.Records) == 0 || pi.Records[len(pi.Records)-1].Source != store.SourceAntiEntropy {
+						t.Fatalf("node %d records for %s = %+v", i, h[:12], pi.Records)
+					}
+				}
+			}
+			// The compiling node already holds all it owns: its own sync
+			// pulls nothing.
+			rep := srvs[0].SyncOnce(context.Background())
+			if rep.Pulled != 0 || rep.Errors != 0 {
+				t.Fatalf("compiling node's sync = %+v, want no pulls, no errors", rep)
+			}
+		})
 	}
 }
 
@@ -463,8 +345,6 @@ func TestChaosPartitionHealAntiEntropyReconverges(t *testing.T) {
 	checkGoroutineLeaks(t)
 	fabric := faultinject.NewNetwork(chaosSeed(t))
 	_, tss, stores := selfhealNodes(t, 3, func(i int, cfg *server.Config) {
-		// Convergence must be attributable to anti-entropy alone.
-		cfg.RepairBudget = -1
 		cfg.AntiEntropyInterval = 50 * time.Millisecond
 		cfg.PeerTimeout = 500 * time.Millisecond
 		fabric.Register(cfg.Self, cfg.Self)

@@ -133,7 +133,7 @@ type Config struct {
 	Resolver        cluster.Source
 	ResolveInterval time.Duration
 	// PeerFailThreshold is the consecutive-failure count that ejects a
-	// peer from hedged fill/repair/sync target sets (default 3); ejected
+	// peer from hedged fill and sync target sets (default 3); ejected
 	// peers are retried on a jittered exponential backoff and re-admitted
 	// through probation. PeerProbeInterval, when > 0, additionally runs
 	// an active /healthz prober over dead peers so re-admission does not
@@ -141,24 +141,21 @@ type Config struct {
 	// tests stay goroutine-free by default).
 	PeerFailThreshold int
 	PeerProbeInterval time.Duration
-	// RepairBudget is the read-repair token budget in repairs/second:
-	// after this node creates an artifact (compile, peer fill, disk
-	// serve of an owned hash), it asynchronously replicates the entry to
-	// replica-set members that lack it, spending one token per repair.
-	// 0 means DefaultRepairBudget; negative disables read-repair.
-	RepairBudget float64
 	// AntiEntropyInterval, when > 0, runs the background anti-entropy
 	// loop: every interval (and immediately after startup and after
 	// every membership change) this node exchanges range digests of its
 	// owned keys with replica peers and pulls whatever it is missing.
-	// <= 0 disables the loop; SyncOnce remains available to embedders.
+	// It is the only mechanism that copies an artifact to owners that
+	// never asked for it. <= 0 disables the loop; SyncOnce remains
+	// available to embedders, and a cluster that neither runs the loop
+	// nor calls SyncOnce converges only through on-demand peer fill (an
+	// owner asked for an artifact it lacks recompiles it).
 	AntiEntropyInterval time.Duration
 	// Provenance, when non-nil, is the tamper-evident artifact creation
-	// log: every compile, peer fill, read-repair receipt and anti-entropy
-	// pull is appended, and every disk read is cross-checked against the
-	// chain — an entry that no longer matches its provenance record is
-	// quarantined, never served. The caller owns opening and closing it,
-	// like Store.
+	// log: every compile, peer fill and anti-entropy pull is appended,
+	// and every disk read is cross-checked against the chain — an entry
+	// that no longer matches its provenance record is quarantined, never
+	// served. The caller owns opening and closing it, like Store.
 	Provenance *store.Log
 	// Replication is the replica-set size used for ownership decisions
 	// and peer cache-fill fan-out (default 2, clamped to the peer count
@@ -236,9 +233,6 @@ func (c Config) withDefaults() Config {
 	if c.PeerFailThreshold <= 0 {
 		c.PeerFailThreshold = 3
 	}
-	if c.RepairBudget == 0 {
-		c.RepairBudget = DefaultRepairBudget
-	}
 	if c.VerifySample == 0 {
 		c.VerifySample = DefaultVerifySample
 	}
@@ -272,7 +266,6 @@ type Server struct {
 	member   *cluster.Membership // nil when cluster mode is disabled
 	health   *cluster.Health     // nil when cluster mode is disabled
 	prov     *store.Log          // nil when provenance is disabled
-	repair   *repairer           // nil when read-repair (or cluster mode) is disabled
 	peerHTTP *http.Client
 	metrics  *Metrics
 	shed     *Shedder
@@ -409,9 +402,6 @@ func New(cfg Config) *Server {
 		if cfg.PeerProbeInterval > 0 {
 			s.member.StartProber(cfg.PeerProbeInterval, cfg.PeerTimeout, cluster.HTTPProbe(s.peerHTTP))
 		}
-		if cfg.RepairBudget > 0 {
-			s.repair = newRepairer(cfg.RepairBudget)
-		}
 		if cfg.AntiEntropyInterval > 0 {
 			s.startAntiEntropy(cfg.AntiEntropyInterval)
 		}
@@ -421,7 +411,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v2/simulate", s.handleSimulate)
 	s.mux.HandleFunc("GET /v2/artifacts/{hash}", s.handleArtifact)
 	s.mux.HandleFunc("GET /v2/artifacts/{hash}/trace", s.handleTrace)
-	s.mux.HandleFunc("PUT /v2/artifacts/{hash}", s.handleArtifactPut)
 	s.mux.HandleFunc("GET /v2/sync/digest", s.handleSyncDigest)
 	s.mux.HandleFunc("GET /v2/sync/keys", s.handleSyncKeys)
 	s.mux.HandleFunc("GET /v2/provenance/{hash}", s.handleProvenance)
@@ -558,8 +547,8 @@ func (s *Server) logRequest(ctx context.Context, id, traceID string, r *http.Req
 
 // Shutdown stops accepting new work, stops the background machinery
 // (anti-entropy loop, membership poller, health prober), and waits for
-// in-flight work — including scheduled read-repair pushes — to finish
-// or ctx to expire.
+// in-flight work — every occupied worker slot — to finish or ctx to
+// expire.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.stopBackground()
@@ -938,11 +927,6 @@ func (s *Server) diskTier(ctx context.Context, hash string) (art *Artifact) {
 		if art, err = thinArtifact(e); err != nil {
 			s.logger.Warn("disk artifact unusable", "hash", hash[:min(12, len(hash))], "err", err)
 			return outcomeMiss
-		}
-		// Serving an owned hash from disk is a read-repair opportunity:
-		// replica peers that restarted empty get the entry pushed.
-		if ring := s.ring(); ring != nil && ring.IsOwner(s.cfg.Self, hash, s.cfg.Replication) {
-			s.scheduleRepair(e)
 		}
 		return outcomeHit
 	})

@@ -17,12 +17,12 @@ import (
 
 // Provenance: a hash-chained, Merkle-batched append-only log of every
 // artifact creation this node performed — local compiles, peer
-// cache-fills, read-repair pushes received, anti-entropy pulls. Each
-// record pins the store entry's section checksum at the moment the
-// artifact was created, so a store entry later rewritten in place (even
-// with a consistently restamped Checksum field, which the store's own
-// integrity check cannot catch) diverges from its provenance record and
-// is quarantined instead of served.
+// cache-fills, anti-entropy pulls. Each record pins the store entry's
+// section checksum at the moment the artifact was created, so a store
+// entry later rewritten in place (even with a consistently restamped
+// Checksum field, which the store's own integrity check cannot catch)
+// diverges from its provenance record and is quarantined instead of
+// served.
 //
 // The log itself is tamper-evident: every record carries the sha256 of
 // its predecessor (a hash chain), and every BatchSize records are
@@ -40,11 +40,13 @@ import (
 // durable log (counted, surfaced in metrics) rather than stalling a
 // compile.
 
-// Provenance record sources.
+// Provenance record sources. Logs written by older builds may also hold
+// "read_repair" records (replicas pushed by a since-removed mechanism);
+// Verify and Records treat a source as an opaque string, so those logs
+// still verify.
 const (
 	SourceCompile     = "compile"
 	SourcePeerFill    = "peer_fill"
-	SourceReadRepair  = "read_repair"
 	SourceAntiEntropy = "anti_entropy"
 )
 
@@ -56,7 +58,7 @@ type Record struct {
 	Seq      uint64 `json:"seq"`
 	TimeUnix int64  `json:"t"`
 	Hash     string `json:"hash"`   // artifact hash
-	Source   string `json:"source"` // compile | peer_fill | read_repair | anti_entropy
+	Source   string `json:"source"` // compile | peer_fill | anti_entropy (old logs: read_repair)
 	Checksum string `json:"checksum"`
 	Prev     string `json:"prev,omitempty"` // previous record's Sum ("" for the genesis record)
 	Sum      string `json:"sum"`            // sha256 over this record's chained content

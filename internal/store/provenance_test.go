@@ -49,7 +49,7 @@ func TestProvenanceLatestWinsAndRecordCap(t *testing.T) {
 	l := openTestLog(t, t.TempDir(), LogOptions{BatchSize: 64, KeepPerHash: 2})
 	h := testHash(9)
 	l.Append(h, SourceCompile, "c1")
-	l.Append(h, SourceReadRepair, "c2")
+	l.Append(h, "read_repair", "c2")
 	l.Append(h, SourceAntiEntropy, "c3")
 	l.Barrier()
 	if c, _ := l.Latest(h); c != "c3" {
@@ -67,6 +67,10 @@ func TestProvenanceReopenContinuesChain(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		l.Append(testHash(byte(i)), SourcePeerFill, "s")
 	}
+	// Logs written before read-repair was removed hold records under its
+	// source; they must keep verifying and reading back unchanged.
+	legacy := testHash(20)
+	l.Append(legacy, "read_repair", "r")
 	l.Barrier()
 	headSeq, headSum := l.Head()
 	l.Close()
@@ -82,14 +86,17 @@ func TestProvenanceReopenContinuesChain(t *testing.T) {
 		l2.Append(testHash(byte(i)), SourceAntiEntropy, "s")
 	}
 	l2.Barrier()
-	if seq, _ := l2.Head(); seq != 9 {
-		t.Fatalf("continued head = %d, want 9", seq)
+	if seq, _ := l2.Head(); seq != 10 {
+		t.Fatalf("continued head = %d, want 10", seq)
 	}
 	if _, n := l2.LatestRoot(); n != 2 {
-		t.Fatalf("batches = %d, want 2 (8 records / 4)", n)
+		t.Fatalf("batches = %d, want 2 (10 records / 4)", n)
 	}
 	if err := l2.Verify(); err != nil {
 		t.Fatalf("verify after reopen: %v", err)
+	}
+	if recs := l2.Records(legacy); len(recs) != 1 || recs[0].Source != "read_repair" || recs[0].Checksum != "r" {
+		t.Fatalf("legacy read_repair record after reopen = %+v", recs)
 	}
 }
 
