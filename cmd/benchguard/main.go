@@ -190,7 +190,8 @@ func measureCacheHit(reps, iters int) float64 {
 	}
 	cache := server.NewArtifactCache(16, &server.Metrics{})
 	const key = "bench"
-	cache.Add(key, &server.Artifact{Compiled: c, Size: 1})
+	cache.Add(key, &server.Artifact{Entry: &store.Entry{Hash: key},
+		Response: &wire.CompileResponse{Hash: key}, Compiled: c, Size: 1})
 	samples := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
 		start := time.Now()

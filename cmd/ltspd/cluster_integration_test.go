@@ -268,7 +268,7 @@ func TestClusterIntegration(t *testing.T) {
 		t.Fatalf("restarted node a disk_hits = %d, want >= 1", ma.DiskHits)
 	}
 	// An inline simulate of the other loop compiled before the restart
-	// reads its artifact thin from disk and materializes the program.
+	// reads its artifact from disk and materializes the program.
 	var sr wire.SimulateResponse
 	postJSON(t, peers[0].Addr+"/v2/simulate", &wire.SimulateRequest{
 		Version: wire.Version, Loop: reqs[1].Loop, Options: reqs[1].Options, Trip: 64,

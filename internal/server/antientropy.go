@@ -187,7 +187,7 @@ func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int
 				continue
 			}
 			s.persist(e, store.SourceAntiEntropy)
-			if a, aerr := thinArtifact(e); aerr == nil {
+			if a, aerr := newArtifact(e, nil); aerr == nil {
 				s.cache.Add(k.Hash, a)
 			}
 			pulled++

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -125,7 +124,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 // batchItem runs one batch item on a worker slot, writing its result to
 // *res, and returns the item's outcome. ctx is the batch's context and
 // ictx the item's, which parents the item's stages.
-func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *BatchItemResult) (outcome string) {
+func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *BatchItemResult) string {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -139,41 +138,23 @@ func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item 
 		s.logBatchItem(ctx, reqID, i, "", false, ctx.Err())
 		return "timeout"
 	}
-	s.work.Add(1)
-	s.metrics.InFlight.Add(1)
-	slotStart := time.Now()
-	defer func() {
-		s.shed.Observe(time.Since(slotStart))
-		s.metrics.InFlight.Add(-1)
-		s.work.Done()
-		<-s.sem
-	}()
-	// Outer panic safety net for the item (compile panics are contained
-	// with repro capture in compileStep): the item fails with code
-	// "internal", the rest of the batch is unaffected, and the slot is
-	// still released.
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.PanicsRecovered.Add(1)
-			s.metrics.BatchItemErrors.Add(1)
-			*res = BatchItemResult{
-				Error:     fmt.Sprintf("worker panic: %v", r),
-				ErrorCode: wire.CodeInternal,
-				Retryable: true,
-			}
-			outcome = "error"
-		}
-	}()
-	art, hash, cached, err := s.compileCached(ictx, item)
+	art, hash, cached, err := s.batchCompile(ictx, item, s.holdSlot())
 	if err != nil {
 		s.metrics.BatchItemErrors.Add(1)
 		*res = batchItemError(err)
 		s.logBatchItem(ctx, reqID, i, hash, false, err)
 		return "error"
 	}
-	*res = BatchItemResult{CompileResponse: respondCompile(hash, cached, art)}
+	*res = BatchItemResult{CompileResponse: respondCompile(cached, art)}
 	s.logBatchItem(ctx, reqID, i, hash, cached, nil)
 	return "ok"
+}
+
+// batchCompile resolves one batch item on its held worker slot,
+// releasing the slot before it returns.
+func (s *Server) batchCompile(ctx context.Context, item *wire.CompileRequest, held heldSlot) (art *Artifact, hash string, cached bool, err error) {
+	defer held.release(&err)
+	return s.compileCached(ctx, item)
 }
 
 // logBatchItem emits one log line per batch item carrying the batch's

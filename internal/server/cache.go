@@ -9,51 +9,42 @@ import (
 	"sync/atomic"
 
 	"ltsp"
-	"ltsp/internal/obs"
 	"ltsp/internal/store"
 	"ltsp/internal/wire"
 )
 
-// Artifact is one cached compilation. A "full" artifact was compiled in
-// this process and carries the executable program plus the live decision
-// trace; a "thin" artifact was filled from the disk store or a cluster
-// peer and carries the serialized compile response and trace instead —
-// enough to answer compile and trace requests without recompiling. A
-// thin artifact is materialized (recompiled from its canonical request)
-// lazily, only when something needs the executable program (simulate).
+// Artifact is one cached compilation: the store entry every tier
+// produces — compiled here, read from disk, filled from a peer or pulled
+// by anti-entropy — plus the entry's decoded compile response. Compile,
+// trace and artifact requests are all answered from the entry; the
+// executable program is built lazily, only when something needs it
+// (simulate), by recompiling the entry's canonical request.
 type Artifact struct {
-	// Compiled is the executable compilation; nil for thin artifacts.
-	Compiled *ltsp.Compiled
-	// Trace is the live decision trace (full artifacts).
-	Trace *obs.Trace
-
-	// Request is the canonical compile request the artifact answers —
-	// the preimage of the content hash. Always retained: it is what peer
-	// cache-fill serves and what materialization recompiles.
-	Request json.RawMessage
-	// Response is the serialized compile response (thin artifacts; also
-	// set on full artifacts once persisted, so repeated serves and peer
-	// fills skip re-marshaling).
+	// Entry is the artifact's persisted form: canonical request,
+	// serialized response and decision trace, verification metadata.
+	Entry *store.Entry
+	// Response is Entry.Response decoded.
 	Response *wire.CompileResponse
-	// TraceRaw is the serialized decision trace (thin artifacts).
-	TraceRaw json.RawMessage
-	// Verify is the verification metadata recorded at compile time.
-	Verify store.VerifyMeta
-	// CreatedUnix is when the artifact was first compiled (Unix
-	// seconds). Retained so an artifact served to a peer carries the
-	// same metadata — and encodes to the same bytes — whether it comes
-	// from memory or from the disk store.
-	CreatedUnix int64
-	// Size is the artifact's byte-accounting weight: the total size of
-	// its serialized sections, identical to what the entry occupies (or
-	// would occupy) in the disk store, so the in-memory LRU and the disk
-	// store report commensurable size metrics.
+	// Compiled is the executable compilation; nil until the artifact is
+	// compiled or materialized in this process.
+	Compiled *ltsp.Compiled
+	// Size is the artifact's byte-accounting weight: what the entry
+	// occupies (or would occupy) in the disk store, so the in-memory LRU
+	// and the disk store report commensurable size metrics.
 	Size int64
 }
 
-// Thin reports whether the artifact lacks an executable program (it was
-// filled from disk or a peer and has not been materialized).
-func (a *Artifact) Thin() bool { return a.Compiled == nil }
+// newArtifact builds the cache artifact for e. resp is e.Response
+// decoded; nil decodes it here.
+func newArtifact(e *store.Entry, resp *wire.CompileResponse) (*Artifact, error) {
+	if resp == nil {
+		resp = new(wire.CompileResponse)
+		if err := json.Unmarshal(e.Response, resp); err != nil {
+			return nil, fmt.Errorf("stored response undecodable: %v", err)
+		}
+	}
+	return &Artifact{Entry: e, Response: resp, Size: store.EncodedSize(e)}, nil
+}
 
 // ArtifactCache is a content-addressed, LRU-evicting cache of compiled
 // loop artifacts keyed by the canonical request hash (wire.CompileRequest.

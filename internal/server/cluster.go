@@ -234,24 +234,6 @@ func wireFromEntry(e *store.Entry) *wire.ArtifactResponse {
 	}
 }
 
-// thinArtifact builds a cache artifact from a persisted or transferred
-// entry: servable for compile and trace requests, materialized on demand
-// for simulate.
-func thinArtifact(e *store.Entry) (*Artifact, error) {
-	resp := new(wire.CompileResponse)
-	if err := json.Unmarshal(e.Response, resp); err != nil {
-		return nil, fmt.Errorf("stored response undecodable: %v", err)
-	}
-	return &Artifact{
-		Request:     e.Request,
-		Response:    resp,
-		TraceRaw:    e.Trace,
-		Verify:      e.Verify,
-		CreatedUnix: e.CreatedUnix,
-		Size:        store.EncodedSize(e),
-	}, nil
-}
-
 // persist writes an entry through to the disk store, best-effort: a
 // failed write is logged and the artifact stays memory-only. source
 // names how the entry came to exist (store.SourceCompile, peer fill,
@@ -271,31 +253,6 @@ func (s *Server) persist(e *store.Entry, source string) {
 	s.prov.Append(e.Hash, source, e.Checksum)
 }
 
-// artifactWire renders a cached artifact as the transfer envelope from
-// its serialized sections. Every artifact has them but one whose
-// serialization failed at compile time, which stays memory-only.
-func artifactWire(hash string, art *Artifact) (*wire.ArtifactResponse, error) {
-	if art.Response == nil {
-		return nil, fmt.Errorf("artifact was never serialized")
-	}
-	respJSON, err := json.Marshal(art.Response)
-	if err != nil {
-		return nil, err
-	}
-	traceJSON := art.TraceRaw
-	if traceJSON == nil {
-		traceJSON = json.RawMessage("[]")
-	}
-	return &wire.ArtifactResponse{
-		Hash:        hash,
-		Request:     art.Request,
-		Response:    respJSON,
-		Trace:       traceJSON,
-		Verify:      wire.ArtifactVerify{Sampled: art.Verify.Sampled, Passed: art.Verify.Passed},
-		CreatedUnix: art.CreatedUnix,
-	}, nil
-}
-
 // handleArtifact serves the artifact-transfer envelope for a hash: the
 // peer cache-fill endpoint (and a useful introspection surface). Reads
 // go through Peek/store without perturbing LRU order of the compile
@@ -303,13 +260,9 @@ func artifactWire(hash string, art *Artifact) (*wire.ArtifactResponse, error) {
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	s.metrics.ArtifactRequests.Add(1)
-	if art, ok := s.cache.Peek(hash); ok && len(art.Request) > 0 {
-		ar, err := artifactWire(hash, art)
-		if err == nil {
-			s.writeArtifact(w, r, ar)
-			return
-		}
-		s.logger.Warn("artifact render failed", "hash", hash[:min(12, len(hash))], "err", err)
+	if art, ok := s.cache.Peek(hash); ok {
+		s.writeArtifact(w, r, wireFromEntry(art.Entry))
+		return
 	}
 	if s.store != nil {
 		if e, err := s.storeGet(hash); err == nil {
@@ -335,7 +288,7 @@ func (s *Server) writeArtifact(w http.ResponseWriter, r *http.Request, ar *wire.
 	s.metrics.ArtifactBytesJSON.Add(int64(n))
 }
 
-// materialize recompiles a thin artifact's canonical request so the
+// materialize recompiles an artifact's canonical request so the
 // executable program exists in this process (the simulate path needs
 // it), upgrading the cache entry. It runs the same compile step
 // as the compile flight — compile stage, panic containment, repro
@@ -346,7 +299,7 @@ func (s *Server) writeArtifact(w http.ResponseWriter, r *http.Request, ar *wire.
 // they converge on identical programs (compilation is deterministic).
 func (s *Server) materialize(ctx context.Context, hash string, art *Artifact) (*ltsp.Compiled, error) {
 	var creq wire.CompileRequest
-	if err := json.Unmarshal(art.Request, &creq); err != nil {
+	if err := json.Unmarshal(art.Entry.Request, &creq); err != nil {
 		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored request undecodable: %v", err)}
 	}
 	l, err := creq.DecodeLoop()
@@ -357,13 +310,13 @@ func (s *Server) materialize(ctx context.Context, hash string, art *Artifact) (*
 	if err != nil {
 		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored options invalid: %v", err)}
 	}
-	compiled, err := s.compileStep(ctx, &creq, l, opts, false)
+	c, _, err := s.compileStep(ctx, &creq, l, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	full := *art
-	full.Compiled, full.Trace = compiled.Compiled, compiled.Trace
+	full.Compiled = c
 	s.cache.Add(hash, &full)
 	s.metrics.Materializations.Add(1)
-	return full.Compiled, nil
+	return c, nil
 }

@@ -152,7 +152,8 @@ type Metrics struct {
 	ProvenanceMismatches atomic.Int64
 	// ArtifactRequests counts GET /v2/artifacts/{hash} serves (peer
 	// cache-fill traffic arriving at this node). Materializations counts
-	// thin artifacts recompiled on demand for the simulate path.
+	// artifacts whose program was recompiled on demand for the simulate
+	// path.
 	ArtifactRequests atomic.Int64
 	Materializations atomic.Int64
 	// Transfer byte accounting by negotiated wire encoding: bytes of

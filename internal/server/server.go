@@ -286,9 +286,9 @@ type Server struct {
 	bgStop   chan struct{}
 	bgOnce   sync.Once
 	bgWait   sync.WaitGroup
-	// verifyTick drives deterministic verification sampling: the first
-	// compilation and every ~1/VerifySample-th after it are verified.
-	verifyTick atomic.Uint64
+	// verifier decides which executed compilations are verified: the
+	// first and every ~1/VerifySample-th after it.
+	verifier *telemetry.Sampler
 }
 
 // ring returns the current hash-ring snapshot (nil when cluster mode is
@@ -311,19 +311,6 @@ var testCompileHook func(*ir.Loop)
 // verification-failure path without needing a real miscompile; it is
 // never set in production.
 var testVerifyHook func(*ltsp.Compiled) error
-
-// shouldVerify applies the deterministic sampling policy.
-func (s *Server) shouldVerify() bool {
-	rate := s.cfg.VerifySample
-	if rate <= 0 {
-		return false
-	}
-	if rate >= 1 {
-		return true
-	}
-	stride := uint64(1 / rate)
-	return s.verifyTick.Add(1)%stride == 1
-}
 
 // writeRepro minimizes and persists a failure bundle, best-effort: a
 // capture that cannot be written is logged and dropped, never surfaced to
@@ -351,16 +338,17 @@ func New(cfg Config) *Server {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Server{
-		cfg:     cfg,
-		metrics: &Metrics{},
-		shed:    NewShedder(cfg.PoolSize),
-		logger:  logger,
-		logOn:   cfg.Logger != nil,
-		traces:  telemetry.NewRegistry(cfg.TraceRing, cfg.TraceSlow),
-		sampler: telemetry.NewSampler(cfg.TraceSample),
-		start:   time.Now(),
-		sem:     make(chan struct{}, cfg.PoolSize),
-		mux:     http.NewServeMux(),
+		cfg:      cfg,
+		metrics:  &Metrics{},
+		shed:     NewShedder(cfg.PoolSize),
+		logger:   logger,
+		logOn:    cfg.Logger != nil,
+		traces:   telemetry.NewRegistry(cfg.TraceRing, cfg.TraceSlow),
+		sampler:  telemetry.NewSampler(cfg.TraceSample),
+		verifier: telemetry.NewSampler(cfg.VerifySample),
+		start:    time.Now(),
+		sem:      make(chan struct{}, cfg.PoolSize),
+		mux:      http.NewServeMux(),
 	}
 	s.cache = NewArtifactCache(cfg.CacheCapacity, s.metrics)
 	s.store = cfg.Store
@@ -723,29 +711,12 @@ func (s *Server) runBounded(ctx context.Context, fn func(context.Context) (any, 
 		err    error
 	}
 	ch := make(chan outcome, 1)
-	s.work.Add(1)
-	s.metrics.InFlight.Add(1)
-	start := time.Now()
+	held := s.holdSlot()
 	go func() {
-		defer func() {
-			s.shed.Observe(time.Since(start))
-			s.metrics.InFlight.Add(-1)
-			s.work.Done()
-			<-s.sem
-		}()
-		// A panic escaping the work function must not kill the process or
-		// leak the worker slot: convert it to an internal-error outcome.
-		// (Compile panics are already contained closer to the compiler,
-		// with repro capture; this is the outer safety net.)
-		defer func() {
-			if r := recover(); r != nil {
-				s.metrics.PanicsRecovered.Add(1)
-				ch <- outcome{nil, http.StatusInternalServerError,
-					&codedError{wire.CodeInternal, fmt.Errorf("worker panic: %v", r)}}
-			}
-		}()
-		v, status, err := fn(ctx)
-		ch <- outcome{v, status, err}
+		out := outcome{status: http.StatusInternalServerError} // kept if fn panics
+		defer func() { ch <- out }()
+		defer held.release(&out.err)
+		out.v, out.status, out.err = fn(ctx)
 	}()
 	select {
 	case out := <-ch:
@@ -754,6 +725,40 @@ func (s *Server) runBounded(ctx context.Context, fn func(context.Context) (any, 
 		s.metrics.Timeouts.Add(1)
 		return nil, http.StatusGatewayTimeout, fmt.Errorf("request deadline exceeded: %w", ctx.Err())
 	}
+}
+
+// heldSlot is a worker slot in use; see holdSlot.
+type heldSlot struct {
+	s     *Server
+	start time.Time
+}
+
+// holdSlot accounts for the worker slot the caller has just acquired:
+// the work counts toward Shutdown's drain and in_flight until the
+// goroutine doing it defers release. It is the one slot-holding path
+// for single requests and batch items alike; call it before handing
+// the work to another goroutine.
+func (s *Server) holdSlot() heldSlot {
+	s.work.Add(1)
+	s.metrics.InFlight.Add(1)
+	return heldSlot{s, time.Now()}
+}
+
+// release frees the slot and feeds its hold time to the load shedder.
+// Deferred by the goroutine doing the work, it also turns a panic
+// escaping that work into an internal error in *err (counted in
+// panics_recovered) instead of killing the process or leaking the slot.
+// Compile panics are already contained closer to the compiler, with
+// repro capture; this is the outer safety net.
+func (h heldSlot) release(err *error) {
+	if r := recover(); r != nil {
+		h.s.metrics.PanicsRecovered.Add(1)
+		*err = &codedError{wire.CodeInternal, fmt.Errorf("worker panic: %v", r)}
+	}
+	h.s.shed.Observe(time.Since(h.start))
+	h.s.metrics.InFlight.Add(-1)
+	h.s.work.Done()
+	<-h.s.sem
 }
 
 // statusForErr classifies a work-function error: cancellation and
@@ -802,7 +807,6 @@ type (
 	CompileResponse  = wire.CompileResponse
 	AcctJSON         = wire.AcctJSON
 	SimulateResponse = wire.SimulateResponse
-	TraceResponse    = wire.TraceResponse
 )
 
 func compileResponse(hash string, cached bool, c *ltsp.Compiled) *CompileResponse {
@@ -842,17 +846,13 @@ func compileResponse(hash string, cached bool, c *ltsp.Compiled) *CompileRespons
 	return resp
 }
 
-// respondCompile renders an artifact as a compile response, whether it
-// was compiled in this process or filled thin from disk or a peer. The
-// shallow copy re-stamps only the Cached flag; the nested slices are
-// shared and read-only.
-func respondCompile(hash string, cached bool, art *Artifact) *CompileResponse {
-	if art.Response != nil {
-		r := *art.Response
-		r.Cached = cached
-		return &r
-	}
-	return compileResponse(hash, cached, art.Compiled)
+// respondCompile renders an artifact as a compile response. The shallow
+// copy re-stamps only the Cached flag; the nested slices are shared and
+// read-only.
+func respondCompile(cached bool, art *Artifact) *CompileResponse {
+	r := *art.Response
+	r.Cached = cached
+	return &r
 }
 
 // compileCached resolves the request through the tier chain — memory,
@@ -905,14 +905,14 @@ func (s *Server) compileCached(ctx context.Context, req *wire.CompileRequest) (*
 	if err != nil {
 		return nil, hash, false, err
 	}
-	// A thin artifact is by definition a cache serve (disk or peer), even
-	// on the flight that filled it.
-	return art, hash, cached || art.Thin(), nil
+	// An artifact this flight did not compile came from disk or a peer:
+	// a cache serve, even on the flight that filled it.
+	return art, hash, cached || art.Compiled == nil, nil
 }
 
 // diskTier is the disk_read stage: it reads hash from the persistent
-// store into a thin artifact that serves compile and trace requests
-// without recompiling. It is the one place a request turns a store entry
+// store into an artifact that serves compile and trace requests without
+// recompiling. It is the one place a request turns a store entry
 // into a cache artifact: the compile flight, simulate by hash and the
 // trace endpoint all read through it. nil means a miss (or no store).
 func (s *Server) diskTier(ctx context.Context, hash string) (art *Artifact) {
@@ -924,7 +924,7 @@ func (s *Server) diskTier(ctx context.Context, hash string) (art *Artifact) {
 		if err != nil {
 			return outcomeMiss
 		}
-		if art, err = thinArtifact(e); err != nil {
+		if art, err = newArtifact(e, nil); err != nil {
 			s.logger.Warn("disk artifact unusable", "hash", hash[:min(12, len(hash))], "err", err)
 			return outcomeMiss
 		}
@@ -959,7 +959,7 @@ func (s *Server) peerTier(ctx context.Context, hash string) (art *Artifact) {
 			return outcomeMiss
 		}
 		var err error
-		if art, err = thinArtifact(e); err != nil {
+		if art, err = newArtifact(e, nil); err != nil {
 			s.logger.Warn("peer artifact unusable", "hash", hash[:12], "err", err)
 			return outcomeMiss
 		}
@@ -972,60 +972,54 @@ func (s *Server) peerTier(ctx context.Context, hash string) (art *Artifact) {
 }
 
 // compileTier compiles the request locally (with sampled verification),
-// counts its outcome, serializes the artifact once and writes it through.
+// counts its outcome, serializes the result into its store entry and
+// writes it through.
 func (s *Server) compileTier(ctx context.Context, hash string, req *wire.CompileRequest, canon json.RawMessage, opts ltsp.Options) (*Artifact, error) {
 	l, err := req.DecodeLoop()
 	if err != nil {
 		return nil, mapLoopErr(err)
 	}
-	a, err := s.compileStep(ctx, req, l, opts, true)
+	opts.Trace = obs.New()
+	c, verify, err := s.compileStep(ctx, req, l, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	c := a.Compiled
 	s.metrics.CountOutcome(c.Backend, c.Outcome())
-	a.Request = canon
-	// Serialize the artifact once: the serialized sections weight the
-	// in-memory LRU, feed the write-through below, and let repeated
-	// serves and peer fills skip re-marshaling. A serialization failure
-	// (never expected) leaves the artifact memory-only.
 	resp := compileResponse(hash, false, c)
-	respJSON, jerr := json.Marshal(resp)
-	traceJSON, terr := json.Marshal(a.Trace)
-	if jerr != nil || terr != nil {
-		s.logger.Warn("artifact serialization failed", "hash", hash[:12],
-			"response_err", jerr, "trace_err", terr)
-		return a, nil
+	respJSON, err := json.Marshal(resp)
+	if err != nil {
+		return nil, &codedError{wire.CodeInternal, fmt.Errorf("serializing response: %v", err)}
 	}
-	entry := &store.Entry{Hash: hash, Request: canon, Response: respJSON, Trace: traceJSON,
-		Verify: a.Verify, CreatedUnix: time.Now().Unix()}
-	a.Response, a.TraceRaw = resp, traceJSON
-	a.CreatedUnix, a.Size = entry.CreatedUnix, store.EncodedSize(entry)
-	s.writeThrough(ctx, entry, store.SourceCompile)
+	traceJSON, err := json.Marshal(opts.Trace)
+	if err != nil {
+		return nil, &codedError{wire.CodeInternal, fmt.Errorf("serializing trace: %v", err)}
+	}
+	e := &store.Entry{Hash: hash, Request: canon, Response: respJSON, Trace: traceJSON,
+		Verify: verify, CreatedUnix: time.Now().Unix()}
+	s.writeThrough(ctx, e, store.SourceCompile)
+	a, _ := newArtifact(e, resp)
+	a.Compiled = c
 	return a, nil
 }
 
 // compileStep is the one compile path: the compile flight and
 // materialization both run it. It compiles l under the compile stage
 // and, when verify is set, puts a sampled slice of compilations through
-// the verify stage. A panic anywhere in the compiler (or the verifier)
-// becomes a retryable "internal" error plus a replayable on-disk bundle
-// of req — the process, the worker pool and the other flights are
-// unaffected.
-func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *ir.Loop, opts ltsp.Options, verify bool) (art *Artifact, err error) {
+// the verify stage, reporting the verdict in meta. A panic anywhere in
+// the compiler (or the verifier) becomes a retryable "internal" error
+// plus a replayable on-disk bundle of req — the process, the worker pool
+// and the other flights are unaffected.
+func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *ir.Loop, opts ltsp.Options, verify bool) (c *ltsp.Compiled, meta store.VerifyMeta, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.PanicsRecovered.Add(1)
 			s.writeRepro(repro.Capture(repro.KindPanic, req, r, debug.Stack(), nil))
-			art, err = nil, &codedError{wire.CodeInternal, fmt.Errorf("compiler panic: %v", r)}
+			c, err = nil, &codedError{wire.CodeInternal, fmt.Errorf("compiler panic: %v", r)}
 		}
 	}()
 	if hook := testCompileHook; hook != nil {
 		hook(l)
 	}
-	otr := obs.New()
-	opts.Trace = otr
-	var c *ltsp.Compiled
 	s.stage(ctx, stageCompile, func(context.Context) string {
 		if c, err = ltsp.CompileContext(ctx, l, opts); err != nil {
 			return "error"
@@ -1033,11 +1027,10 @@ func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *i
 		return c.Outcome()
 	})
 	if err != nil {
-		return nil, err
+		return nil, meta, err
 	}
-	art = &Artifact{Compiled: c, Trace: otr}
-	if !verify || !s.shouldVerify() {
-		return art, nil
+	if !verify || !s.verifier.Sample() {
+		return c, meta, nil
 	}
 	// Trust but verify: the independent structural verifier and the
 	// semantic differential oracle re-check the kernel. A failure here
@@ -1057,10 +1050,9 @@ func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *i
 	if err != nil {
 		s.metrics.VerifyFailures.Add(1)
 		s.writeRepro(repro.Capture(repro.KindVerifyFailure, req, nil, nil, err))
-		return nil, &codedError{wire.CodeInternal, fmt.Errorf("kernel verification failed: %v", err)}
+		return nil, meta, &codedError{wire.CodeInternal, fmt.Errorf("kernel verification failed: %v", err)}
 	}
-	art.Verify = store.VerifyMeta{Sampled: true, Passed: true}
-	return art, nil
+	return c, store.VerifyMeta{Sampled: true, Passed: true}, nil
 }
 
 // writeThrough is the write_through stage: persist e to the disk store
@@ -1146,11 +1138,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, status, err := s.runBounded(ctx, func(ctx context.Context) (any, int, error) {
-		art, hash, cached, err := s.compileCached(ctx, req)
+		art, _, cached, err := s.compileCached(ctx, req)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		return respondCompile(hash, cached, art), http.StatusOK, nil
+		return respondCompile(cached, art), http.StatusOK, nil
 	})
 	s.metrics.CompileLatency.Observe(time.Since(start))
 	if err != nil {
@@ -1238,9 +1230,9 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 		}
 	}
 	c := art.Compiled
-	if art.Thin() {
-		// Simulation needs the executable program: an artifact read thin
-		// from disk or a peer recompiles its stored canonical request,
+	if c == nil {
+		// Simulation needs the executable program: an artifact read from
+		// disk or a peer recompiles its stored canonical request,
 		// upgrading the cache entry in place.
 		if c, err = s.materialize(ctx, hash, art); err != nil {
 			return nil, http.StatusBadRequest, err
@@ -1295,21 +1287,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, wire.CodeNotFound, "trace: %v", errUnknownArtifact)
 		return
 	}
-	if art.Trace != nil {
-		writeJSON(w, http.StatusOK, &TraceResponse{
-			Hash:    hash,
-			Outcome: art.Compiled.Outcome(),
-			Events:  art.Trace,
-		})
-		return
-	}
-	// Thin artifact: the trace exists only in its serialized form, and
-	// the outcome comes from the stored response.
-	events := art.TraceRaw
+	events := art.Entry.Trace
 	if events == nil {
 		events = json.RawMessage("[]")
 	}
-	writeJSON(w, http.StatusOK, &wire.TraceRawResponse{
+	writeJSON(w, http.StatusOK, &wire.TraceResponse{
 		Hash:    hash,
 		Outcome: art.Response.Outcome,
 		Events:  events,

@@ -166,15 +166,21 @@ func TestVerifyFailureSurfaces(t *testing.T) {
 // TestVerifySampling checks the sampling policy: rate 1 verifies every
 // compilation, negative rates none, and fractional rates every ~1/rate-th.
 func TestVerifySampling(t *testing.T) {
-	srv, ts := newTestServer(t, server.Config{VerifySample: 0.5})
-	for i := 0; i < 4; i++ {
-		resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(int64(120+i))))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("compile %d: %s\n%s", i, resp.Status, body)
+	// A rate in (0.5, 1) rounds to stride 1: every compile is verified.
+	for _, tc := range []struct {
+		rate float64
+		want int64
+	}{{0.5, 2}, {0.75, 4}} {
+		srv, ts := newTestServer(t, server.Config{VerifySample: tc.rate})
+		for i := 0; i < 4; i++ {
+			resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(int64(120+i))))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("compile %d: %s\n%s", i, resp.Status, body)
+			}
 		}
-	}
-	if got := srv.Metrics().VerifyRuns.Load(); got != 2 {
-		t.Errorf("VerifyRuns at rate 0.5 over 4 compiles = %d, want 2", got)
+		if got := srv.Metrics().VerifyRuns.Load(); got != tc.want {
+			t.Errorf("VerifyRuns at rate %v over 4 compiles = %d, want %d", tc.rate, got, tc.want)
+		}
 	}
 
 	srvOff, tsOff := newTestServer(t, server.Config{VerifySample: -1})

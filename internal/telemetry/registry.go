@@ -144,10 +144,11 @@ func (r *Registry) List() []Summary {
 	return out
 }
 
-// Sampler makes the deterministic 1-in-N tracing decision for requests
-// that did not ask to be traced (no trace header). Deterministic stride
-// sampling — the same scheme the server's verify sampling uses — keeps
-// tests and replays reproducible where random sampling would not be.
+// Sampler makes a deterministic 1-in-N decision: the server's tracing of
+// requests that did not ask to be traced (no trace header), and its
+// verification of executed compilations. Deterministic stride sampling
+// keeps tests and replays reproducible where random sampling would not
+// be. Safe for concurrent use.
 type Sampler struct {
 	stride uint64
 	tick   atomic.Uint64
@@ -168,7 +169,7 @@ func NewSampler(rate float64) *Sampler {
 	return s
 }
 
-// Sample reports whether this request should be traced.
+// Sample reports whether this event (request, compilation) is sampled.
 func (s *Sampler) Sample() bool {
 	if s == nil || s.stride == 0 {
 		return false

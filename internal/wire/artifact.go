@@ -72,11 +72,10 @@ func (a *ArtifactResponse) CheckIntegrity() error {
 	return nil
 }
 
-// TraceRawResponse is wire-identical to TraceResponse but carries the
-// trace in its serialized form — what a node serves when the artifact
-// was filled from the disk store or a peer, where the trace exists only
-// as the JSON recorded by the node that compiled it.
-type TraceRawResponse struct {
+// TraceResponse is the body of GET /v2/artifacts/{hash}/trace. Events is
+// the decision trace as the compiling node recorded it in the artifact:
+// a JSON array of kinded decision events.
+type TraceResponse struct {
 	Hash    string          `json:"hash"`
 	Outcome string          `json:"outcome"`
 	Events  json.RawMessage `json:"events"`

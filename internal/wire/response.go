@@ -1,7 +1,5 @@
 package wire
 
-import "ltsp/internal/obs"
-
 // This file defines the response envelopes of the v2 API surface. They
 // are shared verbatim by internal/server (which writes them) and
 // ltspclient (which decodes them), so the two sides cannot drift.
@@ -103,12 +101,4 @@ type SimulateResponse struct {
 	LoadsByLevel  [5]int64 `json:"loadsByLevel"`
 	OzQPeak       int      `json:"ozqPeak"`
 	BankConflicts int64    `json:"bankConflicts"`
-}
-
-// TraceResponse is the body of GET /v2/artifacts/{hash}/trace. Events is
-// the trace's JSON form: an array of kinded decision events.
-type TraceResponse struct {
-	Hash    string     `json:"hash"`
-	Outcome string     `json:"outcome"`
-	Events  *obs.Trace `json:"events"`
 }

@@ -470,8 +470,8 @@ func (c *Client) Simulate(ctx context.Context, req *wire.SimulateRequest) (*wire
 // returned in their serialized form (an array of kinded decision-event
 // objects), whichever layer — memory, disk, or a peer's fill — the
 // server produced them from.
-func (c *Client) Trace(ctx context.Context, hash string) (*wire.TraceRawResponse, error) {
-	out := new(wire.TraceRawResponse)
+func (c *Client) Trace(ctx context.Context, hash string) (*wire.TraceResponse, error) {
+	out := new(wire.TraceResponse)
 	if err := c.doOn(ctx, http.MethodGet, "/v2/artifacts/"+hash+"/trace", nil, c.cfg.RequestTimeout, out, c.targetsFor(hash), false); err != nil {
 		return nil, err
 	}
