@@ -31,19 +31,16 @@ func cancelLoop() *ir.Loop {
 }
 
 // TestPipelineCtxPreCanceled: a context that is already done fails the
-// compilation with the context's error before any II is attempted —
-// both in the sequential search and the speculative-parallel one.
+// compilation with the context's error before any II is attempted.
 func TestPipelineCtxPreCanceled(t *testing.T) {
-	for _, par := range []int{0, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := PipelineCtx(ctx, cancelLoop(), Options{LatencyTolerant: true, Parallelism: par})
-		if err == nil {
-			t.Fatalf("parallelism %d: pre-canceled compile succeeded", par)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled in the chain", par, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := PipelineCtx(ctx, cancelLoop(), Options{LatencyTolerant: true})
+	if err == nil {
+		t.Fatal("pre-canceled compile succeeded")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled in the chain", err)
 	}
 }
 
@@ -69,10 +66,10 @@ func TestPipelineCtxNilAndBackground(t *testing.T) {
 }
 
 // TestSearchCancellationStopsClaiming: a cancellation observed by the
-// search stops both modes from claiming candidate IIs. The searcher is
-// driven directly so the cancellation point is deterministic: the
-// context is canceled before the search starts, and the searches must
-// return not-done without attempting anything.
+// search stops it from claiming candidate IIs. The searcher is driven
+// directly so the cancellation point is deterministic: the context is
+// canceled before the search starts, and the search must return
+// not-done without attempting anything.
 func TestSearchCancellationStopsClaiming(t *testing.T) {
 	l := cancelLoop()
 	m := machine.Itanium2()
@@ -99,21 +96,11 @@ func TestSearchCancellationStopsClaiming(t *testing.T) {
 		HaveBoost: true,
 	}
 	fin := &finisher{l: l, m: m, g: g, policy: policy, polLat: polLat, baseLat: baseLat}
-	backend := sched.Heuristic()
-
-	r := sched.SequentialSearch(backend, ctx, req, nil, fin.finish)
+	r := sched.SequentialSearch(sched.Heuristic(), ctx, req, nil, fin.finish)
 	if r.Found || r.LastErr != nil {
-		t.Fatalf("sequential under canceled ctx: found=%v err=%v, want not-done with no attempt error", r.Found, r.LastErr)
+		t.Fatalf("search under canceled ctx: found=%v err=%v, want not-done with no attempt error", r.Found, r.LastErr)
 	}
 	if r.Attempts != 0 {
-		t.Fatalf("sequential claimed %d attempts after cancellation", r.Attempts)
-	}
-
-	r = sched.ParallelSearch(backend, ctx, req, nil, fin.finish, 4)
-	if r.Found || r.LastErr != nil {
-		t.Fatalf("parallel under canceled ctx: found=%v err=%v", r.Found, r.LastErr)
-	}
-	if r.Attempts != 0 {
-		t.Fatalf("parallel claimed %d attempts after cancellation", r.Attempts)
+		t.Fatalf("search claimed %d attempts after cancellation", r.Attempts)
 	}
 }

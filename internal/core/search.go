@@ -22,9 +22,9 @@ type kernelPayload struct {
 
 // finisher runs the post-scheduling pipeline — register allocation and
 // kernel generation — on a schedule the backend produced. Every field is
-// read-only during the search, which is what makes speculative attempts
-// safe: allocation and code generation never mutate the loop, graph,
-// machine model, or policy.
+// read-only during the search: allocation and code generation never
+// mutate the loop, graph, machine model, or policy, so an attempt at a
+// given II always produces the same kernel.
 type finisher struct {
 	l          *ir.Loop
 	m          *machine.Model

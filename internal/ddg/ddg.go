@@ -68,8 +68,8 @@ type LatencyFn func(load *ir.Instr) int
 // policy re-evaluations of the II search and the load classification —
 // reuses the cached cycles with their precomputed distance and fixed-
 // latency sums. The memoization is guarded by a sync.Once, so concurrent
-// speculative II-search workers share one enumeration safely. The graph
-// must not be mutated after the first analysis call.
+// readers share one enumeration safely. The graph must not be mutated
+// after the first analysis call.
 type Graph struct {
 	Loop  *ir.Loop
 	Edges []Edge
@@ -137,9 +137,9 @@ func newGraph(l *ir.Loop, n int) *Graph {
 
 // Release hands the graph's arenas back to the build pool. Only the
 // graph's owner may call it, strictly after the last analysis touching g
-// has finished (the speculative II search joins all its workers first).
-// The memoized cycles are dropped, not recycled: emitted decision traces
-// may alias their node lists. Nil-safe; g must not be used afterwards.
+// has finished. The memoized cycles are dropped, not recycled: emitted
+// decision traces may alias their node lists. Nil-safe; g must not be
+// used afterwards.
 func (g *Graph) Release() {
 	if g == nil {
 		return

@@ -12,8 +12,6 @@ import (
 	"ltsp/internal/profile"
 	"ltsp/internal/sched"
 	"ltsp/internal/workload"
-
-	_ "ltsp/internal/sched/exact" // register the oracle backend
 )
 
 // OracleGapLoop is one loop's optimality-gap measurement: the production

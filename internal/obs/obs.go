@@ -35,32 +35,6 @@ type Trace struct {
 // New returns an empty trace.
 func New() *Trace { return &Trace{} }
 
-// tracePool backs NewScratch/Recycle: short-lived buffered traces (one
-// per speculative II-search attempt) reuse their event arrays instead of
-// growing fresh ones per attempt.
-var tracePool = sync.Pool{New: func() any { return new(Trace) }}
-
-// NewScratch returns a pooled empty trace for short-lived buffered
-// collection. Pair with Recycle once the events have been consumed;
-// leaking a scratch trace to the GC is safe, just slower.
-func NewScratch() *Trace { return tracePool.Get().(*Trace) }
-
-// Recycle empties the trace and returns it to the scratch pool. The
-// caller must hold the only reference; event values previously read via
-// Events() remain valid (Events copies).
-func (t *Trace) Recycle() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	for i := range t.events {
-		t.events[i] = nil // drop event references while keeping the array
-	}
-	t.events = t.events[:0]
-	t.mu.Unlock()
-	tracePool.Put(t)
-}
-
 // On reports whether tracing is enabled. Hot paths check it before
 // constructing event values.
 func (t *Trace) On() bool { return t != nil }
@@ -83,23 +57,6 @@ func (t *Trace) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
-}
-
-// AppendFrom appends every event of src, in order, to t. The speculative
-// II search uses it to merge per-attempt buffered traces into the main
-// trace in commit order, reproducing the sequential event stream exactly.
-// No-op when either trace is nil.
-func (t *Trace) AppendFrom(src *Trace) {
-	if t == nil || src == nil {
-		return
-	}
-	evs := src.Events()
-	if len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, evs...)
-	t.mu.Unlock()
 }
 
 // Len returns the number of collected events.

@@ -25,35 +25,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	}
 }
 
-func TestAppendFrom(t *testing.T) {
-	a, b := New(), New()
-	a.Emit(FallbackEvent{Rung: RungRaiseII, II: 2})
-	b.Emit(SchedEvent{II: 2, OK: true})
-	b.Emit(OutcomeEvent{Result: OutcomePipelined, II: 2})
-	a.AppendFrom(b)
-	if a.Len() != 3 {
-		t.Fatalf("merged len = %d, want 3", a.Len())
-	}
-	evs := a.Events()
-	if _, ok := evs[0].(FallbackEvent); !ok {
-		t.Fatalf("event 0 = %T, want FallbackEvent", evs[0])
-	}
-	if _, ok := evs[1].(SchedEvent); !ok {
-		t.Fatalf("event 1 = %T, want SchedEvent (appended in order)", evs[1])
-	}
-	if b.Len() != 2 {
-		t.Fatalf("source mutated: len = %d", b.Len())
-	}
-	// Nil receiver and nil source are both no-ops.
-	var nilTr *Trace
-	nilTr.AppendFrom(b)
-	a.AppendFrom(nil)
-	a.AppendFrom(New())
-	if a.Len() != 3 {
-		t.Fatalf("nil/empty AppendFrom changed len to %d", a.Len())
-	}
-}
-
 func TestTraceJSONCarriesKinds(t *testing.T) {
 	tr := New()
 	tr.Emit(IIBoundsEvent{ResII: 1, BaseRecII: 4, PolicyRecII: 4, MinII: 4, MaxII: 24})

@@ -2,8 +2,6 @@ package sched
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"ltsp/internal/ddg"
 	"ltsp/internal/modsched"
@@ -50,9 +48,7 @@ func tryAt(s Scheduler, ctx context.Context, req *Request, res *attemptResult, i
 // attempt runs the fallback ladder at one II: schedule with the
 // hint-derived latencies; when register allocation fails, retry the same
 // II with all non-critical latencies reduced to base. Decision events go
-// to tr — the main trace in the sequential search, a private buffer for a
-// speculative attempt. The result depends only on (ii, shared inputs), so
-// it is identical regardless of which search mode runs it.
+// to tr.
 func attempt(s Scheduler, ctx context.Context, req *Request, ii int, tr *obs.Trace, finish Finisher) attemptResult {
 	var res attemptResult
 	if ii > req.MinII && tr.On() {
@@ -74,20 +70,10 @@ func attempt(s Scheduler, ctx context.Context, req *Request, ii int, tr *obs.Tra
 	return res
 }
 
-// commit installs the winning attempt into the search result.
-func commit(out *Result, req *Request, ii int, res attemptResult) {
-	out.Found = true
-	out.II = ii
-	out.Sched = res.sched
-	out.Payload = res.payload
-	out.Reduced = res.reduced
-	out.Proven = ii == req.MinII // meets the lower bound
-}
-
 // SequentialSearch is the paper's search (Sec. 3.3): iterate the II
 // upward from MinII, running the fallback ladder at each step, and stop
-// at the first II the ladder satisfies. Backends whose per-II attempts
-// are not independent (or not worth speculating on) use it directly.
+// at the first II the ladder satisfies. Every in-tree backend searches
+// with it.
 func SequentialSearch(s Scheduler, ctx context.Context, req *Request, tr *obs.Trace, finish Finisher) Result {
 	var out Result
 	var lastErr error
@@ -102,100 +88,12 @@ func SequentialSearch(s Scheduler, ctx context.Context, req *Request, tr *obs.Tr
 			lastErr = res.err
 		}
 		if res.done {
-			commit(&out, req, ii, res)
+			out.Found, out.II = true, ii
+			out.Sched, out.Payload, out.Reduced = res.sched, res.payload, res.reduced
+			out.Proven = ii == req.MinII // meets the lower bound
 			return out
 		}
 	}
 	out.LastErr = lastErr
-	return out
-}
-
-// ParallelSearch speculates on several candidate IIs concurrently and
-// commits the lowest feasible one. It reproduces SequentialSearch
-// bit-identically:
-//
-//   - Workers claim IIs from an atomic counter, so the claimed set is
-//     always a dense prefix [minII, ...] in ascending order.
-//   - Each attempt is independent and deterministic, so its schedule,
-//     events, and failure are exactly what the sequential search would
-//     compute at that II.
-//   - Events are buffered per attempt and appended to the main trace in
-//     II order up to the winner — the order the sequential search emits.
-//   - A worker abandons a claimed II only when a strictly lower II has
-//     already succeeded (the "cancel losers" rule), so every II at or
-//     below the final winner is fully attempted and its attempts/events
-//     are accounted, while IIs beyond the winner are discarded exactly as
-//     the sequential search never reaches them.
-//
-// Placement-attempt totals, fallback rungs, and the final error on total
-// failure (the last error the sequential search would have kept) are all
-// reconstructed from the per-II results.
-func ParallelSearch(s Scheduler, ctx context.Context, req *Request, tr *obs.Trace, finish Finisher, workers int) Result {
-	n := req.MaxII - req.MinII + 1
-	if workers > n {
-		workers = n
-	}
-	results := make([]attemptResult, n)
-	traces := make([]*obs.Trace, n)
-	var next atomic.Int64
-	var best atomic.Int64 // index of the lowest successful II; n = none yet
-	best.Store(int64(n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return // search canceled: stop claiming IIs
-				}
-				i := int(next.Add(1) - 1)
-				if i >= n || int64(i) > best.Load() {
-					return // out of range, or a lower II already won
-				}
-				var bt *obs.Trace
-				if tr.On() {
-					bt = obs.NewScratch()
-				}
-				res := attempt(s, ctx, req, req.MinII+i, bt, finish)
-				results[i] = res
-				traces[i] = bt
-				if res.done {
-					for {
-						cur := best.Load()
-						if int64(i) >= cur || best.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	var out Result
-	win := int(best.Load())
-	last := win
-	if win == n {
-		last = n - 1 // total failure: every II was attempted
-	}
-	var lastErr error
-	for i := 0; i <= last; i++ {
-		out.Attempts += results[i].attempts
-		tr.AppendFrom(traces[i])
-		if results[i].err != nil {
-			lastErr = results[i].err
-		}
-	}
-	// All workers have joined and AppendFrom copied what was merged, so
-	// every per-attempt buffer (merged or discarded) can be recycled.
-	for _, bt := range traces {
-		bt.Recycle()
-	}
-	if win == n {
-		out.LastErr = lastErr
-		return out
-	}
-	commit(&out, req, req.MinII+win, results[win])
 	return out
 }

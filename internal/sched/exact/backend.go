@@ -9,11 +9,6 @@ import (
 	"ltsp/internal/sched"
 )
 
-func init() {
-	sched.Register(sched.BackendExact, New)
-	sched.Register(sched.BackendOracle, NewOracle)
-}
-
 // scheduler is the "exact" backend: branch-and-bound per candidate II,
 // handing individual attempts to the heuristic when the loop exceeds
 // the size budget or a solve comes back undecided. It is created fresh
@@ -32,8 +27,7 @@ type scheduler struct {
 func New() sched.Scheduler { return &scheduler{lim: DefaultLimits(), minFeasible: -1} }
 
 // NewWithLimits returns a fresh exact backend with a custom budget
-// (tests and the experiments runner shrink it to force fallbacks or
-// time-box probes).
+// (tests shrink it to force fallbacks).
 func NewWithLimits(lim Limits) sched.Scheduler { return &scheduler{lim: lim, minFeasible: -1} }
 
 func (s *scheduler) Name() string { return sched.BackendExact }
@@ -98,8 +92,7 @@ func (s *scheduler) noteFeasible(ii int, ok bool) {
 	}
 }
 
-// Search runs the sequential II search (exact solves are not worth
-// speculating on — each one is conclusive). The winner is proven
+// Search runs the sequential II search. The winner is proven
 // II-optimal when no attempt at a lower II fell back to the heuristic
 // (every lower II was then *proven* infeasible) and no lower II was
 // schedulable-but-rejected by register allocation.

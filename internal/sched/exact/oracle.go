@@ -21,9 +21,6 @@ type oracle struct {
 // NewOracle returns a fresh oracle backend with the default size budget.
 func NewOracle() sched.Scheduler { return &oracle{lim: DefaultLimits()} }
 
-// NewOracleWithLimits returns an oracle with a custom exact-probe budget.
-func NewOracleWithLimits(lim Limits) sched.Scheduler { return &oracle{lim: lim} }
-
 func (o *oracle) Name() string { return sched.BackendOracle }
 
 // ScheduleAtII delegates to the production heuristic: the oracle never
@@ -82,11 +79,10 @@ func (o *oracle) probe(ctx context.Context, req *sched.Request, heurII int, heur
 	return gap
 }
 
-// Search runs the heuristic search unchanged (including speculative
-// parallelism), then measures the optimality gap and emits it to the
-// trace. The heuristic's result — schedule, payload, attempts — is
-// returned as-is; only Proven is upgraded when the probe proves the
-// heuristic already optimal.
+// Search runs the heuristic search unchanged, then measures the
+// optimality gap and emits it to the trace. The heuristic's result —
+// schedule, payload, attempts — is returned as-is; only Proven is
+// upgraded when the probe proves the heuristic already optimal.
 func (o *oracle) Search(ctx context.Context, req *sched.Request, tr *obs.Trace, finish sched.Finisher) sched.Result {
 	r := sched.Heuristic().Search(ctx, req, tr, finish)
 	if !r.Found {

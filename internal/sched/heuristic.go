@@ -9,8 +9,8 @@ import (
 )
 
 // heuristic is the production backend: iterative modulo scheduling
-// (package modsched) under the sequential or speculative II search. It
-// is stateless; Heuristic() returns a shared instance.
+// (package modsched) under the sequential II search. It is stateless;
+// Heuristic() returns a shared instance.
 type heuristic struct{}
 
 var heuristicInstance Scheduler = heuristic{}
@@ -24,15 +24,12 @@ func (heuristic) Name() string { return BackendHeuristic }
 
 // ScheduleAtII runs one iterative-modulo-scheduling attempt. A single
 // attempt is never interrupted mid-flight — cancellation granularity is
-// one (II, latency) attempt, enforced by the search loops — so ctx is
+// one (II, latency) attempt, enforced by the search loop — so ctx is
 // intentionally unused here.
 func (heuristic) ScheduleAtII(_ context.Context, req *Request, ii int, latf ddg.LatencyFn, tr *obs.Trace) (*modsched.Schedule, bool) {
 	return modsched.ScheduleAtII(req.Model, req.Graph, ii, latf, modsched.Options{BudgetRatio: req.BudgetRatio, Trace: tr})
 }
 
 func (h heuristic) Search(ctx context.Context, req *Request, tr *obs.Trace, finish Finisher) Result {
-	if req.Parallelism > 1 {
-		return ParallelSearch(h, ctx, req, tr, finish, req.Parallelism)
-	}
 	return SequentialSearch(h, ctx, req, tr, finish)
 }

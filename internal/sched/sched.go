@@ -1,12 +1,13 @@
 // Package sched defines the Scheduler interface the pipeliner's II
-// search sits behind, plus the backend registry. The interface captures
-// exactly what package core's pipeline needs from a scheduler: a
+// search sits behind, plus the names of the in-tree backends. The
+// interface captures exactly what package core's pipeline needs from a
+// scheduler: a
 // fixed-II scheduling entry point and a full II search that runs the
 // paper's fallback ladder (Sec. 3.3) at each candidate II.
 //
 // Two backends ship in-tree: the production `heuristic` backend (this
-// package; iterative modulo scheduling + the speculative/sequential II
-// search, byte-identical to the pre-interface pipeline) and the `exact`
+// package; iterative modulo scheduling + the sequential II search,
+// byte-identical to the pre-interface pipeline) and the `exact`
 // branch-and-bound backend in sched/exact, which proves II-optimality
 // for small loops and doubles as the `oracle` backend measuring the
 // heuristic's optimality gap.
@@ -15,9 +16,7 @@ package sched
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"ltsp/internal/ddg"
 	"ltsp/internal/ir"
@@ -26,17 +25,10 @@ import (
 	"ltsp/internal/obs"
 )
 
-// DefaultParallelism returns the speculative II-search width for callers
-// that want the search as wide as the machine allows: the current
-// GOMAXPROCS setting.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// Request bundles the read-only inputs of one II search. Every field is
-// immutable during the search, which is what makes speculative attempts
-// safe: scheduling, register allocation, and code generation never
-// mutate the loop, graph, machine model, or latency policies, and the
-// graph's cycle memo is warmed (or left untouched) before the search
-// starts.
+// Request bundles the read-only inputs of one II search. Scheduling,
+// register allocation, and code generation never mutate the loop,
+// graph, machine model, or latency policies, so an attempt at a given
+// II depends only on the request.
 type Request struct {
 	// Loop is the (HLO-processed) source loop; Graph.Loop aliases it.
 	Loop *ir.Loop
@@ -52,10 +44,6 @@ type Request struct {
 	MinII, MaxII int
 	// BudgetRatio is passed to the modulo scheduler (placement budget).
 	BudgetRatio int
-	// Parallelism bounds how many candidate IIs a backend may attempt
-	// concurrently; values <= 1 request the sequential search. Backends
-	// that only implement a sequential search may ignore it.
-	Parallelism int
 	// HaveBoost arms the reduced-latency fallback rung: it is set when
 	// the latency-tolerant policy (or delinquent-load boosting) actually
 	// raised any latency above base, so there is something to roll back.
@@ -81,13 +69,11 @@ type Candidate struct {
 
 // Finisher runs the caller's post-scheduling pipeline (register
 // allocation + code generation) on a schedule produced at the given II.
-// reduced marks the reduced-latency rung. Decision events go to tr —
-// the main trace in a sequential search, a private buffer in a
-// speculative attempt — exactly as the scheduler's own events do.
+// reduced marks the reduced-latency rung. Decision events go to tr,
+// interleaved with the scheduler's own events.
 //
-// A Finisher must be safe for concurrent calls and must depend only on
-// its arguments and read-only state, so a speculative attempt at II k
-// is bit-identical to a sequential attempt at II k.
+// A Finisher must depend only on its arguments and read-only state, so
+// an attempt at II k always produces the same candidate and events.
 type Finisher func(ii int, s *modsched.Schedule, reduced bool, tr *obs.Trace) Candidate
 
 // Result is the outcome of a Search.
@@ -141,50 +127,21 @@ const (
 	BackendOracle    = "oracle"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func() Scheduler{}
-)
-
-// Register installs a backend factory under name. Factories return a
-// fresh Scheduler per compilation, so a backend may keep per-search
-// state (the exact backend tracks whether any attempt fell back to the
-// heuristic, which would void its optimality proof). Register panics on
-// a duplicate name; it is intended for init-time use.
-func Register(name string, factory func() Scheduler) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: duplicate backend %q", name))
-	}
-	registry[name] = factory
-}
-
-// New returns a fresh Scheduler for the named backend. The empty string
-// and "heuristic" select the production heuristic backend. Unknown
-// names return an error listing the registered backends.
-func New(name string) (Scheduler, error) {
-	if name == "" || name == BackendHeuristic {
-		return Heuristic(), nil
-	}
-	regMu.RLock()
-	factory := registry[name]
-	regMu.RUnlock()
-	if factory == nil {
-		return nil, fmt.Errorf("sched: unknown scheduler backend %q (have %v)", name, Backends())
-	}
-	return factory(), nil
-}
+// backends is the sorted set of selectable backend names.
+var backends = []string{BackendExact, BackendHeuristic, BackendOracle}
 
 // Backends returns the sorted names of every selectable backend.
-func Backends() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(registry)+1)
-	names = append(names, BackendHeuristic)
-	for n := range registry {
-		names = append(names, n)
+func Backends() []string { return slices.Clone(backends) }
+
+// Resolve returns the canonical name of a backend: the empty string
+// selects the heuristic. Unknown names return an error listing the
+// selectable backends.
+func Resolve(name string) (string, error) {
+	if name == "" {
+		return BackendHeuristic, nil
 	}
-	regMu.RUnlock()
-	sort.Strings(names)
-	return names
+	if !slices.Contains(backends, name) {
+		return "", fmt.Errorf("sched: unknown scheduler backend %q (have %v)", name, backends)
+	}
+	return name, nil
 }

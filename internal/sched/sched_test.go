@@ -5,84 +5,53 @@ import (
 	"testing"
 
 	"ltsp/internal/sched"
-
-	// Register the exact and oracle backends for the registry tests.
-	_ "ltsp/internal/sched/exact"
 )
 
-// TestNewResolvesBackends: the empty string and "heuristic" share the
-// production backend; the registered names resolve to fresh instances;
-// unknown names fail with the selectable set in the message.
+// TestNewResolvesBackends: the empty string and "heuristic" resolve to
+// the production backend, the other in-tree names resolve to
+// themselves, and unknown names fail with the selectable set in the
+// message.
 func TestNewResolvesBackends(t *testing.T) {
-	for _, name := range []string{"", sched.BackendHeuristic} {
-		s, err := sched.New(name)
+	for name, want := range map[string]string{
+		"":                     sched.BackendHeuristic,
+		sched.BackendHeuristic: sched.BackendHeuristic,
+		sched.BackendExact:     sched.BackendExact,
+		sched.BackendOracle:    sched.BackendOracle,
+	} {
+		got, err := sched.Resolve(name)
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("Resolve(%q): %v", name, err)
 		}
-		if s.Name() != sched.BackendHeuristic {
-			t.Fatalf("New(%q).Name() = %q, want %q", name, s.Name(), sched.BackendHeuristic)
-		}
-	}
-	for _, name := range []string{sched.BackendExact, sched.BackendOracle} {
-		s, err := sched.New(name)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if s.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, s.Name())
-		}
-		// Factories hand out fresh instances: per-search state (the exact
-		// backend's fallback tracking) must not be shared across compiles.
-		s2, _ := sched.New(name)
-		if s == s2 {
-			t.Fatalf("New(%q) returned a shared instance", name)
+		if got != want {
+			t.Fatalf("Resolve(%q) = %q, want %q", name, got, want)
 		}
 	}
-	_, err := sched.New("simplex")
-	if err == nil {
-		t.Fatal("New with an unknown backend succeeded")
-	}
-	for _, want := range []string{"simplex", sched.BackendHeuristic, sched.BackendExact, sched.BackendOracle} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("unknown-backend error %q does not mention %q", err, want)
+	for _, name := range []string{"simplex", "Exact", " heuristic"} {
+		got, err := sched.Resolve(name)
+		if err == nil {
+			t.Fatalf("Resolve(%q) = %q, want an error", name, got)
 		}
+		for _, want := range []string{name, sched.BackendHeuristic, sched.BackendExact, sched.BackendOracle} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("unknown-backend error %q does not mention %q", err, want)
+			}
+		}
+	}
+	if sched.Heuristic().Name() != sched.BackendHeuristic {
+		t.Fatalf("Heuristic().Name() = %q", sched.Heuristic().Name())
 	}
 }
 
-// TestBackendsSorted: the selectable set is sorted and includes every
-// in-tree backend exactly once.
+// TestBackendsSorted: the selectable set is sorted, includes every
+// in-tree backend exactly once, and is a copy the caller may modify.
 func TestBackendsSorted(t *testing.T) {
 	names := sched.Backends()
-	seen := map[string]int{}
-	for i, n := range names {
-		seen[n]++
-		if i > 0 && names[i-1] >= n {
-			t.Fatalf("Backends() not sorted: %v", names)
-		}
+	want := []string{sched.BackendExact, sched.BackendHeuristic, sched.BackendOracle}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("Backends() = %v, want %v", names, want)
 	}
-	for _, want := range []string{sched.BackendHeuristic, sched.BackendExact, sched.BackendOracle} {
-		if seen[want] != 1 {
-			t.Fatalf("Backends() = %v, want %q exactly once", names, want)
-		}
-	}
-}
-
-// TestRegisterDuplicatePanics: backend names are claimed once, at init
-// time; a second registration is a programming error.
-func TestRegisterDuplicatePanics(t *testing.T) {
-	factory := func() sched.Scheduler { s, _ := sched.New(""); return s }
-	sched.Register("sched-test-dup", factory)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	sched.Register("sched-test-dup", factory)
-}
-
-// TestDefaultParallelism pins the GOMAXPROCS-derived width as positive.
-func TestDefaultParallelism(t *testing.T) {
-	if p := sched.DefaultParallelism(); p < 1 {
-		t.Fatalf("DefaultParallelism() = %d", p)
+	names[0] = "clobbered"
+	if got := sched.Backends(); got[0] != sched.BackendExact {
+		t.Fatalf("Backends() shares its slice with callers: %v", got)
 	}
 }

@@ -93,16 +93,14 @@ func BackendName(s string) string {
 }
 
 // ParseBackend parses a wire backend spelling into its canonical form.
-// Names must be registered with the scheduler registry; resubmitting an
-// unknown name cannot succeed, so the error is non-retryable.
+// Names must be one of sched.Backends(); resubmitting an unknown name
+// cannot succeed, so the error is non-retryable.
 func ParseBackend(s string) (string, error) {
-	if s == "" || s == sched.BackendHeuristic {
-		return "", nil
-	}
-	if _, err := sched.New(s); err != nil {
+	name, err := sched.Resolve(s)
+	if err != nil {
 		return "", fmt.Errorf("wire: unknown scheduler backend %q (have %v)", s, sched.Backends())
 	}
-	return s, nil
+	return BackendName(name), nil
 }
 
 // OptionsFrom converts library compile options to their wire form.

@@ -197,12 +197,6 @@ type Options struct {
 	Pipeline *bool
 	// Model overrides the target processor (nil = Itanium2()).
 	Model *Machine
-	// Parallelism bounds how many candidate IIs the pipeliner's
-	// speculative II search schedules concurrently; values <= 1 select
-	// the sequential search. Results, traces, and fallback behavior are
-	// bit-identical across settings. DefaultParallelism() returns the
-	// GOMAXPROCS-derived width.
-	Parallelism int
 	// Backend selects the scheduling backend by name: BackendHeuristic
 	// (or "", the default) for the production iterative modulo
 	// scheduler, BackendExact for the branch-and-bound optimal pipeliner
@@ -229,14 +223,10 @@ type Trace = obs.Trace
 // NewTrace returns an empty decision trace to pass in Options.Trace.
 func NewTrace() *Trace { return obs.New() }
 
-// DefaultParallelism returns the GOMAXPROCS-derived width for the
-// pipeliner's speculative II search (Options.Parallelism).
-func DefaultParallelism() int { return sched.DefaultParallelism() }
-
 // Scheduler backend names for Options.Backend.
 const (
-	// BackendHeuristic is the production iterative modulo scheduler with
-	// the speculative/sequential II search (the default).
+	// BackendHeuristic is the production iterative modulo scheduler (the
+	// default).
 	BackendHeuristic = sched.BackendHeuristic
 	// BackendExact is the branch-and-bound optimal pipeliner for small
 	// loops: it proves II-optimality and minimizes max register lifetime.
@@ -327,7 +317,7 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 	// Validate the backend up front: an unknown name is a caller error,
 	// not "pipelining infeasible", so it must never degrade to the
 	// sequential-schedule fallback.
-	backend, err := sched.New(opts.Backend)
+	backend, err := sched.Resolve(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +336,7 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 	}
 	// The backend is stamped on every result — including sequential
 	// fallbacks — so service telemetry can always attribute the outcome.
-	out := &Compiled{HLO: rep, loop: l, model: m, Backend: backend.Name()}
+	out := &Compiled{HLO: rep, loop: l, model: m, Backend: backend}
 	pipeline := opts.Pipeline == nil || *opts.Pipeline
 	var pipeErr error
 	if pipeline {
@@ -354,7 +344,6 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 			Model:           m,
 			LatencyTolerant: opts.LatencyTolerant,
 			BoostDelinquent: opts.BoostDelinquent,
-			Parallelism:     opts.Parallelism,
 			Backend:         opts.Backend,
 			Trace:           opts.Trace,
 		})
