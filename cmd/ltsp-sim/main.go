@@ -112,8 +112,7 @@ func main() {
 		simCfg.Timeline = tl
 	}
 	runner := sim.NewRunner(simCfg)
-	mem := interp.NewMemory()
-	spec.InitMem(mem)
+	mem := spec.NewMemory()
 	var total sim.Accounting
 	var loads [5]int64
 	var ozqStalls int64

@@ -88,33 +88,40 @@ type Stats struct {
 }
 
 type line struct {
-	tag     int64
-	valid   bool
+	tag int64
+	// gen is the level generation the line was filled in; the line is
+	// valid only while it equals the level's, so Reset empties a level
+	// without touching its lines.
+	gen     uint64
 	fill    int64 // absolute cycle the line arrives
 	lastUse int64
 }
 
 type level struct {
-	cfg  LevelConfig
-	sets [][]line
-	tick int64
+	cfg LevelConfig
+	// lines holds the Sets*Ways lines, set s at [s*Ways, (s+1)*Ways).
+	lines []line
+	gen   uint64
+	tick  int64
 }
 
 func newLevel(cfg LevelConfig) *level {
-	l := &level{cfg: cfg, sets: make([][]line, cfg.Sets)}
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Ways)
-	}
-	return l
+	return &level{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways), gen: 1}
+}
+
+// set returns the lines of the set tag maps to.
+func (l *level) set(tag int64) []line {
+	s := int(tag&int64(l.cfg.Sets-1)) * l.cfg.Ways
+	return l.lines[s : s+l.cfg.Ways]
 }
 
 // probe returns the line if present.
 func (l *level) probe(addr int64) *line {
 	tag := addr >> l.cfg.LineShift
-	set := &l.sets[tag&int64(l.cfg.Sets-1)]
-	for i := range *set {
-		ln := &(*set)[i]
-		if ln.valid && ln.tag == tag {
+	set := l.set(tag)
+	for i := range set {
+		ln := &set[i]
+		if ln.gen == l.gen && ln.tag == tag {
 			l.tick++
 			ln.lastUse = l.tick
 			return ln
@@ -126,20 +133,20 @@ func (l *level) probe(addr int64) *line {
 // insert fills addr's line with the given fill time, evicting LRU.
 func (l *level) insert(addr, fill int64) {
 	tag := addr >> l.cfg.LineShift
-	set := &l.sets[tag&int64(l.cfg.Sets-1)]
+	set := l.set(tag)
 	victim := 0
-	for i := range *set {
-		ln := &(*set)[i]
-		if !ln.valid {
+	for i := range set {
+		ln := &set[i]
+		if ln.gen != l.gen {
 			victim = i
 			break
 		}
-		if ln.lastUse < (*set)[victim].lastUse {
+		if ln.lastUse < set[victim].lastUse {
 			victim = i
 		}
 	}
 	l.tick++
-	(*set)[victim] = line{tag: tag, valid: true, fill: fill, lastUse: l.tick}
+	set[victim] = line{tag: tag, gen: l.gen, fill: fill, lastUse: l.tick}
 }
 
 // Hierarchy is a three-level cache hierarchy with fill-time tracking.
@@ -154,6 +161,14 @@ type Hierarchy struct {
 // New builds a hierarchy from the configuration.
 func New(cfg Config) *Hierarchy {
 	return &Hierarchy{cfg: cfg, l1: newLevel(cfg.L1), l2: newLevel(cfg.L2), l3: newLevel(cfg.L3)}
+}
+
+// Reset empties every level in place, as if the hierarchy were new, but
+// keeps the cumulative Stats.
+func (h *Hierarchy) Reset() {
+	for _, l := range []*level{h.l1, h.l2, h.l3} {
+		l.gen++
+	}
 }
 
 // Config returns the hierarchy's configuration.
@@ -247,9 +262,8 @@ func (h *Hierarchy) Contains(levelN int, addr int64) bool {
 		return false
 	}
 	tag := addr >> l.cfg.LineShift
-	set := l.sets[tag&int64(l.cfg.Sets-1)]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for _, ln := range l.set(tag) {
+		if ln.gen == l.gen && ln.tag == tag {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +172,75 @@ func TestQuickMonotonicReady(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// access is one request of a replayed trace.
+type access struct {
+	now, addr int64
+	fp        bool
+	kind      AccessKind
+}
+
+// accessTrace is a seeded mix of every access kind over a working set a
+// few times the L3's, so the replay evicts at every level.
+func accessTrace(seed int64, n int) []access {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]access, n)
+	now := int64(0)
+	for i := range out {
+		now += rng.Int63n(4)
+		out[i] = access{
+			now:  now,
+			addr: rng.Int63n(48<<20) &^ 7,
+			fp:   rng.Intn(4) == 0,
+			kind: AccessKind(rng.Intn(4)),
+		}
+	}
+	return out
+}
+
+func TestResetReplaysLikeNew(t *testing.T) {
+	trace := accessTrace(18, 200000)
+	replay := func(h *Hierarchy, base int64) ([]Result, Stats) {
+		before := h.Stats
+		out := make([]Result, len(trace))
+		for i, a := range trace {
+			out[i] = h.Access(base+a.now, a.addr, a.fp, a.kind)
+			out[i].ReadyAt -= base
+		}
+		d := h.Stats
+		d.Accesses -= before.Accesses
+		d.HitsL1 -= before.HitsL1
+		d.HitsL2 -= before.HitsL2
+		d.HitsL3 -= before.HitsL3
+		d.Memory -= before.Memory
+		d.Merges -= before.Merges
+		d.Prefetches -= before.Prefetches
+		return out, d
+	}
+	wantRes, wantStats := replay(New(DefaultItanium2()), 0)
+
+	h := New(DefaultItanium2())
+	warm, _ := replay(h, 0)
+	cum := h.Stats
+	h.Reset()
+	if h.Stats != cum {
+		t.Fatalf("Reset changed the cumulative stats: %+v, was %+v", h.Stats, cum)
+	}
+	for lv := 1; lv <= 3; lv++ {
+		if h.Contains(lv, trace[len(trace)-1].addr) {
+			t.Errorf("level %d still holds a line after Reset", lv)
+		}
+	}
+	// Replay later in time, as a runner's persistent clock does.
+	gotRes, gotStats := replay(h, warm[len(warm)-1].ReadyAt+1000)
+	if gotStats != wantStats {
+		t.Errorf("stats after Reset %+v, fresh %+v", gotStats, wantStats)
+	}
+	for i := range wantRes {
+		if gotRes[i] != wantRes[i] {
+			t.Fatalf("access %d after Reset: %+v, fresh %+v", i, gotRes[i], wantRes[i])
+		}
 	}
 }

@@ -268,8 +268,7 @@ func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
 	}
 
 	runner := sim.NewRunner(simCfg)
-	mem := interp.NewMemory()
-	spec.InitMem(mem)
+	mem := spec.NewMemory()
 	if !spec.Cold && len(spec.Ref) > 0 {
 		// Warm-up execution (not measured): steady-state measurement of a
 		// cache-hot loop must not be polluted by the one-time cold start.
@@ -341,8 +340,7 @@ func sampleLoopHints(spec *workload.LoopSpec, cfg Config, est profile.Estimate) 
 	simCfg := sim.DefaultConfig()
 	simCfg.Model = model
 	runner := sim.NewRunner(simCfg)
-	mem := interp.NewMemory()
-	spec.InitMem(mem)
+	mem := spec.NewMemory()
 	totals := map[int]*[5]int64{}
 	latency := map[int]int64{}
 	if !spec.Cold && len(spec.Train) > 0 {

@@ -18,7 +18,9 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 
 	"ltsp/internal/ir"
@@ -36,40 +38,86 @@ const (
 )
 
 // Memory is a sparse, little-endian, byte-addressed memory.
+//
+// A Memory can be forked copy-on-write over a read-only base (Fork): the
+// fork reads the base's pages until it first stores to one, and then
+// writes a private copy. One seeded data image can so back any number of
+// simulations at once without ever being written.
 type Memory struct {
-	pages map[int64]*[pageSize]byte
+	pages  map[int64]pageRef
+	forked bool
 	// Reads counts load accesses, Writes store accesses (for tests).
 	Reads, Writes int64
+}
+
+// pageRef is a page as one memory sees it: owner is the memory that may
+// write it in place. A fork's pages start out owned by its base.
+type pageRef struct {
+	p     *[pageSize]byte
+	owner *Memory
 }
 
 const pageSize = 4096
 
 // NewMemory returns an empty memory; all bytes read as zero.
 func NewMemory() *Memory {
-	return &Memory{pages: map[int64]*[pageSize]byte{}}
+	return &Memory{pages: map[int64]pageRef{}}
 }
 
-func (m *Memory) page(addr int64, create bool) (*[pageSize]byte, int64) {
-	pn := addr >> 12
-	p := m.pages[pn]
-	if p == nil && create {
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+// Fork returns a copy-on-write view of m: it reads as m does, and its
+// stores go to private copies of the pages they touch, so neither m nor
+// any other fork of m sees them. m must not be written once it has been
+// forked; forks of one base may be used from different goroutines. Fork
+// panics on a memory that is itself a fork, whose pages it could not
+// keep apart from the fork's own later stores.
+func (m *Memory) Fork() *Memory {
+	if m.forked {
+		panic("interp: Fork of a forked memory")
 	}
-	return p, addr & (pageSize - 1)
+	return &Memory{pages: maps.Clone(m.pages), forked: true}
+}
+
+// writable returns page pn for writing, allocating it or copying the
+// base's page on first write.
+func (m *Memory) writable(pn int64) *[pageSize]byte {
+	r := m.pages[pn]
+	if r.owner == m {
+		return r.p
+	}
+	p := new([pageSize]byte)
+	if r.p != nil {
+		*p = *r.p
+	}
+	m.pages[pn] = pageRef{p: p, owner: m}
+	return p
 }
 
 // Load reads size bytes (1, 2, 4 or 8) at addr, zero-extended.
 func (m *Memory) Load(addr int64, size int) int64 {
 	m.Reads++
+	off := int(addr & (pageSize - 1))
+	if off+size <= pageSize {
+		p := m.pages[addr>>12].p
+		if p == nil {
+			return 0
+		}
+		switch size {
+		case 8:
+			return int64(binary.LittleEndian.Uint64(p[off:]))
+		case 4:
+			return int64(binary.LittleEndian.Uint32(p[off:]))
+		case 2:
+			return int64(binary.LittleEndian.Uint16(p[off:]))
+		case 1:
+			return int64(p[off])
+		}
+	}
 	var v uint64
 	for i := 0; i < size; i++ {
-		p, off := m.page(addr+int64(i), false)
-		var b byte
-		if p != nil {
-			b = p[off]
+		a := addr + int64(i)
+		if p := m.pages[a>>12].p; p != nil {
+			v |= uint64(p[a&(pageSize-1)]) << (8 * i)
 		}
-		v |= uint64(b) << (8 * i)
 	}
 	return int64(v)
 }
@@ -77,9 +125,25 @@ func (m *Memory) Load(addr int64, size int) int64 {
 // Store writes the low size bytes of val at addr.
 func (m *Memory) Store(addr int64, size int, val int64) {
 	m.Writes++
+	switch off := int(addr & (pageSize - 1)); {
+	case off+size > pageSize:
+		// Crosses a page: the byte loop below.
+	case size == 8:
+		binary.LittleEndian.PutUint64(m.writable(addr >> 12)[off:], uint64(val))
+		return
+	case size == 4:
+		binary.LittleEndian.PutUint32(m.writable(addr >> 12)[off:], uint32(val))
+		return
+	case size == 2:
+		binary.LittleEndian.PutUint16(m.writable(addr >> 12)[off:], uint16(val))
+		return
+	case size == 1:
+		m.writable(addr >> 12)[off] = byte(val)
+		return
+	}
 	for i := 0; i < size; i++ {
-		p, off := m.page(addr+int64(i), true)
-		p[off] = byte(uint64(val) >> (8 * i))
+		a := addr + int64(i)
+		m.writable(a >> 12)[a&(pageSize-1)] = byte(uint64(val) >> (8 * i))
 	}
 }
 
@@ -94,11 +158,12 @@ func (m *Memory) StoreF(addr int64, v float64) {
 }
 
 // Snapshot returns a copy of all touched memory as a map from page number
-// to page contents, for state comparison in tests.
+// to page contents, for state comparison in tests. A fork's snapshot is
+// its base's pages overlaid with its private ones.
 func (m *Memory) Snapshot() map[int64][pageSize]byte {
 	out := make(map[int64][pageSize]byte, len(m.pages))
-	for pn, p := range m.pages {
-		out[pn] = *p
+	for pn, r := range m.pages {
+		out[pn] = *r.p
 	}
 	return out
 }
@@ -121,6 +186,10 @@ type State struct {
 	DataRotation bool
 
 	rrbGR, rrbFR, rrbPR int
+
+	// effs and pend are Group's scratch, reused from group to group.
+	effs []Effect
+	pend pending
 }
 
 // NewState returns a zeroed state with fresh memory. r0 stays 0, f0 = 0.0,
@@ -232,20 +301,23 @@ type pending struct {
 }
 
 // Group executes the instructions of one issue group with
-// reads-before-writes semantics and returns their effects. An instruction
-// the interpreter cannot execute (an op outside the executable set —
-// reachable from adversarial wire input, so an error rather than a panic)
-// aborts the group with no writes applied.
+// reads-before-writes semantics and returns their effects. The returned
+// slice is reused by the next Group call. An instruction the interpreter
+// cannot execute (an op outside the executable set — reachable from
+// adversarial wire input, so an error rather than a panic) aborts the
+// group with no writes applied.
 func (s *State) Group(ins []*ir.Instr) ([]Effect, error) {
-	effs := make([]Effect, len(ins))
-	var p pending
-	for i, in := range ins {
-		e, err := s.exec(in, &p)
+	effs := s.effs[:0]
+	p := &s.pend
+	p.gr, p.fr, p.pr = p.gr[:0], p.fr[:0], p.pr[:0]
+	for _, in := range ins {
+		e, err := s.exec(in, p)
 		if err != nil {
 			return nil, err
 		}
-		effs[i] = e
+		effs = append(effs, e)
 	}
+	s.effs = effs
 	for _, w := range p.gr {
 		s.writeGR(w.r, w.v)
 	}

@@ -388,3 +388,109 @@ func TestUnknownOpIsError(t *testing.T) {
 		t.Fatal("Run of unknown op: want error")
 	}
 }
+
+// refLoad and refStore access memory one byte at a time, the reference the
+// word-wide fast paths must agree with.
+func refLoad(m *Memory, addr int64, size int) int64 {
+	var v uint64
+	for i := 0; i < size; i++ {
+		v |= uint64(m.Load(addr+int64(i), 1)) << (8 * i)
+	}
+	return int64(v)
+}
+
+func refStore(m *Memory, addr int64, size int, val int64) {
+	for i := 0; i < size; i++ {
+		m.Store(addr+int64(i), 1, int64(byte(uint64(val)>>(8*i))))
+	}
+}
+
+func TestMemoryWideAccessAtPageEnd(t *testing.T) {
+	const val = int64(-0x0123456789abcdf0) // every byte distinct and nonzero
+	for _, size := range []int{1, 2, 4, 8} {
+		for addr := int64(2*pageSize - 8); addr < 2*pageSize; addr++ {
+			wide, ref := NewMemory(), NewMemory()
+			// Surround the access with a known pattern, so a store that
+			// spills past size bytes shows.
+			for a := addr - 8; a < addr+16; a++ {
+				wide.Store(a, 1, 0x5a)
+				ref.Store(a, 1, 0x5a)
+			}
+			wide.Store(addr, size, val)
+			refStore(ref, addr, size, val)
+			for a := addr - 8; a < addr+16; a++ {
+				if got, want := wide.Load(a, 1), ref.Load(a, 1); got != want {
+					t.Fatalf("size %d at %#x: byte %#x = %#x, want %#x", size, addr, a, got, want)
+				}
+			}
+			for _, ls := range []int{1, 2, 4, 8} {
+				if got, want := wide.Load(addr, ls), refLoad(ref, addr, ls); got != want {
+					t.Fatalf("store %d, load %d at %#x: %#x, want %#x", size, ls, addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestForkIsCopyOnWrite(t *testing.T) {
+	base := NewMemory()
+	base.Store(0x1000, 8, 1)
+	base.Store(0x3000, 8, 3)
+	a, b := base.Fork(), base.Fork()
+	if got := a.Load(0x1000, 8); got != 1 {
+		t.Fatalf("fork reads %d, want the base's 1", got)
+	}
+	a.Store(0x1000, 8, 10) // a page the base has
+	a.Store(0x9000, 8, 90) // a page it has not
+	a.Store(0x2ffc, 8, -1) // across the base's page boundary
+	if got := base.Load(0x1000, 8); got != 1 {
+		t.Errorf("store to a fork changed the base: %d", got)
+	}
+	if got := b.Load(0x1000, 8); got != 1 {
+		t.Errorf("store to a fork changed a sibling: %d", got)
+	}
+	if got := base.Load(0x9000, 8) | b.Load(0x9000, 8); got != 0 {
+		t.Errorf("a fork's new page leaked: %d", got)
+	}
+	if got := base.Load(0x3000, 8); got != 3 {
+		t.Errorf("cross-page store to a fork changed the base: %#x", got)
+	}
+	if got := a.Load(0x3000, 8); got != 0xffffffff {
+		t.Errorf("fork reads %#x after its cross-page store", got)
+	}
+	if base.Writes != 2 || b.Writes != 0 {
+		t.Errorf("write counters leaked across forks: base %d, sibling %d", base.Writes, b.Writes)
+	}
+}
+
+func TestForkSnapshot(t *testing.T) {
+	base := NewMemory()
+	base.Store(0x1000, 8, 1)
+	base.Store(0x2000, 8, 2)
+	f := base.Fork()
+	f.Store(0x2000, 8, 20)
+	f.Store(0x5000, 8, 50)
+	snap := f.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("fork snapshot has %d pages, want the base's 2 plus 1 private", len(snap))
+	}
+	want := map[int64]byte{1: 1, 2: 20, 5: 50}
+	for pn, b := range want {
+		if pg := snap[pn]; pg[0] != b {
+			t.Errorf("page %d starts with %d, want %d", pn, pg[0], b)
+		}
+	}
+	if pg := base.Snapshot()[2]; pg[0] != 2 {
+		t.Errorf("base page 2 starts with %d after the fork's store", pg[0])
+	}
+}
+
+func TestForkOfForkPanics(t *testing.T) {
+	f := NewMemory().Fork()
+	defer func() {
+		if recover() == nil {
+			t.Error("forking a fork did not panic")
+		}
+	}()
+	f.Fork()
+}

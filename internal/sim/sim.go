@@ -157,6 +157,22 @@ type Runner struct {
 	// clock is the absolute cycle counter, persistent across Run calls so
 	// that cache fill timestamps from earlier executions stay meaningful.
 	clock int64
+	// defs and loadReady are per-issue-group scratch, reused from group
+	// to group: the group's register definitions, and the data-ready
+	// cycle of each load by its position in the group.
+	defs      []defSite
+	loadReady []int64
+}
+
+// defSite is one register an issue group defines: its physical index
+// recorded before execution, and the defining instruction with its
+// position in the group (instr is nil for a predicated-off compare's
+// cleared destinations).
+type defSite struct {
+	idx   int
+	reg   ir.Reg
+	instr *ir.Instr
+	pos   int
 }
 
 // NewRunner creates a runner with a cold hierarchy.
@@ -167,17 +183,15 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{cfg: cfg, hier: cache.New(cfg.Cache)}
 }
 
-// Hierarchy exposes the runner's cache hierarchy (tests warm or inspect it).
+// Hierarchy exposes the runner's cache hierarchy (tests warm or inspect
+// it). The pointer is stable for the runner's life: DropCaches empties the
+// same hierarchy in place.
 func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
-// DropCaches empties the hierarchy (keeping the global clock), modeling
-// the eviction a loop's data suffers from the rest of the program between
-// two invocations.
-func (r *Runner) DropCaches() {
-	st := r.hier.Stats
-	r.hier = cache.New(r.cfg.Cache)
-	r.hier.Stats = st
-}
+// DropCaches empties the hierarchy (keeping the global clock and the
+// cumulative Stats), modeling the eviction a loop's data suffers from the
+// rest of the program between two invocations.
+func (r *Runner) DropCaches() { r.hier.Reset() }
 
 // Run simulates one execution of the program with the given trip count
 // against mem (which may be shared across runs for warm data).
@@ -251,7 +265,8 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 			if !st.PredOn(in) {
 				continue
 			}
-			for _, u := range in.AllUses() {
+			// The qualifying predicate was checked above.
+			for _, u := range in.Srcs {
 				if u.IsNone() {
 					continue
 				}
@@ -313,13 +328,8 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 
 		// Record physical destination indices before execution (rotation
 		// does not occur within a group, but the state's values change).
-		type defSite struct {
-			idx   int
-			reg   ir.Reg
-			instr *ir.Instr
-		}
-		var defs []defSite
-		for _, in := range group {
+		defs := r.defs[:0]
+		for pos, in := range group {
 			if !st.PredOn(in) {
 				// cmp.unc still clears its destinations; they become ready
 				// next cycle.
@@ -327,19 +337,24 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 				case ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpEqI, ir.OpCmpLtI, ir.OpFCmpLt:
 					for _, d := range in.Dsts {
 						if !d.IsNone() {
-							defs = append(defs, defSite{st.PhysIndex(d), d, nil})
+							defs = append(defs, defSite{st.PhysIndex(d), d, nil, pos})
 						}
 					}
 				}
 				continue
 			}
-			for _, d := range in.AllDefs() {
-				if d.IsNone() {
-					continue
+			for _, d := range in.Dsts {
+				if !d.IsNone() {
+					defs = append(defs, defSite{st.PhysIndex(d), d, in, pos})
 				}
-				defs = append(defs, defSite{st.PhysIndex(d), d, in})
+			}
+			if in.Mem != nil && in.Mem.PostInc != 0 {
+				if b := in.BaseReg(); !b.IsNone() {
+					defs = append(defs, defSite{st.PhysIndex(b), b, in, pos})
+				}
 			}
 		}
+		r.defs = defs
 
 		effs, err := st.Group(group)
 		if err != nil {
@@ -352,7 +367,11 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 			}
 		}
 		// Memory requests: OzQ admission, cache access, bank conflicts.
-		loadReady := map[*ir.Instr]int64{}
+		loadReady := r.loadReady[:0]
+		for range group {
+			loadReady = append(loadReady, 0)
+		}
+		r.loadReady = loadReady
 		for i, in := range group {
 			eff := effs[i]
 			if !eff.Executed || !eff.IsMem {
@@ -418,7 +437,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 				}
 			}
 			if eff.IsLoad {
-				loadReady[in] = cres.ReadyAt
+				loadReady[i] = cres.ReadyAt
 			}
 		}
 
@@ -431,7 +450,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 			case d.instr == nil:
 				ready = t + 1 // cleared compare destinations
 			case d.instr.Op.IsLoad() && d.reg == d.instr.Dsts[0]:
-				ready = loadReady[d.instr] // load data result
+				ready = loadReady[d.pos] // load data result
 				site = d.instr.ID
 			case d.instr.Op.IsMem():
 				ready = t + 1 // post-incremented base

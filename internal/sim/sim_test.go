@@ -227,6 +227,40 @@ func TestDropCaches(t *testing.T) {
 	}
 }
 
+func TestDropCachesKeepsStatsAndHierarchy(t *testing.T) {
+	p := seqProgram(
+		[]ir.RegInit{{Reg: ir.GR(4), Val: 0x10000}},
+		[]*ir.Instr{ir.Ld(ir.GR(5), ir.GR(4), 8, 8)},
+	)
+	runner := NewRunner(plainConfig())
+	h := runner.Hierarchy()
+	mem := interp.NewMemory()
+	first, err := runner.Run(p, 16, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h.Stats
+	runner.DropCaches()
+	if runner.Hierarchy() != h {
+		t.Error("DropCaches replaced the hierarchy")
+	}
+	if h.Stats != before {
+		t.Errorf("DropCaches changed the cumulative stats: %+v, was %+v", h.Stats, before)
+	}
+	second, err := runner.Run(p, 16, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cold run after the drop misses exactly as the first one did, and
+	// its per-run Cache delta is measured against the kept totals.
+	if second.Cache != first.Cache {
+		t.Errorf("run after DropCaches: cache %+v, first run %+v", second.Cache, first.Cache)
+	}
+	if h.Stats.Accesses != 2*first.Cache.Accesses {
+		t.Errorf("cumulative accesses %d, want %d", h.Stats.Accesses, 2*first.Cache.Accesses)
+	}
+}
+
 func TestBankConflictPenalty(t *testing.T) {
 	cfg := plainConfig()
 	cfg.BankConflicts = true

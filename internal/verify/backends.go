@@ -50,14 +50,8 @@ func crossTrip(l *ir.Loop, a, b *interp.Program, trip int64, cfg Config) error {
 	if b.Stages > stages {
 		stages = b.Stages
 	}
-	memRef, memA, memB := interp.NewMemory(), interp.NewMemory(), interp.NewMemory()
-	if cfg.InitMem != nil {
-		cfg.InitMem(memRef)
-		cfg.InitMem(memA)
-		cfg.InitMem(memB)
-	} else {
-		fillMemories(l, trip, stages, cfg.Seed, memRef, memA, memB)
-	}
+	base := initialMemory(l, trip, stages, cfg)
+	memRef, memA, memB := base.Fork(), base.Fork(), base.Fork()
 
 	// Data-terminated loops whose seeded inputs never reach the exit
 	// condition are inconclusive for this trip, exactly as in Kernel.

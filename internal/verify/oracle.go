@@ -71,13 +71,8 @@ func defaultTrips(stages int) []int64 {
 }
 
 func compareTrip(l *ir.Loop, p *interp.Program, trip int64, cfg Config) error {
-	memA, memB := interp.NewMemory(), interp.NewMemory()
-	if cfg.InitMem != nil {
-		cfg.InitMem(memA)
-		cfg.InitMem(memB)
-	} else {
-		fillMemories(l, trip, p.Stages, cfg.Seed, memA, memB)
-	}
+	base := initialMemory(l, trip, p.Stages, cfg)
+	memA, memB := base.Fork(), base.Fork()
 
 	ref, err := runReference(l, trip, memA)
 	if err == ErrUnterminated {
@@ -150,14 +145,26 @@ func compareMemory(a, b *interp.Memory, trip int64) error {
 	return nil
 }
 
-// fillMemories lays out a deterministic pseudo-random image for every
+// initialMemory lays out the image every machine of one trip starts from:
+// cfg.InitMem's layout, or the seeded fill. Callers fork it per machine.
+func initialMemory(l *ir.Loop, trip int64, stages int, cfg Config) *interp.Memory {
+	m := interp.NewMemory()
+	if cfg.InitMem != nil {
+		cfg.InitMem(m)
+	} else {
+		fillMemory(l, trip, stages, cfg.Seed, m)
+	}
+	return m
+}
+
+// fillMemory lays out a deterministic pseudo-random image for every
 // array the loop walks (any GR setup value that looks like a pointer),
-// identically in every given memory. Values are kept small and frequently zero
+// into mem. Values are kept small and frequently zero
 // so that pointer-chase loads stay near the zero page and data-terminated
 // conditions have a real chance to fire; arithmetic over the fill is still
 // position-dependent, so schedule bugs that permute or drop accesses
 // change the final image.
-func fillMemories(l *ir.Loop, trip int64, stages int, seed int64, mems ...*interp.Memory) {
+func fillMemory(l *ir.Loop, trip int64, stages int, seed int64, mem *interp.Memory) {
 	stride := int64(8)
 	down := false
 	for _, in := range l.Body {
@@ -193,9 +200,7 @@ func fillMemories(l *ir.Loop, trip int64, stages int, seed int64, mems ...*inter
 			if h&0x300 == 0 {
 				v = 0
 			}
-			for _, mem := range mems {
-				mem.Store(start+off, 8, v)
-			}
+			mem.Store(start+off, 8, v)
 		}
 	}
 }

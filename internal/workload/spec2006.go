@@ -12,6 +12,7 @@ func mkLoop(name string, weight float64, gen func() *ir.Loop, initMem func(*inte
 	return LoopSpec{
 		Name: name, Weight: weight, Gen: gen, InitMem: initMem,
 		Train: train, Ref: ref, Facts: facts,
+		image: &image{init: initMem},
 	}
 }
 
