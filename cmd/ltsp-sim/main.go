@@ -23,13 +23,11 @@ import (
 	"sort"
 	"strings"
 
-	"ltsp/internal/core"
-	"ltsp/internal/hlo"
-	"ltsp/internal/interp"
+	"ltsp"
 	"ltsp/internal/ir"
-	"ltsp/internal/machine"
 	"ltsp/internal/obs"
 	"ltsp/internal/sim"
+	"ltsp/internal/wire"
 	"ltsp/internal/workload"
 )
 
@@ -60,37 +58,26 @@ func main() {
 	}
 	dropCaches := spec.Cold || *cold
 
-	l := spec.Gen()
-	hintMode := map[string]hlo.HintMode{
-		"none": hlo.ModeNone, "all-l3": hlo.ModeAllL3,
-		"all-fp-l2": hlo.ModeAllFPL2, "hlo": hlo.ModeHLO,
-	}[*mode]
-	if _, err := hlo.Apply(l, hlo.Options{
-		Mode: hintMode, Prefetch: true, TripEstimate: spec.Ref.Avg(),
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "hlo:", err)
+	hintMode, err := wire.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	var prog *interp.Program
-	if *seq {
-		p, err := core.GenSequential(machine.Itanium2(), l)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "seq:", err)
-			os.Exit(1)
-		}
-		prog = p
-		fmt.Printf("compiled sequentially: %d cycles/iteration\n", len(p.Groups))
+	l := spec.Gen()
+	pipeline := !*seq
+	c, err := ltsp.Compile(l, ltsp.Options{
+		Mode: hintMode, Prefetch: true, TripEstimate: spec.Ref.Avg(),
+		LatencyTolerant: *tolerant, BoostDelinquent: *tolerant, Pipeline: &pipeline,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compile:", err)
+		os.Exit(1)
+	}
+	prog := c.Program
+	if c.Pipelined {
+		fmt.Printf("pipelined: II=%d, stages=%d\n", c.II, c.Stages)
 	} else {
-		c, err := core.Pipeline(l, core.Options{
-			LatencyTolerant: *tolerant, BoostDelinquent: *tolerant,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pipeline:", err)
-			os.Exit(1)
-		}
-		prog = c.Program
-		fmt.Printf("pipelined: II=%d, stages=%d\n", c.FinalII, c.Stages)
+		fmt.Printf("compiled sequentially: %d cycles/iteration\n", len(prog.Groups))
 	}
 
 	tripCount := *trip

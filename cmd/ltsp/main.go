@@ -32,14 +32,9 @@ import (
 	"time"
 
 	"ltsp"
-	"ltsp/internal/core"
-	"ltsp/internal/hlo"
 	"ltsp/internal/ir"
-	"ltsp/internal/machine"
-	"ltsp/internal/obs"
 	"ltsp/internal/repro"
 	"ltsp/internal/telemetry"
-	"ltsp/internal/verify"
 	"ltsp/internal/wire"
 	"ltsp/internal/workload"
 	"ltsp/ltspclient"
@@ -145,13 +140,16 @@ func main() {
 
 	fmt.Println("=== source loop ===")
 	fmt.Print(l.String())
-	rep, err := hlo.Apply(l, hlo.Options{
-		Mode: hintMode, Prefetch: *prefetch, TripEstimate: *trip,
-	})
+	if *explain || *explainJ {
+		opts.Trace = ltsp.NewTrace()
+	}
+	opts.Verify = *verifyF
+	c, err := ltsp.Compile(l, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hlo:", err)
+		fmt.Fprintln(os.Stderr, "compile:", err)
 		os.Exit(1)
 	}
+	rep := c.HLO
 	fmt.Printf("\n=== HLO prefetcher (mode %s, IIest=%d) ===\n", hintMode, rep.IIEst)
 	for _, r := range rep.Refs {
 		in := l.Body[r.ID]
@@ -166,23 +164,13 @@ func main() {
 	}
 	fmt.Printf("  %d prefetches inserted, %d hints set\n", rep.PrefetchesAdded, rep.HintsSet)
 
-	var tr *obs.Trace
-	if *explain || *explainJ {
-		tr = obs.New()
-	}
-	c, err := core.Pipeline(l, core.Options{
-		LatencyTolerant: *tolerant,
-		BoostDelinquent: *tolerant,
-		Backend:         backend,
-		Trace:           tr,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pipeline:", err)
-		os.Exit(1)
-	}
 	fmt.Printf("\n=== pipeliner (backend %s) ===\n", c.Backend)
-	fmt.Printf("  Resource II = %d, Recurrence II = %d, achieved II = %d, stages = %d\n",
-		c.ResII, c.BaseRecII, c.FinalII, c.Stages)
+	if c.Pipelined {
+		fmt.Printf("  Resource II = %d, Recurrence II = %d, achieved II = %d, stages = %d\n",
+			c.ResII, c.RecII, c.II, c.Stages)
+	} else {
+		fmt.Println("  not pipelined: compiled to the sequential fallback schedule")
+	}
 	if c.ProvenII {
 		fmt.Println("  (achieved II is provably optimal)")
 	}
@@ -197,37 +185,32 @@ func main() {
 		fmt.Printf("  load body[%2d]: %-12s base=%2d scheduled=%2d d=%2d k=%d hint=%s\n",
 			lr.ID, class, lr.BaseLat, lr.SchedLat, lr.ExtraD, lr.ClusterK, lr.Hint)
 	}
-	st := c.Assignment.Stats
-	fmt.Printf("  registers: GR %d (rot %d), FR %d (rot %d), PR %d (rot %d)\n",
-		st.TotalGR(), st.RotGR, st.TotalFR(), st.RotFR, st.TotalPR(), st.RotPR)
+	if c.Pipelined {
+		st := c.Reg
+		fmt.Printf("  registers: GR %d (rot %d), FR %d (rot %d), PR %d (rot %d)\n",
+			st.TotalGR(), st.RotGR, st.TotalFR(), st.RotFR, st.TotalPR(), st.RotPR)
+	}
 
 	if *verifyF {
+		// Compile ran both checks; a failure was its error.
 		fmt.Printf("\n=== verification ===\n")
-		if c.Schedule != nil {
-			if err := verify.Schedule(machine.Itanium2(), c.Loop(), c.Schedule, c.Assignment); err != nil {
-				fmt.Fprintln(os.Stderr, "verify (structural):", err)
-				os.Exit(1)
-			}
+		if c.Pipelined {
 			fmt.Println("  structural: dependences, resources and register lifetimes re-derived and checked")
 		} else {
 			fmt.Println("  structural: compiled sequentially, no modulo schedule to check")
-		}
-		if err := verify.Kernel(l, c.Program, verify.Config{Seed: 1}); err != nil {
-			fmt.Fprintln(os.Stderr, "verify (oracle):", err)
-			os.Exit(1)
 		}
 		fmt.Println("  semantic: kernel matches the reference interpreter on seeded random inputs")
 	}
 
 	if *explain {
 		fmt.Printf("\n=== decision trace ===\n")
-		if err := tr.Render(os.Stdout); err != nil {
+		if err := opts.Trace.Render(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "explain:", err)
 			os.Exit(1)
 		}
 	}
 	if *explainJ {
-		data, err := json.MarshalIndent(tr, "", "  ")
+		data, err := json.MarshalIndent(opts.Trace, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "explain-json:", err)
 			os.Exit(1)
@@ -237,7 +220,7 @@ func main() {
 
 	fmt.Printf("\n=== kernel ===\n")
 	fmt.Print(c.Program.Listing())
-	if c.Stages <= 8 {
+	if c.Pipelined && c.Stages <= 8 {
 		fmt.Printf("\n=== conceptual pipeline (Figs. 2/4) ===\n")
 		fmt.Print(c.Diagram(5))
 	}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"ltsp/internal/core"
+	"ltsp"
 	"ltsp/internal/hlo"
 	"ltsp/internal/interp"
 	"ltsp/internal/ir"
@@ -67,28 +67,26 @@ func RunCaseStudy() (*CaseStudyResult, error) {
 		PaperSpeedupPct: 40,
 	}
 
-	// Inspect the compiled kernel under HLO hints.
+	// Inspect the compiled kernel under HLO hints. The classification and
+	// clustering facts come straight from the compile decision trace
+	// rather than being re-derived from the kernel.
 	l := spec.Gen()
-	rep, err := hlo.Apply(l, hlo.Options{Mode: hlo.ModeHLO, Prefetch: true, TripEstimate: res.AvgTrip})
+	tr := ltsp.NewTrace()
+	pipeline := true
+	c, err := ltsp.Compile(l, ltsp.Options{Mode: hlo.ModeHLO, Prefetch: true, TripEstimate: res.AvgTrip,
+		BoostDelinquent: true, Pipeline: &pipeline, Trace: tr})
 	if err != nil {
 		return nil, err
 	}
 	delinquent := map[string]bool{}
-	for _, r := range rep.Refs {
+	for _, r := range c.HLO.Refs {
 		if r.Heuristic == hlo.HNotPrefetchable && l.Body[r.ID].Op.IsLoad() {
 			label := loadLabel(l.Body[r.ID])
 			res.DelinquentLoads = append(res.DelinquentLoads, label)
 			delinquent[label] = true
 		}
 	}
-	// The classification and clustering facts come straight from the
-	// compile decision trace rather than being re-derived from the kernel.
-	tr := obs.New()
-	c, err := core.Pipeline(l, core.Options{BoostDelinquent: true, Trace: tr})
-	if err != nil {
-		return nil, err
-	}
-	res.II, res.Stages = c.FinalII, c.Stages
+	res.II, res.Stages = c.II, c.Stages
 	for _, e := range tr.Events() {
 		switch ev := e.(type) {
 		case obs.LoadClassEvent:
@@ -133,11 +131,9 @@ func RunCaseStudy() (*CaseStudyResult, error) {
 func measureWhileForm() (float64, error) {
 	run := func(mode hlo.HintMode, tolerant bool) (float64, error) {
 		gen, _ := workload.WhileChase(1<<15, 3, 7)
-		l := gen()
-		if _, err := hlo.Apply(l, hlo.Options{Mode: mode, Prefetch: true, TripEstimate: 2.3}); err != nil {
-			return 0, err
-		}
-		c, err := core.Pipeline(l, core.Options{LatencyTolerant: tolerant, BoostDelinquent: tolerant})
+		pipeline := true
+		c, err := ltsp.Compile(gen(), ltsp.Options{Mode: mode, Prefetch: true, TripEstimate: 2.3,
+			LatencyTolerant: tolerant, BoostDelinquent: tolerant, Pipeline: &pipeline})
 		if err != nil {
 			return 0, err
 		}

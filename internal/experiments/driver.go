@@ -8,7 +8,7 @@ package experiments
 import (
 	"fmt"
 
-	"ltsp/internal/core"
+	"ltsp"
 	"ltsp/internal/hlo"
 	"ltsp/internal/interp"
 	"ltsp/internal/ir"
@@ -163,6 +163,22 @@ func (a *AcctF) addF(b AcctF, scale float64) {
 // runs.
 const warmRunsPerSample = 3
 
+// compileOptions maps cfg onto the library's compile options under the
+// trip-count estimate est: a known estimate clamps prefetch distances,
+// and a loop estimated below the pipelining gate compiles sequentially.
+// The caller picks LatencyTolerant.
+func (c Config) compileOptions(est profile.Estimate) ltsp.Options {
+	opts := ltsp.Options{Model: c.model(), Mode: c.Mode, Prefetch: c.Prefetch, BoostDelinquent: c.LatencyTolerant}
+	if est.Known {
+		opts.TripEstimate = est.Avg
+	}
+	if est.Avg < c.PipelineGate {
+		off := false
+		opts.Pipeline = &off
+	}
+	return opts
+}
+
 // EvalLoop compiles the loop under cfg and simulates it over its reference
 // trip-count distribution.
 func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
@@ -172,7 +188,7 @@ func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
 	} else {
 		est = profile.Static(spec.Facts)
 	}
-	model := cfg.model()
+	opts := cfg.compileOptions(est)
 
 	var hints map[int]sampledHint
 	if cfg.HintSampling {
@@ -181,71 +197,47 @@ func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
 			return nil, err
 		}
 		hints = h
+		// Sampled hints replace the heuristics. HLO in ModeNone sets no
+		// hints and only appends code, so the hints can be placed on the
+		// source loop by body ID before compiling.
+		opts.Mode = hlo.ModeNone
 	}
 
-	ev := &LoopEval{Name: spec.Name, Estimate: est}
-	simCfg := sim.DefaultConfig()
-	simCfg.Model = model
-
-	// compileOne builds and compiles a fresh copy of the loop; tolerant
-	// selects the latency policy. The first (primary) compilation fills
-	// the evaluation metadata.
-	compileOne := func(tolerant, primary bool) (*interp.Program, error) {
+	// compile builds and compiles a fresh copy of the loop; tolerant
+	// selects the latency policy.
+	compile := func(tolerant bool) (*ltsp.Compiled, error) {
 		l := spec.Gen()
-		if err := l.Verify(); err != nil {
+		for id, h := range hints {
+			l.Body[id].Mem.Hint = h.hint
+			l.Body[id].Mem.Delinquent = h.delinquent
+		}
+		o := opts
+		o.LatencyTolerant = tolerant
+		c, err := ltsp.Compile(l, o)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
-		hloOpts := hlo.Options{Model: model, Mode: cfg.Mode, Prefetch: cfg.Prefetch}
-		if hints != nil {
-			hloOpts.Mode = hlo.ModeNone // sampled hints replace the heuristics
-		}
-		if est.Known {
-			hloOpts.TripEstimate = est.Avg
-		}
-		if _, err := hlo.Apply(l, hloOpts); err != nil {
-			return nil, fmt.Errorf("%s: hlo: %w", spec.Name, err)
-		}
-		for _, in := range l.Body {
-			if h, ok := hints[in.ID]; ok && in.Op.IsLoad() {
-				in.Mem.Hint = h.hint
-				in.Mem.Delinquent = h.delinquent
-			}
-		}
-		if est.Avg >= cfg.PipelineGate {
-			c, err := core.Pipeline(l, core.Options{
-				Model:           model,
-				LatencyTolerant: tolerant,
-				BoostDelinquent: cfg.LatencyTolerant,
-			})
-			if err == nil {
-				if primary {
-					ev.Pipelined = true
-					ev.II, ev.Stages = c.FinalII, c.Stages
-					ev.Reg = c.Assignment.Stats
-					ev.Attempts = c.Attempts
-					ev.LatencyReduced = c.LatencyReduced
-					for _, lr := range c.Loads {
-						if lr.SchedLat > lr.BaseLat {
-							ev.Boosted++
-						}
-					}
-					simCfg.RSECyclesPerExec = int64(cfg.RSEPerReg * float64(ev.Reg.TotalGR()))
-				}
-				return c.Program, nil
-			}
-		}
-		p, err := core.GenSequential(model, l)
-		if err != nil {
-			return nil, fmt.Errorf("%s: seq: %w", spec.Name, err)
-		}
-		return p, nil
+		return c, nil
 	}
 
 	tolerant := cfg.LatencyTolerant && (cfg.Versioned || est.Avg >= cfg.TripThreshold)
-	prog, err := compileOne(tolerant, true)
+	c, err := compile(tolerant)
 	if err != nil {
 		return nil, err
 	}
+	// The primary compilation fills the evaluation metadata.
+	ev := &LoopEval{Name: spec.Name, Estimate: est, Pipelined: c.Pipelined, II: c.II, Stages: c.Stages,
+		Reg: c.Reg, Attempts: c.Attempts, LatencyReduced: c.LatencyReduced}
+	for _, lr := range c.Loads {
+		if lr.SchedLat > lr.BaseLat {
+			ev.Boosted++
+		}
+	}
+	simCfg := sim.DefaultConfig()
+	simCfg.Model = opts.Model
+	simCfg.RSECyclesPerExec = int64(cfg.RSEPerReg * float64(ev.Reg.TotalGR()))
+	prog := c.Program
+
 	// Trip-count versioning: a second, conservative kernel for short
 	// executions, dispatched on the actual trip count.
 	var progShort *interp.Program
@@ -254,11 +246,11 @@ func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
 		versionGate = 32
 	}
 	if cfg.Versioned && cfg.LatencyTolerant {
-		p, err := compileOne(false, false)
+		c, err := compile(false)
 		if err != nil {
 			return nil, err
 		}
-		progShort = p
+		progShort = c.Program
 	}
 	pick := func(trip int64) *interp.Program {
 		if progShort != nil && float64(trip) < versionGate {
@@ -314,29 +306,17 @@ type sampledHint struct {
 // distribution; each load site's average service latency then determines
 // its hint token (and the delinquent flag for memory-latency sites).
 func sampleLoopHints(spec *workload.LoopSpec, cfg Config, est profile.Estimate) (map[int]sampledHint, error) {
-	model := cfg.model()
+	opts := cfg.compileOptions(est)
+	opts.Mode = hlo.ModeNone
+	opts.BoostDelinquent = false
+	model := opts.Model
 	l := spec.Gen()
 	origLen := len(l.Body) // HLO-inserted prefetch sequences are not user loads
-	hloOpts := hlo.Options{Model: model, Mode: hlo.ModeNone, Prefetch: cfg.Prefetch}
-	if est.Known {
-		hloOpts.TripEstimate = est.Avg
+	c, err := ltsp.Compile(l, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: sampling: %w", spec.Name, err)
 	}
-	if _, err := hlo.Apply(l, hloOpts); err != nil {
-		return nil, fmt.Errorf("%s: sampling hlo: %w", spec.Name, err)
-	}
-	var prog *interp.Program
-	if est.Avg >= cfg.PipelineGate {
-		if c, err := core.Pipeline(l, core.Options{Model: model}); err == nil {
-			prog = c.Program
-		}
-	}
-	if prog == nil {
-		p, err := core.GenSequential(model, l)
-		if err != nil {
-			return nil, fmt.Errorf("%s: sampling seq: %w", spec.Name, err)
-		}
-		prog = p
-	}
+	prog := c.Program
 	simCfg := sim.DefaultConfig()
 	simCfg.Model = model
 	runner := sim.NewRunner(simCfg)

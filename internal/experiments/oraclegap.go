@@ -6,11 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"ltsp/internal/core"
+	"ltsp"
 	"ltsp/internal/hlo"
 	"ltsp/internal/obs"
 	"ltsp/internal/profile"
-	"ltsp/internal/sched"
 	"ltsp/internal/workload"
 )
 
@@ -59,44 +58,29 @@ type OracleGapResult struct {
 const oracleGapTimeout = 10 * time.Second
 
 // evalOracleGap compiles one loop with the oracle backend and extracts
-// the gap event. A nil result means the loop was not pipelined.
+// the gap event; a loop that does not pipeline is marked Sequential.
 func evalOracleGap(spec *workload.LoopSpec, bench string) (*OracleGapLoop, error) {
 	cfg := WithHints(hlo.ModeHLO, false, 0)
-	est := profile.Static(spec.Facts)
-	model := cfg.model()
+	cfg.PipelineGate = 0 // the sweep pipelines every loop it can
+	opts := cfg.compileOptions(profile.Static(spec.Facts))
+	opts.LatencyTolerant = cfg.LatencyTolerant
+	opts.Backend = ltsp.BackendOracle
+	opts.Trace = ltsp.NewTrace()
 
 	l := spec.Gen()
-	if err := l.Verify(); err != nil {
-		return nil, fmt.Errorf("%s: %w", spec.Name, err)
-	}
-	hloOpts := hlo.Options{Model: model, Mode: cfg.Mode, Prefetch: cfg.Prefetch}
-	if est.Known {
-		hloOpts.TripEstimate = est.Avg
-	}
-	if _, err := hlo.Apply(l, hloOpts); err != nil {
-		return nil, fmt.Errorf("%s: hlo: %w", spec.Name, err)
-	}
-
-	row := &OracleGapLoop{Bench: bench, Loop: spec.Name, Body: len(l.Body)}
 	ctx, cancel := context.WithTimeout(context.Background(), oracleGapTimeout)
 	defer cancel()
-	tr := obs.New()
-	c, err := core.PipelineCtx(ctx, l, core.Options{
-		Model:           model,
-		LatencyTolerant: cfg.LatencyTolerant,
-		BoostDelinquent: cfg.LatencyTolerant,
-		Backend:         sched.BackendOracle,
-		Trace:           tr,
-	})
-	if err != nil {
+	c, err := ltsp.CompileContext(ctx, l, opts)
+	row := &OracleGapLoop{Bench: bench, Loop: spec.Name, Body: len(l.Body)}
+	if err != nil || !c.Pipelined {
 		// Not pipelinable under this configuration — no gap to measure.
 		row.Sequential = true
 		return row, nil
 	}
-	row.HeurII = c.FinalII
-	row.ExactII = c.FinalII
+	row.HeurII = c.II
+	row.ExactII = c.II
 	row.ExactLife = -1
-	for _, e := range tr.Events() {
+	for _, e := range opts.Trace.Events() {
 		if g, ok := e.(obs.OracleGapEvent); ok {
 			row.HeurII, row.ExactII = g.HeurII, g.ExactII
 			row.Proven = g.Proven

@@ -262,6 +262,9 @@ type Compiled struct {
 	// (pipelined only).
 	LatencyReduced bool
 	IIBumps        int
+	// Attempts counts modulo-scheduler placements across the II search,
+	// the paper's compile-time cost proxy (pipelined only).
+	Attempts int
 	// Backend names the scheduling backend the compilation selected
 	// ("heuristic", "exact", or "oracle") — stamped on sequential
 	// fallbacks too, so telemetry can always attribute the outcome.
@@ -321,6 +324,11 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 	if err != nil {
 		return nil, err
 	}
+	// HLO indexes the body by instruction ID, so a malformed loop must
+	// fail here as an error rather than panic inside the prefetcher.
+	if err := l.Verify(); err != nil {
+		return nil, err
+	}
 	m := opts.Model
 	if m == nil {
 		m = machine.Itanium2()
@@ -356,6 +364,7 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 			out.Reg = c.Assignment.Stats
 			out.LatencyReduced = c.LatencyReduced
 			out.IIBumps = c.IIBumps
+			out.Attempts = c.Attempts
 			out.Backend = c.Backend
 			out.ProvenII = c.ProvenII
 			out.core = c

@@ -256,3 +256,19 @@ func TestFacadeWhileLoop(t *testing.T) {
 		t.Errorf("chain length = %d, want 5", got)
 	}
 }
+
+// TestCompileRejectsMalformedLoop checks that a loop violating the IR
+// invariants fails compilation with an error instead of panicking inside
+// the HLO pass, which indexes the body by instruction ID.
+func TestCompileRejectsMalformedLoop(t *testing.T) {
+	l := NewLoop("bad")
+	v, b := l.NewGR(), l.NewGR()
+	ld := Ld(v, b, 4, 4)
+	ld.Mem.Stride, ld.Mem.StrideBytes = StrideUnit, 4
+	l.Append(ld)
+	l.Init(b, 0x10000)
+	ld.ID = 7
+	if _, err := Compile(l, Options{Mode: ModeHLO, Prefetch: true}); err == nil {
+		t.Fatal("compiled a loop whose instruction ID does not match its body index")
+	}
+}
