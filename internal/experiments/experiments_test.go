@@ -24,7 +24,7 @@ func gainOf(t *testing.T, r *SuiteResult, bench string, cfg int) float64 {
 // paper's Equ. 2: for every (level, k) point the measured stall reduction
 // must match 100*(1-(1-c)/k) within a few points.
 func TestFig5ValidationMatchesFormula(t *testing.T) {
-	pts, err := RunFig5Validation()
+	pts, err := memoRun(RunFig5Validation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := RunFig7()
+	r, err := memoRun(RunFig7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := RunFig8()
+	r, err := memoRun(RunFig8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := RunFig9()
+	r, err := memoRun(RunFig9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFig10Directions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := RunFig10()
+	r, err := memoRun(RunFig10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFig10Directions(t *testing.T) {
 
 // TestCaseStudy asserts the Sec. 4.4 reproduction.
 func TestCaseStudy(t *testing.T) {
-	r, err := RunCaseStudy()
+	r, err := memoRun(RunCaseStudy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRegStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := RunRegStats()
+	r, err := memoRun(RunRegStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestCompileTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := RunCompileTime()
+	r, err := memoRun(RunCompileTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestOzQAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	pts, err := RunOzQAblation()
+	pts, err := memoRun(RunOzQAblation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestRotRegAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	pts, err := RunRotRegAblation()
+	pts, err := memoRun(RunRotRegAblation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestVersioning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	r, err := RunVersioning()
+	r, err := memoRun(RunVersioning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestMissSampling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	r, err := RunMissSampling()
+	r, err := memoRun(RunMissSampling)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestMissSampling(t *testing.T) {
 // costs U-fold code size and a far larger plain-register footprint, and
 // deep latency buffers may not fit at all.
 func TestRotVsUnroll(t *testing.T) {
-	rows, err := RunRotVsUnroll()
+	rows, err := memoRun(RunRotVsUnroll)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,6 +113,24 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// provenanceOf fetches the provenance of artifact hash from the node at
+// url; ok is false while the node holds no record of it.
+func provenanceOf(t *testing.T, url, hash string) (p wire.ProvenanceResponse, ok bool) {
+	t.Helper()
+	resp, err := http.Get(url + "/v2/provenance/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return p, false
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	return p, true
+}
+
 // TestAntiEntropyReconvergesEmptyNode: anti-entropy alone carries an
 // artifact to every owner that lacks it — the empty replica of a
 // fully replicated pair, and the owners of an artifact compiled on a
@@ -166,12 +184,21 @@ func TestAntiEntropyReconvergesEmptyNode(t *testing.T) {
 					t.Fatalf("compile %d: %s: %s", k, resp.Status, body)
 				}
 			}
+			// A pull lands in the store before the round records it in
+			// provenance and metrics, so wait for all three.
 			waitFor(t, bound, "anti-entropy to bring every artifact to every owner", func() bool {
-				for _, st := range stores[1:] {
+				for i := 1; i < tc.nodes; i++ {
 					for _, h := range hashes {
-						if !st.Contains(h) {
+						p, ok := provenanceOf(t, tss[i].URL, h)
+						if !stores[i].Contains(h) || !ok || len(p.Records) == 0 ||
+							p.Records[len(p.Records)-1].Source != store.SourceAntiEntropy {
 							return false
 						}
+					}
+					var m selfhealMetricsDoc
+					get(t, tss[i].URL+"/metrics", &m)
+					if m.Cluster == nil || m.Cluster.SyncPulls < loops {
+						return false
 					}
 				}
 				return true
@@ -371,6 +398,16 @@ func TestChaosPartitionHealAntiEntropyReconverges(t *testing.T) {
 		}
 		return true
 	}
+	// A node stores an artifact before it records its provenance; the
+	// checks below need both.
+	allRecorded := func(node int, hashes []string) bool {
+		for _, h := range hashes {
+			if _, ok := provenanceOf(t, tss[node].URL, h); !ok {
+				return false
+			}
+		}
+		return allPresent(stores[node], hashes)
+	}
 
 	// First half of the batch lands while the ring is whole.
 	var hashes []string
@@ -383,7 +420,7 @@ func TestChaosPartitionHealAntiEntropyReconverges(t *testing.T) {
 
 	// The survivors converge on the full batch; the isolated node cannot.
 	waitFor(t, 10*time.Second, "survivors to converge", func() bool {
-		return allPresent(stores[0], hashes) && allPresent(stores[1], hashes)
+		return allRecorded(0, hashes) && allRecorded(1, hashes)
 	})
 	waitFor(t, 10*time.Second, "the isolated node to record sync errors", func() bool {
 		var m selfhealMetricsDoc
@@ -397,7 +434,7 @@ func TestChaosPartitionHealAntiEntropyReconverges(t *testing.T) {
 	// Heal. Anti-entropy repopulates the isolated node.
 	fabric.HealAll()
 	waitFor(t, 10*time.Second, "anti-entropy to reconverge the healed node", func() bool {
-		return allPresent(stores[2], hashes)
+		return allRecorded(2, hashes)
 	})
 
 	// Every node pins every artifact under the same provenance checksum.

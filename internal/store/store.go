@@ -176,7 +176,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		ll:      list.New(),
 		entries: make(map[string]*list.Element),
 	}
-	if err := s.rebuild(); err != nil {
+	if err := s.rebuild(true); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -467,9 +467,11 @@ func (s *Store) Keys() []string {
 }
 
 // rebuild scans the directory tree into a fresh index, ordering entries
-// by file modification time (oldest = least recently used) and deleting
-// temp files a crashed writer left behind.
-func (s *Store) rebuild() error {
+// by file modification time (oldest = least recently used). With
+// removeTemps it also deletes temp files a crashed writer left behind;
+// that is safe only on Open, since while the store is live a temp file
+// may be a Put in flight.
+func (s *Store) rebuild(removeTemps bool) error {
 	type fileInfo struct {
 		hash  string
 		size  int64
@@ -482,7 +484,9 @@ func (s *Store) rebuild() error {
 		}
 		name := d.Name()
 		if strings.Contains(name, ".tmp-") {
-			_ = os.Remove(path) // crashed mid-write; the rename never happened
+			if removeTemps {
+				_ = os.Remove(path) // crashed mid-write; the rename never happened
+			}
 			return nil
 		}
 		hash, ok := strings.CutSuffix(name, ".json")
@@ -520,7 +524,7 @@ func (s *Store) Scan() error {
 	s.scans.Add(1)
 	// Snapshot current recency so the rebuilt index can preserve it.
 	recency := s.Keys()
-	if err := s.rebuild(); err != nil {
+	if err := s.rebuild(false); err != nil {
 		return err
 	}
 	s.mu.Lock()

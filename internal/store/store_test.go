@@ -227,6 +227,31 @@ func TestReopenCleansTempFiles(t *testing.T) {
 	}
 }
 
+// A live store's scan must leave temp files alone: one may belong to a
+// Put between its write and its rename, which would then fail.
+func TestScanKeepsInFlightTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	e := mkEntry(1)
+	shard := filepath.Join(dir, e.Hash[:2])
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(shard, e.Hash+".tmp-123456")
+	if err := os.WriteFile(tmp, mustMarshal(t, e), 0o644); err != nil {
+		t.Fatalf("plant temp file: %v", err)
+	}
+	if err := s.Scan(); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(shard, e.Hash+".json")); err != nil {
+		t.Fatalf("scan removed a temp file a writer still holds: %v", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("scan indexed a temp file: %d entries", s.Len())
+	}
+}
+
 func TestScanReconcilesExternalChanges(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
