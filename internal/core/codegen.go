@@ -13,9 +13,15 @@ import (
 // instructions grouped by kernel slot, virtual registers rewritten to
 // physical ones (rotating uses read base+delta), stage predicates attached
 // to unpredicated instructions, and setup values mapped to their physical
-// homes. It is exported so the verification layer can regenerate code for
-// deliberately corrupted schedules in its mutation tests.
+// homes. asn must come from regalloc.Allocate (or Plan.Allocate): def
+// sites and in-place registers are read from its Plan. It is exported so
+// the verification layer can regenerate code for deliberately corrupted
+// schedules in its mutation tests.
 func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*interp.Program, error) {
+	plan := asn.Plan
+	if plan == nil {
+		return nil, fmt.Errorf("core: %s: assignment has no allocation plan", l.Name)
+	}
 	groups := make([][]*ir.Instr, s.II)
 
 	physDef := func(r ir.Reg) (ir.Reg, error) {
@@ -39,10 +45,11 @@ func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*int
 		if a.Kind == regalloc.KindStatic {
 			return ir.Reg{Class: r.Class, N: a.Base}, nil
 		}
-		delta, ok := regalloc.UseDelta(l, s, useID, r)
+		defID, ok := plan.DefID[r]
 		if !ok {
 			return ir.None, fmt.Errorf("core: %s: rotating %s has no definition", l.Name, r)
 		}
+		delta := regalloc.Delta(s, defID, useID)
 		if delta < 0 || delta >= a.Width {
 			return ir.None, fmt.Errorf("core: %s: use of %s at body[%d] has delta %d outside blade width %d",
 				l.Name, r, useID, delta, a.Width)
@@ -54,19 +61,9 @@ func GenKernel(l *ir.Loop, s *modsched.Schedule, asn *regalloc.Assignment) (*int
 	// in the defining instruction's stage: a different stage would observe
 	// a different source iteration's value. (Data self-uses only; a
 	// qualifying-predicate self-reference rotates.)
-	inPlaceDef := map[ir.Reg]int{}
-	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
-			for _, u := range in.Srcs {
-				if u == d {
-					inPlaceDef[d] = i
-				}
-			}
-		}
-	}
 	for i, in := range l.Body {
 		for _, u := range in.AllUses() {
-			if d, ok := inPlaceDef[u]; ok && d != i && s.Stage(d) != s.Stage(i) {
+			if d, ok := plan.InPlace[u]; ok && d != i && s.Stage(d) != s.Stage(i) {
 				return nil, fmt.Errorf("core: %s: body[%d] reads in-place register %s across stages (def stage %d, use stage %d)",
 					l.Name, i, u, s.Stage(d), s.Stage(i))
 			}

@@ -26,13 +26,15 @@ type kernelPayload struct {
 // mutate the loop, graph, machine model, or policy, so an attempt at a
 // given II always produces the same kernel.
 type finisher struct {
-	l          *ir.Loop
-	m          *machine.Model
-	g          *ddg.Graph
-	policy     *Policy
-	polLat     ddg.LatencyFn
-	baseLat    ddg.LatencyFn
-	noRotation bool
+	l *ir.Loop
+	m *machine.Model
+	g *ddg.Graph
+	// plan is the rotating allocator's schedule-independent plan, shared
+	// by every attempt; nil for NoRotation kernels.
+	plan    *regalloc.Plan
+	policy  *Policy
+	polLat  ddg.LatencyFn
+	baseLat ddg.LatencyFn
 }
 
 // finish allocates registers and generates the kernel at one (II,
@@ -47,7 +49,7 @@ func (f *finisher) finish(ii int, s *modsched.Schedule, reduced bool, tr *obs.Tr
 	var prog *interp.Program
 	var asn *regalloc.Assignment
 	unroll := 1
-	if f.noRotation {
+	if f.plan == nil {
 		p, u, st, err := genKernelUnrolled(f.m, f.g, s)
 		if err != nil {
 			if tr.On() {
@@ -58,7 +60,7 @@ func (f *finisher) finish(ii int, s *modsched.Schedule, reduced bool, tr *obs.Tr
 		prog, unroll = p, u
 		asn = &regalloc.Assignment{Stats: st, StagePredBase: 16}
 	} else {
-		a, err := regalloc.AllocateTraced(f.m, f.g, s, tr, reduced)
+		a, err := f.plan.AllocateTraced(s, tr, reduced)
 		if err != nil {
 			_, overflow := err.(*regalloc.OverflowError)
 			return sched.Candidate{Err: err, AllocFailed: overflow}

@@ -94,9 +94,13 @@ func GenSequential(m *machine.Model, l *ir.Loop) (*interp.Program, error) {
 		return 0, false
 	}
 
+	// lastUse is the latest issue time of each register's uses scheduled
+	// so far.
+	lastUse := map[ir.Reg]int{}
 	for i, in := range l.Body {
 		earliest := 0
-		for _, u := range in.AllUses() {
+		uses := in.AllUses()
+		for _, u := range uses {
 			if u.IsNone() {
 				continue
 			}
@@ -114,16 +118,9 @@ func GenSequential(m *machine.Model, l *ir.Loop) (*interp.Program, error) {
 			// WAR constraint below keeps this iteration's def late enough.
 		}
 		for _, d := range in.AllDefs() {
-			if d.IsNone() {
-				continue
-			}
 			// WAR: every earlier use of d must read before we write.
-			for j := 0; j < i; j++ {
-				for _, u := range l.Body[j].AllUses() {
-					if u == d && timeOf[j] > earliest {
-						earliest = timeOf[j]
-					}
-				}
+			if t := lastUse[d]; !d.IsNone() && t > earliest {
+				earliest = t
 			}
 		}
 		// Explicit memory ordering.
@@ -145,6 +142,11 @@ func GenSequential(m *machine.Model, l *ir.Loop) (*interp.Program, error) {
 			t++
 		}
 		timeOf[i] = t
+		for _, u := range uses {
+			if t > lastUse[u] {
+				lastUse[u] = t
+			}
+		}
 	}
 
 	length := 0

@@ -29,23 +29,17 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 	var stats regalloc.Stats
 	inPlace := g.InPlaceRegs()
 
-	// Classify virtual registers exactly like the rotating allocator.
-	type mveReg struct {
-		base  int // first plain register of the U-set
-		width int // lifetime in kernel iterations (for stats/diagnostics)
-	}
-	mve := map[ir.Reg]mveReg{}
+	// Classify virtual registers exactly like the rotating allocator. mve
+	// maps a rotating candidate to the first plain register of its U-set.
+	mve := map[ir.Reg]int{}
 	static := map[ir.Reg]int{}
 
-	defID := map[ir.Reg]int{}
+	defID := g.DefSites()
 	var order []ir.Reg
-	for i, in := range l.Body {
+	for _, in := range l.Body {
 		for _, d := range in.AllDefs() {
 			if d.Virtual {
-				if _, seen := defID[d]; !seen {
-					defID[d] = i
-					order = append(order, d)
-				}
+				order = append(order, d)
 			}
 		}
 	}
@@ -72,31 +66,25 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		}
 	}
 
-	// Widths and the unroll factor.
+	// The unroll factor is the longest lifetime in kernel iterations;
+	// carried marks the values read before their definition in program
+	// order (loop-carried).
+	carried := map[ir.Reg]bool{}
 	unroll := 1
-	widths := map[ir.Reg]int{}
-	for _, v := range order {
-		if _, ip := inPlace[v]; ip {
-			continue
-		}
-		maxDelta := 0
-		for i := range l.Body {
-			for _, u := range l.Body[i].AllUses() {
-				if u != v {
-					continue
-				}
-				d, _ := regalloc.UseDelta(l, s, i, v)
-				if d < 0 {
-					return nil, 0, stats, fmt.Errorf("core: %s: negative delta for %s", l.Name, v)
-				}
-				if d > maxDelta {
-					maxDelta = d
-				}
+	for i, in := range l.Body {
+		for _, u := range in.AllUses() {
+			d, ok := defID[u]
+			if _, ip := inPlace[u]; !ok || !u.Virtual || ip {
+				continue
 			}
-		}
-		widths[v] = maxDelta + 1
-		if maxDelta+1 > unroll {
-			unroll = maxDelta + 1
+			delta := regalloc.Delta(s, d, i)
+			if delta < 0 {
+				return nil, 0, stats, fmt.Errorf("core: %s: negative delta for %s", l.Name, u)
+			}
+			unroll = max(unroll, delta+1)
+			if d >= i {
+				carried[u] = true
+			}
 		}
 	}
 
@@ -138,7 +126,7 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		if err != nil {
 			return nil, 0, stats, err
 		}
-		mve[v] = mveReg{base: base, width: widths[v]}
+		mve[v] = base
 	}
 	for _, v := range invariants {
 		base, err := take(v.Class, 1)
@@ -156,8 +144,8 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		if b, ok := static[r]; ok {
 			return ir.Reg{Class: r.Class, N: b}
 		}
-		mr := mve[r]
-		return ir.Reg{Class: r.Class, N: mr.base + c%unroll}
+		base := mve[r]
+		return ir.Reg{Class: r.Class, N: base + c%unroll}
 	}
 	physUse := func(c, useID int, r ir.Reg) (ir.Reg, error) {
 		if !r.Virtual {
@@ -166,16 +154,17 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 		if b, ok := static[r]; ok {
 			return ir.Reg{Class: r.Class, N: b}, nil
 		}
-		mr, ok := mve[r]
+		base, ok := mve[r]
 		if !ok {
 			return ir.None, fmt.Errorf("core: %s: no MVE set for %s", l.Name, r)
 		}
-		delta, ok := regalloc.UseDelta(l, s, useID, r)
+		d, ok := defID[r]
 		if !ok {
 			return ir.None, fmt.Errorf("core: %s: %s has no definition", l.Name, r)
 		}
+		delta := regalloc.Delta(s, d, useID)
 		slot := ((c-delta)%unroll + unroll) % unroll
-		return ir.Reg{Class: r.Class, N: mr.base + slot}, nil
+		return ir.Reg{Class: r.Class, N: base + slot}, nil
 	}
 
 	ii := s.II
@@ -228,25 +217,16 @@ func genKernelUnrolled(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*i
 			prog.Setup = append(prog.Setup, e)
 			continue
 		}
-		mr, ok := mve[init.Reg]
+		base, ok := mve[init.Reg]
 		if !ok {
 			continue // initialized but never referenced
 		}
 		// Loop-carried live-in: the first consumer of source iteration 0
 		// reads set slot (stage(def)-1) mod U.
-		d := defID[init.Reg]
-		carried := false
-		for i := range l.Body {
-			for _, u := range l.Body[i].AllUses() {
-				if u == init.Reg && d >= i {
-					carried = true
-				}
-			}
-		}
-		if carried {
-			slot := ((s.Stage(d)-1)%unroll + unroll) % unroll
+		if carried[init.Reg] {
+			slot := ((s.Stage(defID[init.Reg])-1)%unroll + unroll) % unroll
 			e := init
-			e.Reg = ir.Reg{Class: init.Reg.Class, N: mr.base + slot}
+			e.Reg = ir.Reg{Class: init.Reg.Class, N: base + slot}
 			prog.Setup = append(prog.Setup, e)
 		}
 	}

@@ -76,6 +76,11 @@ type Graph struct {
 	// Succ[i] / Pred[i] list edge indices leaving / entering node i.
 	Succ, Pred [][]int
 
+	// defOf maps every register the body writes to its defining
+	// instruction and inPlace the registers updated in place; Build
+	// makes both fresh, so they may outlive Release.
+	defOf, inPlace map[ir.Reg]int
+
 	cyclesOnce      sync.Once
 	cyclesDone      atomic.Bool
 	cycles          []Cycle
@@ -145,6 +150,7 @@ func (g *Graph) Release() {
 		return
 	}
 	g.Loop = nil
+	g.defOf, g.inPlace = nil, nil
 	g.cycles = nil
 	graphPool.Put(g)
 }
@@ -233,10 +239,10 @@ func Build(l *ir.Loop) (*Graph, error) {
 	// before the next update: add an anti-dependence reader -> definer
 	// with distance 1. (A self-reference through the qualifying predicate
 	// — the while-loop validity chain — is not in-place: it rotates.)
-	inPlace := inPlaceRegs(l)
+	g.defOf, g.inPlace = defOf, inPlaceRegs(l)
 	for i, in := range l.Body {
 		for _, u := range in.AllUses() {
-			if d, ok := inPlace[u]; ok && d != i {
+			if d, ok := g.inPlace[u]; ok && d != i {
 				addEdge(Edge{From: i, To: d, Distance: 1, Kind: DepFlow, FixedLatency: 0})
 			}
 		}
@@ -249,12 +255,17 @@ func Build(l *ir.Loop) (*Graph, error) {
 	return g, nil
 }
 
+// DefSites maps every register the body writes to its (single) defining
+// instruction. The map is shared: callers must not modify it.
+func (g *Graph) DefSites() map[ir.Reg]int { return g.defOf }
+
 // InPlaceRegs returns the registers updated in place (their definer reads
 // their previous value as a data source), mapped to the defining
 // instruction. These must be allocated to static registers by the rotating
 // allocator. Self-references through the qualifying predicate only (the
-// while-loop validity chain) do not count: they rotate.
-func (g *Graph) InPlaceRegs() map[ir.Reg]int { return inPlaceRegs(g.Loop) }
+// while-loop validity chain) do not count: they rotate. The map is
+// shared: callers must not modify it.
+func (g *Graph) InPlaceRegs() map[ir.Reg]int { return g.inPlace }
 
 func inPlaceRegs(l *ir.Loop) map[ir.Reg]int {
 	out := map[ir.Reg]int{}

@@ -238,7 +238,9 @@ func (e SchedEvent) human() string {
 		e.II, e.Attempts, e.Evictions, e.Budget)
 }
 
-// RegallocEvent records one rotating register allocation attempt.
+// RegallocEvent records one rotating register allocation attempt. II is 0
+// for the schedule-independent static-register check that runs once
+// before the II search.
 type RegallocEvent struct {
 	II      int    `json:"ii"`
 	Reduced bool   `json:"reduced"`
@@ -254,6 +256,9 @@ type RegallocEvent struct {
 func (RegallocEvent) Kind() string { return "regalloc" }
 
 func (e RegallocEvent) human() string {
+	if e.II == 0 {
+		return "regalloc: failed before the II search — " + e.Err
+	}
 	lat := "policy latencies"
 	if e.Reduced {
 		lat = "reduced (base) latencies"

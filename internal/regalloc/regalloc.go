@@ -5,7 +5,9 @@
 // the number of kernel iterations the value stays live, and blades are
 // packed into the rotating region of each register file. Values updated in
 // place (post-incremented address bases, accumulators) and loop invariants
-// are assigned static registers instead.
+// are assigned static registers instead. No schedule changes those, so
+// NewPlan assigns them once per compile and Plan.Allocate only sizes and
+// packs the blades of each schedule.
 //
 // Allocation failure — the paper's trigger for the pipeliner's fallback
 // ladder (reduce non-critical load latencies, then raise the II) — is
@@ -38,7 +40,7 @@ type Alloc struct {
 	Kind Kind
 	// Base is the physical register number. For rotating allocations it is
 	// the logical register the defining instruction writes; use sites read
-	// Base + delta (see UseDelta).
+	// Base + delta (see Delta).
 	Base int
 	// Width is the blade width in registers (rotating only).
 	Width int
@@ -57,6 +59,9 @@ type Assignment struct {
 	// RotInits are initial values that must be placed into rotating
 	// registers before loop entry (loop-carried live-in values).
 	RotInits []ir.RegInit
+	// Plan is the schedule-independent plan the assignment was made from;
+	// code generation reads def sites and in-place registers from it.
+	Plan *Plan
 }
 
 // Stats counts allocated registers by file.
@@ -92,208 +97,233 @@ func (e *OverflowError) Error() string {
 		e.Class, e.Need, e.Capacity)
 }
 
-// UseDelta returns the rotating-register offset a use site adds to the
-// defining blade's base: stage(use) + distance - stage(def), where distance
-// is 1 when the definition appears at or after the use in program order
-// (the use consumes the previous source iteration's value).
-func UseDelta(l *ir.Loop, s *modsched.Schedule, useID int, r ir.Reg) (int, bool) {
-	defID, ok := defSite(l, r)
-	if !ok {
-		return 0, false
-	}
-	dist := 0
+// Delta returns the rotating-register offset a use at body[useID] adds to
+// the blade base of the value defined at body[defID]: stage(use) +
+// distance - stage(def), where distance is 1 when the definition appears
+// at or after the use in program order (the use consumes the previous
+// source iteration's value).
+func Delta(s *modsched.Schedule, defID, useID int) int {
+	d := s.Stage(useID) - s.Stage(defID)
 	if defID >= useID {
-		dist = 1
+		d++
 	}
-	return s.Stage(useID) + dist - s.Stage(defID), true
+	return d
 }
 
-func defSite(l *ir.Loop, r ir.Reg) (int, bool) {
+// Plan is the schedule-independent half of rotating register allocation,
+// built once per compile from the loop's dependence graph: the def sites,
+// the in-place set, the rotating candidates with their use sites, and the
+// static assignment. Only blade widths and their packing depend on the
+// schedule; Allocate computes those per attempt.
+type Plan struct {
+	// Loop is the loop the plan was built for.
+	Loop *ir.Loop
+	// DefID maps every register the body writes to its defining
+	// instruction; InPlace maps the registers updated in place to theirs
+	// (see ddg.Graph.InPlaceRegs). Both are shared with the graph.
+	DefID, InPlace map[ir.Reg]int
+	// StaticErr reports that the static registers cannot hold the
+	// in-place values and loop invariants. The schedule changes neither,
+	// so when it is set Allocate fails at every II and the fallback
+	// ladder cannot help.
+	StaticErr error
+
+	m      *machine.Model
+	blades []bladeDef // rotating candidates, in def order
+	uses   []useSite  // reads of rotating candidates, in body order
+	// static and staticStats are the static part of every assignment.
+	static      map[ir.Reg]Alloc
+	staticStats Stats
+}
+
+// bladeDef is one value that gets a blade of rotating registers.
+type bladeDef struct {
+	r     ir.Reg
+	defID int
+	// init is the pre-loop value of a loop-carried live-in (hasInit). Its
+	// blade extends stage(def) registers below the definition register so
+	// the value rotates into the right place: the value a stage-s
+	// consumer reads at kernel iteration s+1 must sit s registers below
+	// where it will be read.
+	init    ir.RegInit
+	hasInit bool
+}
+
+// useSite is one read of a rotating candidate: a source or the
+// qualifying predicate of body[instr].
+type useSite struct {
+	instr, blade int
+}
+
+// NewPlan builds the schedule-independent allocation plan of g's loop for
+// machine m. The graph must come from ddg.Build, which guarantees one
+// definition per register.
+func NewPlan(m *machine.Model, g *ddg.Graph) *Plan {
+	l := g.Loop
+	p := &Plan{Loop: l, DefID: g.DefSites(), InPlace: g.InPlaceRegs(), m: m, static: map[ir.Reg]Alloc{}}
+
+	// Virtual registers defined in the body: in-place ones go static,
+	// the rest rotate.
+	bladeOf := map[ir.Reg]int{}
+	var inPlaceDefs []ir.Reg
 	for i, in := range l.Body {
 		for _, d := range in.AllDefs() {
-			if d == r {
-				return i, true
+			if !d.Virtual {
+				continue
 			}
+			if _, ip := p.InPlace[d]; ip {
+				inPlaceDefs = append(inPlaceDefs, d)
+				continue
+			}
+			bladeOf[d] = len(p.blades)
+			p.blades = append(p.blades, bladeDef{r: d, defID: i})
 		}
 	}
-	return 0, false
+
+	// Use sites of the rotating candidates, and the invariants: virtual
+	// registers read but never defined (set up before the loop).
+	carried := make([]bool, len(p.blades))
+	var invariants []ir.Reg
+	seen := map[ir.Reg]bool{}
+	use := func(i int, u ir.Reg) {
+		if b, ok := bladeOf[u]; ok {
+			p.uses = append(p.uses, useSite{instr: i, blade: b})
+			if p.blades[b].defID >= i {
+				carried[b] = true
+			}
+			return
+		}
+		if _, defined := p.DefID[u]; u.Virtual && !defined && !seen[u] {
+			seen[u] = true
+			invariants = append(invariants, u)
+		}
+	}
+	for i, in := range l.Body {
+		for _, u := range in.Srcs {
+			use(i, u)
+		}
+		if !in.Pred.IsNone() {
+			use(i, in.Pred)
+		}
+	}
+	for b := range p.blades {
+		if carried[b] {
+			p.blades[b].init, p.blades[b].hasInit = l.InitEntry(p.blades[b].r)
+		}
+	}
+	sort.Slice(invariants, func(a, b int) bool {
+		if invariants[a].Class != invariants[b].Class {
+			return invariants[a].Class < invariants[b].Class
+		}
+		return invariants[a].N < invariants[b].N
+	})
+
+	// Static assignment: in-place defs first, then invariants.
+	next := [...]int{
+		ir.ClassGR: 1, // r0 is hardwired zero
+		ir.ClassFR: 2, // f0/f1 are constants
+		ir.ClassPR: 1, // p0 is hardwired true
+	}
+	limit := [...]int{
+		ir.ClassGR: 1 + m.StaticGR,
+		ir.ClassFR: 2 + m.StaticFR,
+		ir.ClassPR: 1 + m.StaticPR,
+	}
+	for _, r := range append(inPlaceDefs, invariants...) {
+		n := next[r.Class]
+		if n >= limit[r.Class] {
+			p.StaticErr = fmt.Errorf("regalloc: %s: static %s register file exhausted (%d in use)",
+				l.Name, r.Class, n)
+			p.static, p.staticStats = nil, Stats{}
+			break
+		}
+		p.static[r] = Alloc{Kind: KindStatic, Base: n}
+		next[r.Class] = n + 1
+		p.staticStats.add(r.Class, false, 1)
+	}
+	return p
 }
 
 // Allocate assigns physical registers for the scheduled loop. The graph g
 // must be the DDG the schedule was produced from (it supplies the in-place
-// classification).
+// classification). It builds a fresh Plan; a compile that allocates at
+// several IIs builds the plan once and calls Plan.Allocate.
 func Allocate(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignment, error) {
-	l := g.Loop
+	return NewPlan(m, g).Allocate(s)
+}
+
+// Allocate assigns physical registers for one schedule of the plan's
+// loop. It reports, in this order, a negative rotation delta, a rotating
+// region overflow (*OverflowError), and the plan's StaticErr.
+func (p *Plan) Allocate(s *modsched.Schedule) (*Assignment, error) {
+	l := p.Loop
+	// Blade widths: the largest delta over each value's uses. Of the
+	// negative deltas, report the first use of the first blade.
+	maxDelta := make([]int, len(p.blades))
+	bad := -1
+	for k, u := range p.uses {
+		d := Delta(s, p.blades[u.blade].defID, u.instr)
+		if d < 0 {
+			if bad < 0 || u.blade < p.uses[bad].blade {
+				bad = k
+			}
+		} else if d > maxDelta[u.blade] {
+			maxDelta[u.blade] = d
+		}
+	}
+	if bad >= 0 {
+		u := p.uses[bad]
+		b := p.blades[u.blade]
+		return nil, fmt.Errorf("regalloc: %s: negative rotation delta %d for %s at body[%d]",
+			l.Name, Delta(s, b.defID, u.instr), b.r, u.instr)
+	}
+
 	asn := &Assignment{
-		Phys:          map[ir.Reg]Alloc{},
+		Phys:          make(map[ir.Reg]Alloc, len(p.blades)+len(p.static)),
 		StagePredBase: 16,
+		Stats:         p.staticStats,
+		Plan:          p,
 	}
-	inPlace := g.InPlaceRegs()
-
-	// Gather virtual registers: defined-in-body vs invariant (setup-only).
-	type vreg struct {
-		r     ir.Reg
-		defID int
+	// Pack blades in def order. Stage predicates occupy the first Stages
+	// slots of the rotating PR region.
+	next := [...]int{
+		ir.ClassGR: rotFirst(ir.ClassGR),
+		ir.ClassFR: rotFirst(ir.ClassFR),
+		ir.ClassPR: rotFirst(ir.ClassPR) + s.Stages,
 	}
-	var defined []vreg
-	seen := map[ir.Reg]bool{}
-	for i, in := range l.Body {
-		for _, d := range in.AllDefs() {
-			if !d.Virtual || seen[d] {
-				continue
-			}
-			seen[d] = true
-			defined = append(defined, vreg{d, i})
+	for k, b := range p.blades {
+		c := b.r.Class
+		loExt := 0
+		if b.hasInit {
+			loExt = s.Stage(b.defID)
 		}
-	}
-	var invariant []ir.Reg
-	for _, in := range l.Body {
-		for _, u := range in.AllUses() {
-			if u.Virtual && !seen[u] {
-				seen[u] = true
-				invariant = append(invariant, u)
-			}
+		width := maxDelta[k] + 1
+		lo := next[c]
+		total := loExt + width
+		if lo+total > rotFirst(c)+rotSize(p.m, c) {
+			return nil, &OverflowError{Class: c, Need: lo + total - rotFirst(c), Capacity: rotSize(p.m, c)}
 		}
-	}
-	sort.Slice(invariant, func(a, b int) bool {
-		if invariant[a].Class != invariant[b].Class {
-			return invariant[a].Class < invariant[b].Class
-		}
-		return invariant[a].N < invariant[b].N
-	})
-
-	// Blade widths for rotating candidates.
-	type blade struct {
-		v     vreg
-		width int
-		// loExt extends the blade below the definition register so the
-		// pre-loop initial value of a loop-carried live-in (placed at
-		// def-1+... = base+1 of the extended blade) rotates into the right
-		// place: the value a stage-s consumer reads at kernel iteration
-		// s+1 must sit s registers below where it will be read.
-		loExt   int
-		hasInit bool
-	}
-	var blades []blade
-	var statics []vreg
-	for _, v := range defined {
-		if _, ip := inPlace[v.r]; ip {
-			statics = append(statics, v)
-			continue
-		}
-		maxDelta := 0
-		carried := false
-		for i, in := range l.Body {
-			for _, u := range in.AllUses() {
-				if u != v.r {
-					continue
-				}
-				d, _ := UseDelta(l, s, i, v.r)
-				if d < 0 {
-					return nil, fmt.Errorf("regalloc: %s: negative rotation delta %d for %s at body[%d]",
-						l.Name, d, v.r, i)
-				}
-				if d > maxDelta {
-					maxDelta = d
-				}
-				if v.defID >= i {
-					carried = true
-				}
-			}
-		}
-		b := blade{v: v, width: maxDelta + 1}
-		if _, hasInit := l.InitValue(v.r); hasInit && carried {
-			b.hasInit = true
-			b.loExt = s.Stage(v.defID)
-		}
-		blades = append(blades, b)
-	}
-
-	// Pack blades. Stage predicates occupy the first Stages slots of the
-	// rotating PR region.
-	next := map[ir.RegClass]int{
-		ir.ClassGR: 32,
-		ir.ClassFR: 32,
-		ir.ClassPR: 16 + s.Stages,
-	}
-	capacity := map[ir.RegClass]int{
-		ir.ClassGR: 32 + m.RotGR,
-		ir.ClassFR: 32 + m.RotFR,
-		ir.ClassPR: 16 + m.RotPR,
-	}
-	sort.SliceStable(blades, func(a, b int) bool { return blades[a].v.defID < blades[b].v.defID })
-	for _, b := range blades {
-		lo := next[b.v.r.Class]
-		base := lo + b.loExt // the register the definition writes
-		total := b.loExt + b.width
-		if lo+total > capacity[b.v.r.Class] {
-			return nil, &OverflowError{
-				Class:    b.v.r.Class,
-				Need:     lo + total - (capacity[b.v.r.Class] - rotSize(m, b.v.r.Class)),
-				Capacity: rotSize(m, b.v.r.Class),
-			}
-		}
-		asn.Phys[b.v.r] = Alloc{Kind: KindRotating, Base: base, Width: b.width}
-		next[b.v.r.Class] = lo + total
-		switch b.v.r.Class {
-		case ir.ClassGR:
-			asn.Stats.RotGR += total
-		case ir.ClassFR:
-			asn.Stats.RotFR += total
-		case ir.ClassPR:
-			asn.Stats.RotPR += total
-		}
+		// The definition writes base; uses read base + Delta.
+		asn.Phys[b.r] = Alloc{Kind: KindRotating, Base: lo + loExt, Width: width}
+		next[c] = lo + total
+		asn.Stats.add(c, true, total)
 		// Loop-carried live-in: the pre-loop initial value is placed at
 		// lo+1 == base+1-stage(def); after stage(def)+s rotations it is
 		// read at base+delta by the stage-s consumer of source iteration
 		// 0 (see the derivation in interp's package comment).
 		if b.hasInit {
-			init, _ := l.InitEntry(b.v.r)
-			init.Reg = ir.Reg{Class: b.v.r.Class, N: lo + 1}
+			init := b.init
+			init.Reg = ir.Reg{Class: c, N: lo + 1}
 			asn.RotInits = append(asn.RotInits, init)
 		}
 	}
 	asn.Stats.RotPR += s.Stages // stage predicates are rotating PRs too
 
-	// Static assignment: in-place defs first, then invariants.
-	staticNext := map[ir.RegClass]int{
-		ir.ClassGR: 1, // r0 is hardwired zero
-		ir.ClassFR: 2, // f0/f1 are constants
-		ir.ClassPR: 1, // p0 is hardwired true
+	if p.StaticErr != nil {
+		return nil, p.StaticErr
 	}
-	staticCap := map[ir.RegClass]int{
-		ir.ClassGR: 1 + m.StaticGR,
-		ir.ClassFR: 2 + m.StaticFR,
-		ir.ClassPR: 1 + m.StaticPR,
-	}
-	assignStatic := func(r ir.Reg) error {
-		n := staticNext[r.Class]
-		if n >= staticCap[r.Class] {
-			return fmt.Errorf("regalloc: %s: static %s register file exhausted (%d in use)",
-				l.Name, r.Class, n)
-		}
-		asn.Phys[r] = Alloc{Kind: KindStatic, Base: n}
-		staticNext[r.Class] = n + 1
-		switch r.Class {
-		case ir.ClassGR:
-			asn.Stats.StaticGR++
-		case ir.ClassFR:
-			asn.Stats.StaticFR++
-		case ir.ClassPR:
-			asn.Stats.StaticPR++
-		}
-		return nil
-	}
-	sort.SliceStable(statics, func(a, b int) bool { return statics[a].defID < statics[b].defID })
-	for _, v := range statics {
-		if err := assignStatic(v.r); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range invariant {
-		if err := assignStatic(r); err != nil {
-			return nil, err
-		}
+	for r, a := range p.static {
+		asn.Phys[r] = a
 	}
 	return asn, nil
 }
@@ -302,8 +332,8 @@ func Allocate(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignment
 // obs.RegallocEvent per attempt, tagged with the schedule's II and whether
 // the pipeliner had already reduced latencies to base (the fallback
 // ladder's first rung) when it asked for this allocation.
-func AllocateTraced(m *machine.Model, g *ddg.Graph, s *modsched.Schedule, tr *obs.Trace, reduced bool) (*Assignment, error) {
-	asn, err := Allocate(m, g, s)
+func (p *Plan) AllocateTraced(s *modsched.Schedule, tr *obs.Trace, reduced bool) (*Assignment, error) {
+	asn, err := p.Allocate(s)
 	if tr.On() {
 		ev := obs.RegallocEvent{II: s.II, Reduced: reduced, OK: err == nil}
 		if err != nil {
@@ -315,6 +345,32 @@ func AllocateTraced(m *machine.Model, g *ddg.Graph, s *modsched.Schedule, tr *ob
 		tr.Emit(ev)
 	}
 	return asn, err
+}
+
+// add counts n registers of class c, rotating or static.
+func (s *Stats) add(c ir.RegClass, rot bool, n int) {
+	switch {
+	case c == ir.ClassGR && rot:
+		s.RotGR += n
+	case c == ir.ClassFR && rot:
+		s.RotFR += n
+	case c == ir.ClassPR && rot:
+		s.RotPR += n
+	case c == ir.ClassGR:
+		s.StaticGR += n
+	case c == ir.ClassFR:
+		s.StaticFR += n
+	case c == ir.ClassPR:
+		s.StaticPR += n
+	}
+}
+
+// rotFirst is the first register of class c's rotating region.
+func rotFirst(c ir.RegClass) int {
+	if c == ir.ClassPR {
+		return 16
+	}
+	return 32
 }
 
 func rotSize(m *machine.Model, c ir.RegClass) int {

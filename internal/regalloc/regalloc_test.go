@@ -110,21 +110,27 @@ func TestBladesDisjoint(t *testing.T) {
 
 func TestUseDelta(t *testing.T) {
 	l := runningExample()
-	_, s := compile(t, l, nil, 1)
+	g, s := compile(t, l, nil, 1)
+	p := NewPlan(machine.Itanium2(), g)
 	// add (body 1) uses the load's destination one stage later.
-	d, ok := UseDelta(l, s, 1, l.Body[0].Dsts[0])
-	if !ok || d != 1 {
-		t.Errorf("UseDelta = %d,%v want 1,true", d, ok)
+	def, ok := p.DefID[l.Body[0].Dsts[0]]
+	if !ok || def != 0 {
+		t.Fatalf("DefID[load dst] = %d,%v want 0,true", def, ok)
+	}
+	if d := Delta(s, def, 1); d != 1 {
+		t.Errorf("Delta = %d, want 1", d)
 	}
 	// The store base is read by its own instruction: distance 1, same
 	// stage -> delta 1.
-	base := l.Body[2].BaseReg()
-	d, ok = UseDelta(l, s, 2, base)
-	if !ok || d != 1 {
-		t.Errorf("self UseDelta = %d,%v want 1,true", d, ok)
+	def, ok = p.DefID[l.Body[2].BaseReg()]
+	if !ok || def != 2 {
+		t.Fatalf("DefID[store base] = %d,%v want 2,true", def, ok)
 	}
-	if _, ok := UseDelta(l, s, 1, ir.VGR(99)); ok {
-		t.Error("UseDelta found a definition for an unknown register")
+	if d := Delta(s, def, 2); d != 1 {
+		t.Errorf("self Delta = %d, want 1", d)
+	}
+	if _, ok := p.DefID[ir.VGR(99)]; ok {
+		t.Error("DefID has a definition for an unknown register")
 	}
 }
 

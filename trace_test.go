@@ -206,3 +206,54 @@ func TestTraceSequentialOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTraceStaticRegisterExhaustion checks a loop whose in-place values
+// and invariants overflow the static FP file: the pipeliner gives up once,
+// before the II search, and the trace says so in one regalloc event.
+func TestTraceStaticRegisterExhaustion(t *testing.T) {
+	gen, _ := workload.RegPressureFP(24, 1024)
+	tr := NewTrace()
+	c, err := Compile(gen(), Options{Mode: ModeAllFPL2, Prefetch: true, LatencyTolerant: true, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Pipelined || c.Outcome() != obs.OutcomeSequential {
+		t.Fatalf("pipelined=%t outcome=%s, want a sequential fallback", c.Pipelined, c.Outcome())
+	}
+	var regalloc []obs.RegallocEvent
+	for _, e := range tr.Events() {
+		switch ev := e.(type) {
+		case obs.SchedEvent, obs.FallbackEvent:
+			t.Errorf("II search ran: %T %+v", ev, ev)
+		case obs.RegallocEvent:
+			regalloc = append(regalloc, ev)
+		}
+	}
+	if len(regalloc) != 1 || regalloc[0].OK || regalloc[0].II != 0 {
+		t.Fatalf("regalloc events = %+v, want one failure before the II search", regalloc)
+	}
+	text := regalloc[0].Err
+	if !strings.Contains(text, "static f register file exhausted") {
+		t.Errorf("regalloc error %q does not name the static FP file", text)
+	}
+	o, ok := tr.Outcome()
+	if !ok || o.Result != obs.OutcomeSequential || !strings.Contains(o.Err, text) {
+		t.Errorf("outcome event = %+v, want sequential with %q", o, text)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "regalloc: failed before the II search — "+text) || strings.Contains(out, "II=0") {
+		t.Errorf("explain report does not place the failure before the II search:\n%s", out)
+	}
+
+	// Forcing the pipeliner surfaces the same allocator text as an error.
+	yes := true
+	_, err = Compile(gen(), Options{Mode: ModeAllFPL2, Prefetch: true, LatencyTolerant: true, Pipeline: &yes})
+	if err == nil || !strings.Contains(err.Error(), "no feasible schedule at any II: "+text) {
+		t.Errorf("forced pipelining error = %v, want it to carry %q", err, text)
+	}
+}
