@@ -1,20 +1,14 @@
 package ltsp
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
+	"ltsp/internal/golden"
 	"ltsp/internal/ir"
 	"ltsp/internal/workload"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 const archetypeGoldenFile = "testdata/archetype_golden.txt"
 
@@ -53,14 +47,15 @@ func compileDigest(c *Compiled) string {
 
 // TestArchetypeCompileGolden fences the compiler's decisions on the
 // scaled archetypes: every (archetype, hint mode, latency tolerance,
-// trip estimate) point compiles with prefetching on, and the digest of
-// its result must match testdata/archetype_golden.txt. Run with -update
-// to rewrite the file after an intended change.
+// trip estimate) point compiles with prefetching on, and its row — the
+// readable search outcome plus the digest of its result — must match
+// testdata/archetype_golden.txt. Run with -update to rewrite the file
+// after an intended change.
 func TestArchetypeCompileGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles 736 loops")
 	}
-	var b strings.Builder
+	var rows []golden.Row
 	for _, src := range goldenArchetypes() {
 		for _, mode := range []HintMode{ModeNone, ModeAllL3, ModeAllFPL2, ModeHLO} {
 			for _, lt := range []bool{false, true} {
@@ -71,45 +66,22 @@ func TestArchetypeCompileGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					fmt.Fprintf(&b, "%s %s\n", key, compileDigest(c))
+					rows = append(rows, golden.Row{Key: key, Fields: compileFields(c), Digest: compileDigest(c)})
 				}
 			}
 		}
 	}
-	got := b.String()
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(archetypeGoldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(archetypeGoldenFile, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	golden.Check(t, archetypeGoldenFile, rows)
+}
+
+// compileFields is the readable part of a compile's golden row.
+func compileFields(c *Compiled) []golden.Field {
+	return []golden.Field{
+		golden.F("pipelined", c.Pipelined), golden.F("ii", c.II),
+		golden.F("recii", c.RecII), golden.F("resii", c.ResII),
+		golden.F("stages", c.Stages), golden.F("attempts", c.Attempts),
+		golden.F("bumps", c.IIBumps), golden.F("reduced", c.LatencyReduced),
+		golden.F("rot", fmt.Sprintf("%d/%d", c.Reg.RotGR, c.Reg.RotFR)),
+		golden.F("static", fmt.Sprintf("%d/%d", c.Reg.StaticGR, c.Reg.StaticFR)),
 	}
-	want, err := os.ReadFile(archetypeGoldenFile)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if bytes.Equal(want, []byte(got)) {
-		return
-	}
-	wantLines := strings.Split(string(want), "\n")
-	gotLines := strings.Split(got, "\n")
-	diffs := 0
-	for i := 0; i < len(wantLines) || i < len(gotLines); i++ {
-		var w, g string
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if w != g {
-			if diffs < 10 {
-				t.Errorf("line %d:\n  want %s\n  got  %s", i+1, w, g)
-			}
-			diffs++
-		}
-	}
-	t.Fatalf("%d of %d points differ from %s", diffs, len(wantLines)-1, archetypeGoldenFile)
 }

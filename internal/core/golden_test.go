@@ -1,82 +1,50 @@
 package core_test
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"ltsp/internal/core"
+	"ltsp/internal/golden"
 	"ltsp/internal/hlo"
 	"ltsp/internal/machine"
 	"ltsp/internal/obs"
 	"ltsp/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
-
 const searchGoldenFile = "testdata/search_golden.txt"
 
 // TestSearchGolden fences the II search across the whole workload: every
 // loop of all 55 models, under both latency policies, after HLO hints
-// and prefetching. Each compile's result (final II, stages, placement
-// attempts, II bumps, the reduced-latency rung, the schedule, the load
-// reports) and its JSON decision trace are digested and compared with
-// the committed testdata file, so any change to a schedule, a trace or
-// the search's accounting fails here. Run with -update to regenerate
-// the file after an intended change.
+// and prefetching. Each compile's row carries the search's readable
+// outcome (final II, RecMII and ResMII, stages, placement attempts, II
+// bumps, the reduced-latency rung, rotating and static GR/FR used, or
+// err) and a digest of its result fields, schedule, load reports and
+// JSON decision trace, so any change to a schedule, a trace or the
+// search's accounting fails here. Run with -update to regenerate the
+// file after an intended change.
 func TestSearchGolden(t *testing.T) {
 	m := machine.Itanium2()
 	benches := workload.All()
 	if len(benches) != 55 {
 		t.Fatalf("workload.All() = %d models, want 55", len(benches))
 	}
-	var got bytes.Buffer
+	var rows []golden.Row
 	for _, b := range benches {
 		for i := range b.Loops {
 			spec := &b.Loops[i]
 			for _, tolerant := range []bool{false, true} {
-				fmt.Fprintf(&got, "%s/%s tol=%v %s\n", b.Name, spec.Name, tolerant, searchDigest(t, m, spec, tolerant))
+				rows = append(rows, searchRow(t, m, b.Name, spec, tolerant))
 			}
 		}
 	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(searchGoldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(searchGoldenFile, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(searchGoldenFile)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	wl, gl := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
-	if len(wl) != len(gl) {
-		t.Fatalf("%d golden lines, %d computed", len(wl), len(gl))
-	}
-	bad := 0
-	for i := range wl {
-		if wl[i] != gl[i] {
-			t.Errorf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-			if bad++; bad == 10 {
-				t.Fatal("too many differences")
-			}
-		}
-	}
+	golden.Check(t, searchGoldenFile, rows)
 }
 
-// searchDigest compiles one loop and returns the hex SHA-256 of its
-// result fields and decision trace (or of its error and trace, when the
-// compile fails).
-func searchDigest(t *testing.T, m *machine.Model, spec *workload.LoopSpec, tolerant bool) string {
+// searchRow compiles one loop and returns its golden row.
+func searchRow(t *testing.T, m *machine.Model, bench string, spec *workload.LoopSpec, tolerant bool) golden.Row {
 	t.Helper()
 	l := spec.Gen()
 	if _, err := hlo.Apply(l, hlo.Options{Model: m, Mode: hlo.ModeHLO, Prefetch: true}); err != nil {
@@ -89,6 +57,29 @@ func searchDigest(t *testing.T, m *machine.Model, spec *workload.LoopSpec, toler
 		BoostDelinquent: tolerant,
 		Trace:           tr,
 	})
+	row := golden.Row{
+		Key:    fmt.Sprintf("%s/%s tol=%v", bench, spec.Name, tolerant),
+		Digest: searchDigest(t, spec, c, err, tr),
+	}
+	if err != nil {
+		row.Fields = []golden.Field{{Name: "err"}}
+		return row
+	}
+	st := c.Assignment.Stats
+	row.Fields = []golden.Field{
+		golden.F("ii", c.FinalII), golden.F("recmii", c.BaseRecII), golden.F("resmii", c.ResII),
+		golden.F("stages", c.Stages), golden.F("attempts", c.Attempts), golden.F("bumps", c.IIBumps),
+		golden.F("reduced", c.LatencyReduced),
+		golden.F("rot", fmt.Sprintf("%d/%d", st.RotGR, st.RotFR)),
+		golden.F("static", fmt.Sprintf("%d/%d", st.StaticGR, st.StaticFR)),
+	}
+	return row
+}
+
+// searchDigest returns the hex SHA-256 of one compile's result fields and
+// decision trace (or of its error and trace, when the compile failed).
+func searchDigest(t *testing.T, spec *workload.LoopSpec, c *core.Compiled, err error, tr *obs.Trace) string {
+	t.Helper()
 	h := sha256.New()
 	if err != nil {
 		fmt.Fprintf(h, "err %s\n", err)

@@ -1,20 +1,15 @@
 package experiments
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+	"ltsp/internal/golden"
+)
 
 const reproGoldenFile = "testdata/repro_golden.txt"
 
@@ -103,7 +98,7 @@ func TestReproGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reproduction")
 	}
-	var got bytes.Buffer
+	var rows []golden.Row
 	for _, e := range goldenExperiments {
 		text, res, err := e.run()
 		if err != nil {
@@ -117,28 +112,7 @@ func TestReproGolden(t *testing.T) {
 		h.Write([]byte(text))
 		h.Write([]byte{'\n'})
 		h.Write(js)
-		fmt.Fprintf(&got, "%s %x\n", e.name, h.Sum(nil))
+		rows = append(rows, golden.Row{Key: e.name, Digest: fmt.Sprintf("%x", h.Sum(nil))})
 	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(reproGoldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(reproGoldenFile, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(reproGoldenFile)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	wl, gl := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
-	if len(wl) != len(gl) {
-		t.Fatalf("%d golden lines, %d computed", len(wl), len(gl))
-	}
-	for i := range wl {
-		if wl[i] != gl[i] {
-			t.Errorf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-		}
-	}
+	golden.Check(t, reproGoldenFile, rows)
 }

@@ -2,21 +2,17 @@ package server_test
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"ltsp/internal/buildinfo"
+	"ltsp/internal/golden"
 	"ltsp/internal/wire"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // TestMetricsNameSet fences the /metrics name set: the sorted JSON key
 // paths (with their JSON value types) and the Prometheus HELP, TYPE and
@@ -87,41 +83,11 @@ func TestMetricsNameSet(t *testing.T) {
 		lines = append(lines, "prom "+norm.Replace(line))
 	}
 	sort.Strings(lines)
-	got := strings.Join(lines, "\n") + "\n"
-
-	golden := filepath.Join("testdata", "metrics_names.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	rows := make([]golden.Row, len(lines))
+	for i, l := range lines {
+		rows[i] = golden.Row{Key: l}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		have := map[string]bool{}
-		for _, l := range gl {
-			have[l] = true
-		}
-		was := map[string]bool{}
-		for _, l := range wl {
-			was[l] = true
-			if !have[l] {
-				t.Errorf("missing: %s", l)
-			}
-		}
-		for _, l := range gl {
-			if !was[l] {
-				t.Errorf("added: %s", l)
-			}
-		}
-		t.Fatalf("/metrics name set differs from %s", golden)
-	}
+	golden.Check(t, "testdata/metrics_names.golden", rows)
 }
 
 // jsonKind names a decoded JSON value's type.
