@@ -6,9 +6,11 @@
 //	compile_time_seconds: wall clock of the CompileTime experiment over
 //	                      CPU2006 (the fleet-throughput path)
 //
-// — and compares them against a checked-in baseline, exiting nonzero
-// when either regresses by more than the threshold. Medians of several
-// repetitions keep CI-runner noise out of the verdict.
+// — and compares them against a checked-in baseline. It also holds the
+// serving layers to design bounds stated relative to compile_loop or as
+// absolute budgets. Every gate is evaluated and printed as one table
+// before benchguard exits nonzero if any of them failed. Medians of
+// several repetitions keep CI-runner noise out of the verdict.
 //
 // Usage:
 //
@@ -604,116 +606,72 @@ func main() {
 	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, artifact_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f (workers %d, cores %d)\n",
 		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, artRatio, hitAllocs, provNs, healthAllocs, experiments.Workers(), runtime.GOMAXPROCS(0))
 
-	// The admission-control decision sits on every request's path, so it
-	// is gated absolutely against this run's own compile measurement: the
-	// shedder may not add more than 1% to an uncontended compile.
-	if maxShed := loopNs * 0.01; shedNs > maxShed {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: shed_admit %.1f ns/op exceeds 1%% of compile_loop (%.1f ns)\n", shedNs, maxShed)
-		os.Exit(1)
-	}
-
-	// Sampled verification is likewise gated absolutely: at the server's
-	// default sampling rate, the amortized verifier cost may not exceed 5%
-	// of a compile. A full verification pass is allowed to be expensive —
-	// only its sampled share of the request stream is on the hot path.
-	amortized := verifyNs * server.DefaultVerifySample
-	if maxVerify := loopNs * 0.05; amortized > maxVerify {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: sampled verify %.1f ns/op (%.0f ns at rate %.2g) exceeds 5%% of compile_loop (%.1f ns)\n",
-			amortized, verifyNs, server.DefaultVerifySample, maxVerify)
-		os.Exit(1)
-	}
-
-	// The in-memory hit path is what the new disk/peer layers sit under;
-	// the acceptance bar is that a memory hit stays under 1% of a compile.
-	// (The layers only run on a miss, so this catches accidental work —
-	// hashing, allocation, lock widening — added to the hit itself.)
-	if maxHit := loopNs * 0.01; hitNs > maxHit {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: cache_hit %.1f ns/op exceeds 1%% of compile_loop (%.1f ns)\n", hitNs, maxHit)
-		os.Exit(1)
-	}
-
-	// Tracing is gated twice, mirroring the verify layer. First the
-	// always-on plumbing: an untraced request's context lookups and
-	// nil-span calls may not add more than 1% to a compile.
-	if maxUntraced := loopNs * 0.01; untracedNs > maxUntraced {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: untraced tracing path %.1f ns/op exceeds 1%% of compile_loop (%.1f ns)\n",
-			untracedNs, maxUntraced)
-		os.Exit(1)
-	}
-	// Second the sampled slice: at the default 1-in-100 sampling rate, the
-	// amortized cost of actually recording a request's span timeline may
-	// not exceed 1% of a compile either.
-	amortizedTrace := tracedNs * server.DefaultTraceSample
-	if maxTraced := loopNs * 0.01; amortizedTrace > maxTraced {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: sampled tracing %.1f ns/op (%.0f ns at rate %.2g) exceeds 1%% of compile_loop (%.1f ns)\n",
-			amortizedTrace, tracedNs, server.DefaultTraceSample, maxTraced)
-		os.Exit(1)
-	}
-
-	// The disk hit carries a fixed integrity tax (file read + decode +
-	// sha256) that is in the same ballpark as compiling the tiny running
-	// example, so it is not gated against compile_loop — its payoff grows
-	// with loop size and with what recompiling cannot restore (the trace,
-	// cross-restart and cross-peer sharing). It gets an absolute sanity
-	// budget here and a baseline-relative regression check below.
-	const maxDiskNs = 1e6 // 1 ms: a disk hit must stay far below any RPC
-	if diskNs > maxDiskNs {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: disk_hit %.0f ns/op exceeds the %0.f ns sanity budget\n", diskNs, maxDiskNs)
-		os.Exit(1)
-	}
-
-	// The binary wire format pays its way in decode speed, and the floors
-	// are absolute: requests must decode at least 5x faster than JSON over
-	// the full workload corpus, artifact transfer envelopes at least 3x.
-	// Falling below either means the codec (or the JSON path) changed in a
-	// way that voids the format's reason to exist.
-	if reqRatio < 5 {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: request decode ratio %.2fx below the 5x floor\n", reqRatio)
-		os.Exit(1)
-	}
-	if artRatio < 3 {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: artifact decode ratio %.2fx below the 3x floor\n", artRatio)
-		os.Exit(1)
-	}
-
-	// The provenance chain records every artifact creation, so its append
-	// sits on every uncached compile's path. The durable chained write is
-	// asynchronous by design; the synchronous slice measured here may not
-	// add more than 1% to a compile.
-	if maxProv := loopNs * 0.01; provNs > maxProv {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: provenance_append %.1f ns/op exceeds 1%% of compile_loop (%.1f ns)\n", provNs, maxProv)
-		os.Exit(1)
-	}
-
-	// The health layer is consulted on every hedged fill's request path
-	// (ring load + per-replica eligibility). Probing and ejection happen
-	// off-path; the on-path consultation must not allocate at all.
-	if healthAllocs != 0 {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: health hot path allocates %.0f times per consultation, want 0\n", healthAllocs)
-		os.Exit(1)
-	}
-
-	// The prerendered hot path exists to make cache hits allocation-free;
-	// the budget below covers only the HTTP skeleton that is per-request
-	// by construction (request ID, context tagging, writer wrappers).
-	const maxHitAllocs = 24
-	if hitAllocs > maxHitAllocs {
-		fmt.Fprintf(os.Stderr,
-			"benchguard: cache-hit serve allocates %.0f times per request, budget %d\n", hitAllocs, maxHitAllocs)
-		os.Exit(1)
-	}
+	ok := report(os.Stdout, "design bounds (this run)", []gate{
+		// The admission-control decision sits on every request's path, so
+		// it is gated absolutely against this run's own compile
+		// measurement: the shedder may not add more than 1% to an
+		// uncontended compile.
+		{name: "shed_admit", value: shedNs, bound: loopNs * 0.01, basis: "1% of compile_loop"},
+		// Sampled verification is likewise gated absolutely: at the
+		// server's default sampling rate, the amortized verifier cost may
+		// not exceed 5% of a compile. A full verification pass is allowed
+		// to be expensive — only its sampled share of the request stream
+		// is on the hot path.
+		{name: "sampled_verify", value: verifyNs * server.DefaultVerifySample, bound: loopNs * 0.05,
+			basis: fmt.Sprintf("5%% of compile_loop; %.0f ns at rate %.2g", verifyNs, server.DefaultVerifySample)},
+		// The in-memory hit path is what the disk/peer layers sit under;
+		// the acceptance bar is that a memory hit stays under 1% of a
+		// compile. (The layers only run on a miss, so this catches
+		// accidental work — hashing, allocation, lock widening — added to
+		// the hit itself.)
+		{name: "cache_hit", value: hitNs, bound: loopNs * 0.01, basis: "1% of compile_loop"},
+		// Tracing is gated twice, mirroring the verify layer. First the
+		// always-on plumbing: an untraced request's context lookups and
+		// nil-span calls may not add more than 1% to a compile.
+		{name: "untraced_tracing", value: untracedNs, bound: loopNs * 0.01, basis: "1% of compile_loop"},
+		// Second the sampled slice: at the default 1-in-100 sampling
+		// rate, the amortized cost of actually recording a request's span
+		// timeline may not exceed 1% of a compile either.
+		{name: "sampled_tracing", value: tracedNs * server.DefaultTraceSample, bound: loopNs * 0.01,
+			basis: fmt.Sprintf("1%% of compile_loop; %.0f ns at rate %.2g", tracedNs, server.DefaultTraceSample)},
+		// The disk hit carries a fixed integrity tax (file read + decode +
+		// sha256) that is in the same ballpark as compiling the tiny
+		// running example, so it is not gated against compile_loop — its
+		// payoff grows with loop size and with what recompiling cannot
+		// restore (the trace, cross-restart and cross-peer sharing). It
+		// gets an absolute sanity budget here (a disk hit must stay far
+		// below any RPC) and a baseline-relative regression check below.
+		{name: "disk_hit", value: diskNs, bound: 1e6, basis: "1 ms sanity budget"},
+		// The binary wire format pays its way in decode speed, and the
+		// floors are absolute: requests must decode at least 5x faster
+		// than JSON over the full workload corpus, artifact transfer
+		// envelopes at least 3x. Falling below either means the codec (or
+		// the JSON path) changed in a way that voids the format's reason
+		// to exist.
+		{name: "request_decode_ratio", value: reqRatio, bound: 5, floor: true, basis: "JSON/binary floor"},
+		{name: "artifact_decode_ratio", value: artRatio, bound: 3, floor: true, basis: "JSON/binary floor"},
+		// The provenance chain records every artifact creation, so its
+		// append sits on every uncached compile's path. The durable
+		// chained write is asynchronous by design; the synchronous slice
+		// measured here may not add more than 1% to a compile.
+		{name: "provenance_append", value: provNs, bound: loopNs * 0.01, basis: "1% of compile_loop"},
+		// The health layer is consulted on every hedged fill's request
+		// path (ring load + per-replica eligibility). Probing and ejection
+		// happen off-path; the on-path consultation must not allocate at
+		// all.
+		{name: "health_allocs", value: healthAllocs, bound: 0, basis: "allocs per consultation"},
+		// The prerendered hot path exists to make cache hits
+		// allocation-free; the budget covers only the HTTP skeleton that
+		// is per-request by construction (request ID, context tagging,
+		// writer wrappers).
+		{name: "cache_hit_allocs", value: hitAllocs, bound: 24, basis: "allocs per request"},
+	})
 
 	if *write {
+		if !ok {
+			fmt.Fprintln(os.Stderr, "benchguard: not writing a baseline while a design-bound gate fails")
+			os.Exit(1)
+		}
 		b := Baseline{
 			CompileLoopNsOp:      loopNs,
 			CompileTimeSec:       ctSec,
@@ -745,26 +703,52 @@ func main() {
 		os.Exit(1)
 	}
 
-	fail := false
-	check := func(name string, got, want float64) {
+	regression := func(name string, got, want float64) gate {
 		if want <= 0 {
-			fmt.Printf("%-24s baseline missing, skipped\n", name)
-			return
+			return gate{name: name, value: got, basis: "baseline missing", skip: true}
 		}
-		regPct := (got/want - 1) * 100
-		verdict := "ok"
-		if regPct > *threshold {
-			verdict = "REGRESSION"
-			fail = true
-		}
-		fmt.Printf("%-24s %12.1f vs baseline %12.1f  (%+6.1f%%)  %s\n", name, got, want, regPct, verdict)
+		return gate{name: name, value: got, bound: want * (1 + *threshold/100),
+			basis: fmt.Sprintf("baseline %.1f %+.1f%%", want, (got/want-1)*100)}
 	}
-	check("compile_loop_ns_op", loopNs, base.CompileLoopNsOp)
-	check("compile_time_seconds", ctSec*1000, base.CompileTimeSec*1000)
-	check("disk_hit_ns_op", diskNs, base.DiskHitNsOp)
-	check("provenance_append_ns_op", provNs, base.ProvenanceAppendNsOp)
-	if fail {
-		fmt.Fprintf(os.Stderr, "benchguard: regression beyond %.0f%% threshold\n", *threshold)
+	ok = report(os.Stdout, "baseline "+*baselinePath, []gate{
+		regression("compile_loop_ns_op", loopNs, base.CompileLoopNsOp),
+		regression("compile_time_seconds", ctSec*1000, base.CompileTimeSec*1000),
+		regression("disk_hit_ns_op", diskNs, base.DiskHitNsOp),
+		regression("provenance_append_ns_op", provNs, base.ProvenanceAppendNsOp),
+	}) && ok
+	if !ok {
+		fmt.Fprintf(os.Stderr, "benchguard: FAIL (regression threshold %.0f%%): see the rows marked FAIL above\n", *threshold)
 		os.Exit(1)
 	}
+}
+
+// gate is one row of benchguard's verdict table: a measured value and
+// the bound it must respect.
+type gate struct {
+	name         string
+	value, bound float64
+	floor        bool   // the value must reach the bound instead of staying under it
+	basis        string // where the bound comes from
+	skip         bool   // nothing to check against
+}
+
+// report prints a titled table of every gate with its verdict and
+// returns whether all of them passed.
+func report(w io.Writer, title string, gates []gate) bool {
+	fmt.Fprintf(w, "%s:\n", title)
+	ok := true
+	for _, g := range gates {
+		op, verdict := "<=", "ok"
+		if g.floor {
+			op = ">="
+		}
+		switch {
+		case g.skip:
+			verdict = "skipped"
+		case g.floor && g.value < g.bound, !g.floor && g.value > g.bound:
+			verdict, ok = "FAIL", false
+		}
+		fmt.Fprintf(w, "%-24s %12.1f %s %12.1f  %-44s %s\n", g.name, g.value, op, g.bound, g.basis, verdict)
+	}
+	return ok
 }
