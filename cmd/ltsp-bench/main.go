@@ -74,7 +74,7 @@ func main() {
 	var retryBudget = flag.Duration("retry-budget", 10*time.Second, "remote mode: total backoff sleep budget (ltspclient BackoffBudget)")
 	var reqTimeout = flag.Duration("req-timeout", 30*time.Second, "remote mode: per-attempt timeout, propagated to the server as its deadline (ltspclient RequestTimeout)")
 	var batchTimeout = flag.Duration("batch-timeout", 5*time.Minute, "remote mode: per-batch timeout (ltspclient BatchTimeout) and overall sweep deadline")
-	var wireMode = flag.String("wire", "json", "remote mode: transfer encoding, json | binary (ltspclient Wire; binary falls back to JSON on servers that predate it)")
+	var wireMode = flag.String("wire", "json", "remote mode: transfer encoding, json | binary (ltspclient Wire)")
 	flag.Parse()
 
 	if *server != "" {

@@ -161,9 +161,8 @@ func (s *Server) fetchArtifact(ctx context.Context, p cluster.Peer, hash string)
 			req.Header.Set(wire.ParentSpanHeader, id)
 		}
 	}
-	// Ask for the binary transfer encoding; peers that predate it (or
-	// choose not to speak it) ignore Accept and answer JSON, which stays
-	// fully supported — the Content-Type of the reply decides the decode.
+	// Ask for the binary transfer encoding. The Content-Type of the reply
+	// decides the decode, so a JSON reply stays fully supported.
 	req.Header.Set("Accept", binary.ContentType)
 	resp, err := s.peerHTTP.Do(req)
 	if err != nil {

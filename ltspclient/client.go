@@ -103,9 +103,8 @@ type Config struct {
 	// (the default) or "binary" (application/x-ltsp-bin). In binary mode
 	// compile, batch, and artifact calls send binary frames and ask for
 	// binary responses; content hashes — and therefore routing, caching,
-	// and dedup — are identical in both modes. A server that answers 415
-	// (one predating the binary format) flips this client back to JSON
-	// permanently: one wasted request, then clean interop.
+	// and dedup — are identical in both modes. Every ltspd speaks both;
+	// a 415 answer is returned as an *APIError, not retried as JSON.
 	Wire string
 }
 
@@ -171,24 +170,10 @@ type Client struct {
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 	sleptNs   atomic.Int64
-
-	// jsonFallback latches when a binary request came back 415: the
-	// server predates the wire format, so every later call goes as JSON.
-	jsonFallback atomic.Bool
 }
 
-// useBinary reports whether the next request should go out binary.
-func (c *Client) useBinary() bool {
-	return c.cfg.Wire == "binary" && !c.jsonFallback.Load()
-}
-
-// isUnsupportedMedia matches the 415 a pre-binary server answers a
-// binary frame with.
-func isUnsupportedMedia(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) &&
-		(ae.Code == wire.CodeUnsupportedMedia || ae.Status == http.StatusUnsupportedMediaType)
-}
+// useBinary reports whether requests go out binary.
+func (c *Client) useBinary() bool { return c.cfg.Wire == "binary" }
 
 // New builds a Client. The only required field is Config.BaseURL
 // (or Config.Peers for fleet-aware mode).
@@ -266,19 +251,10 @@ func (c *Client) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.C
 		return nil, err
 	}
 	out := new(wire.CompileResponse)
-	post := func(body []byte, bin bool) error {
-		if c.cfg.HedgeDelay > 0 {
-			return c.hedge(ctx, "/v2/compile", body, out, targets, bin)
-		}
-		return c.doOn(ctx, http.MethodPost, "/v2/compile", body, c.cfg.RequestTimeout, out, targets, bin)
-	}
-	err = post(body, bin)
-	if err != nil && bin && isUnsupportedMedia(err) {
-		c.jsonFallback.Store(true)
-		if body, err = json.Marshal(req); err != nil {
-			return nil, err
-		}
-		err = post(body, false)
+	if c.cfg.HedgeDelay > 0 {
+		err = c.hedge(ctx, "/v2/compile", body, out, targets, bin)
+	} else {
+		err = c.doOn(ctx, http.MethodPost, "/v2/compile", body, c.cfg.RequestTimeout, out, targets, bin)
 	}
 	if err != nil {
 		return nil, err
@@ -383,22 +359,13 @@ func (c *Client) CompileBatch(ctx context.Context, items []wire.CompileItem) (*w
 }
 
 // postBatch sends one batch (the whole batch, or one fleet shard) to its
-// target list in the client's wire encoding, falling back to JSON when a
-// pre-binary server answers 415.
+// target list in the client's wire encoding.
 func (c *Client) postBatch(ctx context.Context, items []wire.CompileItem, targets []string, out *wire.CompileBatchResponse) error {
 	body, bin, err := c.encodeBatch(items)
 	if err != nil {
 		return err
 	}
-	err = c.doOn(ctx, http.MethodPost, "/v2/compile-batch", body, c.cfg.BatchTimeout, out, targets, bin)
-	if err != nil && bin && isUnsupportedMedia(err) {
-		c.jsonFallback.Store(true)
-		if body, err = json.Marshal(&wire.CompileBatchRequest{Version: wire.Version, Items: items}); err != nil {
-			return err
-		}
-		err = c.doOn(ctx, http.MethodPost, "/v2/compile-batch", body, c.cfg.BatchTimeout, out, targets, false)
-	}
-	return err
+	return c.doOn(ctx, http.MethodPost, "/v2/compile-batch", body, c.cfg.BatchTimeout, out, targets, bin)
 }
 
 // encodeBatch renders a batch request in the client's wire encoding,
@@ -484,9 +451,8 @@ func (c *Client) Trace(ctx context.Context, hash string) (*wire.TraceResponse, e
 // same endpoint peers use for cache-fill.
 func (c *Client) Artifact(ctx context.Context, hash string) (*wire.ArtifactResponse, error) {
 	out := new(wire.ArtifactResponse)
-	// A binary Accept on a GET needs no 415 fallback: servers that
-	// predate the format ignore the header and answer JSON, and
-	// decodeBody follows the response's Content-Type either way.
+	// decodeBody follows the response's Content-Type, so a binary Accept
+	// is safe even where a server answers JSON.
 	if err := c.doOn(ctx, http.MethodGet, "/v2/artifacts/"+hash, nil, c.cfg.RequestTimeout, out, c.targetsFor(hash), c.useBinary()); err != nil {
 		return nil, err
 	}

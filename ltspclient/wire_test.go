@@ -2,7 +2,7 @@ package ltspclient
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -65,9 +65,6 @@ func TestBinaryWireAgainstServer(t *testing.T) {
 	if !reflect.DeepEqual(jresp, bresp) {
 		t.Fatalf("responses differ:\njson:   %+v\nbinary: %+v", jresp, bresp)
 	}
-	if bc.jsonFallback.Load() {
-		t.Fatal("binary client fell back to JSON against a binary-capable server")
-	}
 
 	req, err := wire.NewCompileRequest(l, opts)
 	if err != nil {
@@ -99,52 +96,33 @@ func TestBinaryWireAgainstServer(t *testing.T) {
 	}
 }
 
-// TestBinary415FallsBackToJSON: a server predating the wire format
-// answers a binary frame with 415; the client latches JSON mode, the
-// in-flight call still succeeds, and later calls skip binary entirely.
-func TestBinary415FallsBackToJSON(t *testing.T) {
-	var binaryHits, jsonHits atomic.Int64
+// TestBinary415IsAnError: a 415 answer to a binary frame comes back as
+// the server's unsupported_media envelope after one attempt, and the
+// client keeps sending binary: it has no JSON fallback.
+func TestBinary415IsAnError(t *testing.T) {
+	var binaryHits, otherHits atomic.Int64
 	handler := func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.Header.Get("Content-Type"), binary.ContentType) {
 			binaryHits.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			_ = json.NewEncoder(w).Encode(wire.NewError(wire.CodeUnsupportedMedia, "unknown content type"))
-			return
+		} else {
+			otherHits.Add(1)
 		}
-		jsonHits.Add(1)
-		var req wire.CompileRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("fallback body is not JSON: %v", err)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(&wire.CompileResponse{Hash: "abc", Pipelined: true})
+		writeEnvelope(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia)
 	}
 	client, _ := newClient(t, handler, func(cfg *Config) { cfg.Wire = "binary" })
 
 	l := wireTestLoop(t)
-	resp, err := client.CompileLoop(context.Background(), l, ltsp.Options{})
-	if err != nil {
-		t.Fatal(err)
+	for call := 1; call <= 2; call++ {
+		_, err := client.CompileLoop(context.Background(), l, ltsp.Options{})
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != wire.CodeUnsupportedMedia {
+			t.Fatalf("call %d: err = %v, want an *APIError with code %s", call, err, wire.CodeUnsupportedMedia)
+		}
+		if got := client.Stats().Attempts; got != int64(call) {
+			t.Fatalf("call %d: %d attempts in total, want %d", call, got, call)
+		}
 	}
-	if resp.Hash != "abc" {
-		t.Fatalf("hash = %q after fallback", resp.Hash)
-	}
-	if got := binaryHits.Load(); got != 1 {
-		t.Fatalf("binary attempts = %d, want exactly 1", got)
-	}
-	if !client.jsonFallback.Load() {
-		t.Fatal("jsonFallback not latched after 415")
-	}
-
-	// The latch is sticky: the next call goes straight to JSON.
-	if _, err := client.CompileLoop(context.Background(), l, ltsp.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := binaryHits.Load(); got != 1 {
-		t.Fatalf("binary attempts after latch = %d, want still 1", got)
-	}
-	if got := jsonHits.Load(); got != 2 {
-		t.Fatalf("json attempts = %d, want 2", got)
+	if b, o := binaryHits.Load(), otherHits.Load(); b != 2 || o != 0 {
+		t.Fatalf("server saw %d binary and %d other requests, want 2 and 0", b, o)
 	}
 }
