@@ -13,19 +13,12 @@ import (
 	"ltsp/internal/wire/binary"
 )
 
-// The batch response envelopes live in package wire (shared with
-// ltspclient); the aliases keep existing embedders and tests compiling.
-type (
-	BatchItemResult      = wire.BatchItemResult
-	CompileBatchResponse = wire.CompileBatchResponse
-)
-
 // batchItemError renders a per-item failure with its envelope code, so a
 // batch client can tell retryable items (deadline, injected faults) from
 // permanently broken ones without parsing message strings.
-func batchItemError(err error) BatchItemResult {
+func batchItemError(err error) wire.BatchItemResult {
 	code := errCode(err, http.StatusBadRequest)
-	return BatchItemResult{
+	return wire.BatchItemResult{
 		Error:     err.Error(),
 		ErrorCode: code,
 		Retryable: wire.Retryable(code),
@@ -93,7 +86,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestCtx(r, s.cfg.CompileTimeout*time.Duration(rounds))
 	defer cancel()
 
-	results := make([]BatchItemResult, len(req.Items))
+	results := make([]wire.BatchItemResult, len(req.Items))
 	reqID := requestIDFrom(ctx)
 	var wg sync.WaitGroup
 	for i := range req.Items {
@@ -113,7 +106,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	s.metrics.BatchLatency.Observe(time.Since(start))
-	resp := &CompileBatchResponse{Items: results}
+	resp := &wire.CompileBatchResponse{Items: results}
 	if wantsBinary(r) {
 		writeBinary(w, binary.EncodeCompileBatchResponse(nil, resp))
 		return
@@ -124,13 +117,13 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 // batchItem runs one batch item on a worker slot, writing its result to
 // *res, and returns the item's outcome. ctx is the batch's context and
 // ictx the item's, which parents the item's stages.
-func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *BatchItemResult) string {
+func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *wire.BatchItemResult) string {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		s.metrics.Timeouts.Add(1)
 		s.metrics.BatchItemErrors.Add(1)
-		*res = BatchItemResult{
+		*res = wire.BatchItemResult{
 			Error:     "batch deadline exceeded waiting for a worker slot",
 			ErrorCode: wire.CodeDeadlineExceeded,
 			Retryable: true,
@@ -145,7 +138,7 @@ func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item 
 		s.logBatchItem(ctx, reqID, i, hash, false, err)
 		return "error"
 	}
-	*res = BatchItemResult{CompileResponse: respondCompile(cached, art)}
+	*res = wire.BatchItemResult{CompileResponse: respondCompile(cached, art)}
 	s.logBatchItem(ctx, reqID, i, hash, cached, nil)
 	return "ok"
 }

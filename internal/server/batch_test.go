@@ -33,7 +33,7 @@ func TestCompileBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s: %s", resp.Status, body)
 	}
-	var br server.CompileBatchResponse
+	var br wire.CompileBatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCompileBatch(t *testing.T) {
 	if single.StatusCode != http.StatusOK {
 		t.Fatalf("single compile after batch: %s", single.Status)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(sbody, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCompileBatchLargerThanPool(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s: %s", resp.Status, body)
 	}
-	var br server.CompileBatchResponse
+	var br wire.CompileBatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}

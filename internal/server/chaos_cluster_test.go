@@ -251,7 +251,7 @@ func TestChaosPeerKillRestartMidBatch(t *testing.T) {
 		t.Fatalf("no pre-kill item owned by the victim (seed %d)", seed)
 	}
 	req := &wire.CompileRequest{Version: wire.Version, Loop: items[victimOwned].Loop, Options: items[victimOwned].Options}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := postFaulty(victim.self+"/v2/compile", req, &cr); err != nil {
 		t.Fatalf("restarted node never answered: %v", err)
 	}

@@ -390,7 +390,7 @@ func TestV2PrefixServes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("v2 compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}

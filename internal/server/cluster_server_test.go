@@ -91,14 +91,14 @@ func TestWarmRestartFromDisk(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	var first server.CompileResponse
+	var first wire.CompileResponse
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Fatal("first compile reported cached")
 	}
-	var sim1 server.SimulateResponse
+	var sim1 wire.SimulateResponse
 	resp, body = post(t, ts1.URL+"/v2/simulate", &wire.SimulateRequest{
 		Version: wire.Version, Hash: first.Hash, Trip: 64,
 	})
@@ -118,7 +118,7 @@ func TestWarmRestartFromDisk(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm compile: %s: %s", resp.Status, body)
 	}
-	var warm server.CompileResponse
+	var warm wire.CompileResponse
 	if err := json.Unmarshal(body, &warm); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWarmRestartFromDisk(t *testing.T) {
 
 	// Simulating by hash materializes the disk-read artifact and reproduces
 	// the original cycle count exactly (compilation is deterministic).
-	var sim2 server.SimulateResponse
+	var sim2 wire.SimulateResponse
 	resp, body = post(t, ts2.URL+"/v2/simulate", &wire.SimulateRequest{
 		Version: wire.Version, Hash: first.Hash, Trip: 64,
 	})
@@ -182,7 +182,7 @@ func TestInlineSimulateAfterWarmRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first-life simulate: %s: %s", resp.Status, body)
 	}
-	var want server.SimulateResponse
+	var want wire.SimulateResponse
 	if err := json.Unmarshal(body, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestInlineSimulateAfterWarmRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm inline simulate: %s: %s", resp.Status, body)
 	}
-	var got server.SimulateResponse
+	var got wire.SimulateResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestArtifactEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestArtifactEndpoint(t *testing.T) {
 	if err := ar.CheckIntegrity(); err != nil {
 		t.Fatalf("artifact failed its own integrity check: %v", err)
 	}
-	var inner server.CompileResponse
+	var inner wire.CompileResponse
 	if err := json.Unmarshal(ar.Response, &inner); err != nil {
 		t.Fatalf("artifact response section undecodable: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestPeerCacheFill(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("non-owner compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestPeerFillFallsBackToLocalCompile(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile with owner down: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func writeBinary(w http.ResponseWriter, frame []byte) int {
 // writeCompileResponse writes a compile response in the negotiated
 // encoding. Only successful responses can be binary; callers route
 // errors through writeError, which always emits the JSON envelope.
-func writeCompileResponse(w http.ResponseWriter, bin bool, status int, resp *CompileResponse) {
+func writeCompileResponse(w http.ResponseWriter, bin bool, status int, resp *wire.CompileResponse) {
 	if bin && status == http.StatusOK {
 		writeBinary(w, binary.EncodeCompileResponse(nil, resp))
 		return
@@ -229,7 +229,7 @@ func (s *Server) serveHot(w http.ResponseWriter, key [sha256.Size]byte, bin bool
 // storeHot renders resp in both encodings (stamped Cached=true: any
 // future serve of this entry is a cache serve) and installs it under
 // key.
-func (s *Server) storeHot(key [sha256.Size]byte, resp *CompileResponse) {
+func (s *Server) storeHot(key [sha256.Size]byte, resp *wire.CompileResponse) {
 	r := *resp
 	r.Cached = true
 	var buf bytes.Buffer

@@ -14,6 +14,7 @@ import (
 
 	"ltsp/internal/obs"
 	"ltsp/internal/server"
+	"ltsp/internal/wire"
 )
 
 // traceDoc is the subset of the trace endpoint body the tests assert on.
@@ -30,7 +31,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func TestProvenanceQuarantineTamperedEntry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	var original server.CompileResponse
+	var original wire.CompileResponse
 	if err := json.Unmarshal(body, &original); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestProvenanceQuarantineTamperedEntry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recompile: %s: %s", resp.Status, body)
 	}
-	var healed server.CompileResponse
+	var healed wire.CompileResponse
 	if err := json.Unmarshal(body, &healed); err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestMembershipSwapMidHedgedFill(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var cr server.CompileResponse
+		var cr wire.CompileResponse
 		err = json.NewDecoder(resp.Body).Decode(&cr)
 		done <- out{status: resp.StatusCode, cached: cr.Cached, err: err}
 	}()

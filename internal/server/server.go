@@ -798,26 +798,15 @@ func errCode(err error, status int) string {
 	return codeForStatus(status)
 }
 
-// The response envelopes now live in package wire, shared with
-// ltspclient; the aliases keep existing embedders and tests compiling.
-type (
-	LoadReportJSON   = wire.LoadReportJSON
-	RegStatsJSON     = wire.RegStatsJSON
-	HLOJSON          = wire.HLOJSON
-	CompileResponse  = wire.CompileResponse
-	AcctJSON         = wire.AcctJSON
-	SimulateResponse = wire.SimulateResponse
-)
-
-func compileResponse(hash string, cached bool, c *ltsp.Compiled) *CompileResponse {
-	resp := &CompileResponse{
+func compileResponse(hash string, cached bool, c *ltsp.Compiled) *wire.CompileResponse {
+	resp := &wire.CompileResponse{
 		Hash: hash, Cached: cached,
 		Pipelined: c.Pipelined,
 		Outcome:   c.Outcome(),
 		II:        c.II, Stages: c.Stages,
 		ResII: c.ResII, RecII: c.RecII,
 		Backend: c.Backend, ProvenII: c.ProvenII,
-		Reg: RegStatsJSON{
+		Reg: wire.RegStatsJSON{
 			GR: c.Reg.TotalGR(), RotGR: c.Reg.RotGR,
 			FR: c.Reg.TotalFR(), RotFR: c.Reg.RotFR,
 			PR: c.Reg.TotalPR(), RotPR: c.Reg.RotPR,
@@ -826,7 +815,7 @@ func compileResponse(hash string, cached bool, c *ltsp.Compiled) *CompileRespons
 		Listing: c.Program.Listing(),
 	}
 	for _, lr := range c.Loads {
-		resp.Loads = append(resp.Loads, LoadReportJSON{
+		resp.Loads = append(resp.Loads, wire.LoadReportJSON{
 			ID: lr.ID, Critical: lr.Critical,
 			BaseLat: lr.BaseLat, SchedLat: lr.SchedLat,
 			ExtraD: lr.ExtraD, ClusterK: lr.ClusterK,
@@ -834,7 +823,7 @@ func compileResponse(hash string, cached bool, c *ltsp.Compiled) *CompileRespons
 		})
 	}
 	if c.HLO != nil {
-		resp.HLO = &HLOJSON{
+		resp.HLO = &wire.HLOJSON{
 			IIEst:           c.HLO.IIEst,
 			PrefetchesAdded: c.HLO.PrefetchesAdded,
 			HintsSet:        c.HLO.HintsSet,
@@ -849,7 +838,7 @@ func compileResponse(hash string, cached bool, c *ltsp.Compiled) *CompileRespons
 // respondCompile renders an artifact as a compile response. The shallow
 // copy re-stamps only the Cached flag; the nested slices are shared and
 // read-only.
-func respondCompile(cached bool, art *Artifact) *CompileResponse {
+func respondCompile(cached bool, art *Artifact) *wire.CompileResponse {
 	r := *art.Response
 	r.Cached = cached
 	return &r
@@ -1151,7 +1140,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, errCode(err, status), "compile: %v", err)
 		return
 	}
-	resp := v.(*CompileResponse)
+	resp := v.(*wire.CompileResponse)
 	writeCompileResponse(w, bin, status, resp)
 	if useHot && status == http.StatusOK {
 		s.storeHot(hotKey, resp)
@@ -1256,11 +1245,11 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	return &SimulateResponse{
+	return &wire.SimulateResponse{
 		Hash: hash, Cached: cached,
 		Cycles:      res.Cycles,
 		KernelIters: res.KernelIters,
-		Acct: AcctJSON{
+		Acct: wire.AcctJSON{
 			Total: res.Acct.Total, Unstalled: res.Acct.Unstalled,
 			ExeBubble: res.Acct.ExeBubble, L1DFPUBubble: res.Acct.L1DFPUBubble,
 			RSEBubble: res.Acct.RSEBubble, FlushBubble: res.Acct.FlushBubble,

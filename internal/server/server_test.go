@@ -97,7 +97,7 @@ func TestCompileEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate by hash: %s: %s", resp.Status, body)
 	}
-	var s1 server.SimulateResponse
+	var s1 wire.SimulateResponse
 	if err := json.Unmarshal(body, &s1); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSimulateByHashAndInline(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate inline: %s: %s", resp.Status, body)
 	}
-	var s2 server.SimulateResponse
+	var s2 wire.SimulateResponse
 	if err := json.Unmarshal(body, &s2); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSimulateWithMemory(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate: %s: %s", resp.Status, body)
 	}
-	var s1, s2 server.SimulateResponse
+	var s1, s2 wire.SimulateResponse
 	if err := json.Unmarshal(body, &s1); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestConcurrentCompiles(t *testing.T) {
 				mu.Unlock()
 				return
 			}
-			var cr server.CompileResponse
+			var cr wire.CompileResponse
 			if err := json.Unmarshal(data, &cr); err != nil {
 				mu.Lock()
 				errs = append(errs, err.Error())

@@ -44,7 +44,7 @@ func seedStore(t *testing.T, dir string, req *wire.CompileRequest) string {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed compile: %s: %s", resp.Status, body)
 	}
-	var cr server.CompileResponse
+	var cr wire.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}

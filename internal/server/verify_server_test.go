@@ -255,7 +255,7 @@ func TestBatchItemPanicContained(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s\n%s", resp.Status, body)
 	}
-	var br server.CompileBatchResponse
+	var br wire.CompileBatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
