@@ -49,7 +49,8 @@ type Row struct {
 // Check compares rows with the golden file at path, or rewrites the file
 // when the tests run with -update. On a mismatch it reports each missing
 // and added key and, for a changed row, the fields that moved, then fails
-// with the count of differing rows.
+// with the count of differing rows. It returns after every Fatalf, so a
+// testing.TB that records failures instead of stopping sees one verdict.
 func Check(t testing.TB, path string, rows []Row) {
 	t.Helper()
 	text, err := format(rows)
