@@ -107,8 +107,7 @@ func measureCompileLoop(reps, iters int) float64 {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if _, err := ltsp.Compile(exampleLoop(), opts); err != nil {
-				fmt.Fprintf(os.Stderr, "benchguard: compile: %v\n", err)
-				os.Exit(1)
+				fatal(fmt.Errorf("compile: %w", err))
 			}
 		}
 		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(iters))
@@ -123,8 +122,7 @@ func measureCompileTime(reps int) float64 {
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		if _, err := experiments.RunCompileTime(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: compiletime: %v\n", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("compiletime: %w", err))
 		}
 		samples = append(samples, time.Since(start).Seconds())
 	}
@@ -139,16 +137,14 @@ func measureVerify(reps, iters int) float64 {
 	opts := ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, LatencyTolerant: true}
 	c, err := ltsp.Compile(exampleLoop(), opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: compile: %v\n", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("compile: %w", err))
 	}
 	samples := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if err := c.Verify(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchguard: verify rejected a clean compilation: %v\n", err)
-				os.Exit(1)
+				fatal(fmt.Errorf("verify rejected a clean compilation: %w", err))
 			}
 		}
 		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(iters))
@@ -169,8 +165,7 @@ func measureShedAdmit(reps, iters int) float64 {
 		for i := 0; i < iters; i++ {
 			wait, ok := sh.Admit(time.Second, 1)
 			if !ok {
-				fmt.Fprintln(os.Stderr, "benchguard: primed shedder rejected an uncontended request")
-				os.Exit(1)
+				fatal(fmt.Errorf("primed shedder rejected an uncontended request"))
 			}
 			sink += wait
 		}
@@ -187,8 +182,7 @@ func measureCacheHit(reps, iters int) float64 {
 	opts := ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, LatencyTolerant: true}
 	c, err := ltsp.Compile(exampleLoop(), opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: compile: %v\n", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("compile: %w", err))
 	}
 	cache := server.NewArtifactCache(16, &server.Metrics{})
 	const key = "bench"
@@ -199,8 +193,7 @@ func measureCacheHit(reps, iters int) float64 {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if _, ok := cache.Get(key); !ok {
-				fmt.Fprintln(os.Stderr, "benchguard: cache lost its only artifact")
-				os.Exit(1)
+				fatal(fmt.Errorf("cache lost its only artifact"))
 			}
 		}
 		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(iters))
@@ -272,28 +265,24 @@ func measureTracedPath(reps, iters int) float64 {
 func measureDiskHit(reps, iters int) float64 {
 	dir, err := os.MkdirTemp("", "benchguard-store")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer os.RemoveAll(dir)
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer st.Close()
 
 	loopData, err := ir.EncodeLoop(exampleLoop())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	req := wire.CompileRequest{Version: wire.Version, Loop: loopData,
 		Options: wire.Options{Mode: "hlo", Prefetch: true, LatencyTolerant: true}}
 	canon, err := req.Canonical()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	hash := wire.HashOf(canon)
 	if err := st.Put(&store.Entry{
@@ -302,16 +291,14 @@ func measureDiskHit(reps, iters int) float64 {
 		Response: json.RawMessage(`{"hash":"` + hash + `","outcome":"pipelined"}`),
 		Trace:    json.RawMessage(`[]`),
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	samples := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			if _, err := st.Get(hash); err != nil {
-				fmt.Fprintf(os.Stderr, "benchguard: disk hit: %v\n", err)
-				os.Exit(1)
+				fatal(fmt.Errorf("disk hit: %w", err))
 			}
 		}
 		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(iters))
@@ -669,8 +656,7 @@ func main() {
 
 	if *write {
 		if !ok {
-			fmt.Fprintln(os.Stderr, "benchguard: not writing a baseline while a design-bound gate fails")
-			os.Exit(1)
+			fatal(fmt.Errorf("not writing a baseline while a design-bound gate fails"))
 		}
 		b := Baseline{
 			CompileLoopNsOp:      loopNs,
@@ -685,8 +671,7 @@ func main() {
 		}
 		data, _ := json.MarshalIndent(b, "", "  ")
 		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *baselinePath)
 		return
@@ -694,13 +679,11 @@ func main() {
 
 	data, err := os.ReadFile(*baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %v (run with -write to create it)\n", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("%w (run with -write to create it)", err))
 	}
 	var base Baseline
 	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", *baselinePath, err)
-		os.Exit(1)
+		fatal(fmt.Errorf("%s: %w", *baselinePath, err))
 	}
 
 	regression := func(name string, got, want float64) gate {
@@ -717,8 +700,7 @@ func main() {
 		regression("provenance_append_ns_op", provNs, base.ProvenanceAppendNsOp),
 	}) && ok
 	if !ok {
-		fmt.Fprintf(os.Stderr, "benchguard: FAIL (regression threshold %.0f%%): see the rows marked FAIL above\n", *threshold)
-		os.Exit(1)
+		fatal(fmt.Errorf("FAIL (regression threshold %.0f%%): see the rows marked FAIL above", *threshold))
 	}
 }
 

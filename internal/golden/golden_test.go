@@ -90,7 +90,8 @@ func TestFormatRejectsUnreadableRows(t *testing.T) {
 		{{Key: "a"}, {Key: "a"}},
 		{{Key: "a", Fields: []Field{F("x y", 1)}}},
 		{{Key: "a", Fields: []Field{F("x", "1 2")}}},
-		{{Key: "a", Digest: "d e"}},
+		{{Key: "a", Digest: "d\te"}},
+		{{Key: "a\nb"}},
 	} {
 		if _, err := format(rows); err == nil {
 			t.Errorf("format(%+v) accepted", rows)
