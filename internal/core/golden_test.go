@@ -18,13 +18,17 @@ const searchGoldenFile = "testdata/search_golden.txt"
 
 // TestSearchGolden fences the II search across the whole workload: every
 // loop of all 55 models, under both latency policies, after HLO hints
-// and prefetching. Each compile's row carries the search's readable
-// outcome (final II, RecMII and ResMII, stages, placement attempts, II
-// bumps, the reduced-latency rung, rotating and static GR/FR used, or
-// err) and a digest of its result fields, schedule, load reports and
-// JSON decision trace, so any change to a schedule, a trace or the
-// search's accounting fails here. Run with -update to regenerate the
-// file after an intended change.
+// and prefetching, with each scheduling backend. Each compile's row
+// carries the search's readable outcome (final II, RecMII and ResMII,
+// stages, placement attempts, II bumps, the reduced-latency rung,
+// rotating and static GR/FR used, or err) and a digest of its result
+// fields, schedule, load reports and JSON decision trace, so any change
+// to a schedule, a trace or the search's accounting fails here. The
+// exact and oracle rows add whether the II is proven optimal, and the
+// oracle rows add the yardstick: the exact solver's proven minimum II
+// and the max register lifetimes of both schedules, or over-budget when
+// the probe proved nothing. Run with -update to regenerate the file
+// after an intended change.
 func TestSearchGolden(t *testing.T) {
 	m := machine.Itanium2()
 	benches := workload.All()
@@ -36,15 +40,18 @@ func TestSearchGolden(t *testing.T) {
 		for i := range b.Loops {
 			spec := &b.Loops[i]
 			for _, tolerant := range []bool{false, true} {
-				rows = append(rows, searchRow(t, m, b.Name, spec, tolerant))
+				for _, backend := range []string{"", "exact", "oracle"} {
+					rows = append(rows, searchRow(t, m, b.Name, spec, tolerant, backend))
+				}
 			}
 		}
 	}
 	golden.Check(t, searchGoldenFile, rows)
 }
 
-// searchRow compiles one loop and returns its golden row.
-func searchRow(t *testing.T, m *machine.Model, bench string, spec *workload.LoopSpec, tolerant bool) golden.Row {
+// searchRow compiles one loop with one backend ("" for the heuristic)
+// and returns its golden row.
+func searchRow(t *testing.T, m *machine.Model, bench string, spec *workload.LoopSpec, tolerant bool, backend string) golden.Row {
 	t.Helper()
 	l := spec.Gen()
 	if _, err := hlo.Apply(l, hlo.Options{Model: m, Mode: hlo.ModeHLO, Prefetch: true}); err != nil {
@@ -55,11 +62,15 @@ func searchRow(t *testing.T, m *machine.Model, bench string, spec *workload.Loop
 		Model:           m,
 		LatencyTolerant: tolerant,
 		BoostDelinquent: tolerant,
+		Backend:         backend,
 		Trace:           tr,
 	})
 	row := golden.Row{
 		Key:    fmt.Sprintf("%s/%s tol=%v", bench, spec.Name, tolerant),
 		Digest: searchDigest(t, spec, c, err, tr),
+	}
+	if backend != "" {
+		row.Key += " backend=" + backend
 	}
 	if err != nil {
 		row.Fields = []golden.Field{{Name: "err"}}
@@ -72,6 +83,19 @@ func searchRow(t *testing.T, m *machine.Model, bench string, spec *workload.Loop
 		golden.F("reduced", c.LatencyReduced),
 		golden.F("rot", fmt.Sprintf("%d/%d", st.RotGR, st.RotFR)),
 		golden.F("static", fmt.Sprintf("%d/%d", st.StaticGR, st.StaticFR)),
+	}
+	if backend != "" {
+		row.Fields = append(row.Fields, golden.F("proven", c.ProvenII))
+	}
+	for _, e := range tr.Events() {
+		if gap, ok := e.(obs.OracleGapEvent); ok {
+			if !gap.Proven {
+				row.Fields = append(row.Fields, golden.F("min", "over-budget"))
+				break
+			}
+			row.Fields = append(row.Fields, golden.F("min", gap.ExactII),
+				golden.F("life", fmt.Sprintf("%d/%d", gap.HeurLife, gap.ExactLife)))
+		}
 	}
 	return row
 }
