@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,35 +12,56 @@ import (
 	"ltsp/internal/ir"
 	"ltsp/internal/machine"
 	"ltsp/internal/obs"
-	"ltsp/internal/sched"
 	"ltsp/internal/sched/exact"
 	"ltsp/internal/workload"
 )
 
-// TestNewBackendFresh: exact and oracle are built fresh per compile (the
-// exact backend keeps per-search state); the heuristic is shared.
-func TestNewBackendFresh(t *testing.T) {
-	for _, name := range []string{sched.BackendExact, sched.BackendOracle} {
-		a, err := newBackend(name)
+// TestNewResolvesBackends: the empty string and "heuristic" resolve to
+// the production backend, the other in-tree names resolve to
+// themselves, and unknown names fail with the selectable set in the
+// message.
+func TestNewResolvesBackends(t *testing.T) {
+	for name, want := range map[string]string{
+		"":               BackendHeuristic,
+		BackendHeuristic: BackendHeuristic,
+		BackendExact:     BackendExact,
+		BackendOracle:    BackendOracle,
+	} {
+		got, err := Resolve(name)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Resolve(%q): %v", name, err)
 		}
-		b, _ := newBackend(name)
-		if a.Name() != name {
-			t.Fatalf("newBackend(%q).Name() = %q", name, a.Name())
-		}
-		if a == b {
-			t.Fatalf("newBackend(%q) returned a shared instance", name)
+		if got != want {
+			t.Fatalf("Resolve(%q) = %q, want %q", name, got, want)
 		}
 	}
-	for _, name := range []string{"", sched.BackendHeuristic} {
-		s, err := newBackend(name)
-		if err != nil || s != sched.Heuristic() {
-			t.Fatalf("newBackend(%q) = %v, %v; want the shared heuristic", name, s, err)
+	for _, name := range []string{"simplex", "Exact", " heuristic"} {
+		got, err := Resolve(name)
+		if err == nil {
+			t.Fatalf("Resolve(%q) = %q, want an error", name, got)
+		}
+		for _, want := range []string{name, BackendHeuristic, BackendExact, BackendOracle} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("unknown-backend error %q does not mention %q", err, want)
+			}
 		}
 	}
-	if _, err := newBackend("simplex"); err == nil {
-		t.Fatal("newBackend accepted an unknown name")
+	if _, err := Pipeline(cancelLoop(), Options{Backend: "simplex"}); err == nil {
+		t.Fatal("Pipeline accepted an unknown backend")
+	}
+}
+
+// TestBackendsSorted: the selectable set is sorted, includes every
+// in-tree backend exactly once, and is a copy the caller may modify.
+func TestBackendsSorted(t *testing.T) {
+	names := Backends()
+	want := []string{BackendExact, BackendHeuristic, BackendOracle}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("Backends() = %v, want %v", names, want)
+	}
+	names[0] = "clobbered"
+	if got := Backends(); got[0] != BackendExact {
+		t.Fatalf("Backends() shares its slice with callers: %v", got)
 	}
 }
 
@@ -81,7 +103,7 @@ func backendLoops(t *testing.T, m *machine.Model) []func() *ir.Loop {
 // TestBackendsConcurrent compiles the same loops with the exact and
 // oracle backends from several goroutines at once. Every result must
 // equal a single-goroutine compile, proof flag and trace included. Run
-// under -race, it fails if one stateful backend instance is ever shared
+// under -race, it fails if one stateful exact scheduler is ever shared
 // between concurrent compiles.
 func TestBackendsConcurrent(t *testing.T) {
 	m := machine.Itanium2()
@@ -100,7 +122,7 @@ func TestBackendsConcurrent(t *testing.T) {
 		return fmt.Sprintf("ii=%d stages=%d attempts=%d proven=%v backend=%s\n%s\n%s",
 			c.FinalII, c.Stages, c.Attempts, c.ProvenII, c.Backend, sc, js)
 	}
-	for _, backend := range []string{sched.BackendExact, sched.BackendOracle} {
+	for _, backend := range []string{BackendExact, BackendOracle} {
 		want := make([]string, len(gens))
 		for i, gen := range gens {
 			want[i] = compile(backend, gen)

@@ -9,7 +9,6 @@ import (
 	"ltsp/internal/ir"
 	"ltsp/internal/machine"
 	"ltsp/internal/modsched"
-	"ltsp/internal/sched"
 )
 
 // cancelLoop is a small pipelinable loop for the cancellation tests.
@@ -89,18 +88,17 @@ func TestSearchCancellationStopsClaiming(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := &sched.Request{
-		Loop: l, Model: m, Graph: g,
-		PolLat: polLat, BaseLat: baseLat,
-		MinII: minII, MaxII: maxII,
-		HaveBoost: true,
+	s := &search{
+		l: l, m: m, g: g, policy: policy,
+		polLat: polLat, baseLat: baseLat,
+		minII: minII, maxII: maxII,
+		haveBoost: true,
+		schedule:  heuristicAtII,
 	}
-	fin := &finisher{l: l, m: m, g: g, policy: policy, polLat: polLat, baseLat: baseLat}
-	r := sched.SequentialSearch(sched.Heuristic(), ctx, req, nil, fin.finish)
-	if r.Found || r.LastErr != nil {
-		t.Fatalf("search under canceled ctx: found=%v err=%v, want not-done with no attempt error", r.Found, r.LastErr)
+	if k := s.run(ctx, nil); k != nil || s.lastErr != nil {
+		t.Fatalf("search under canceled ctx: kernel=%v err=%v, want none with no attempt error", k, s.lastErr)
 	}
-	if r.Attempts != 0 {
-		t.Fatalf("search claimed %d attempts after cancellation", r.Attempts)
+	if s.attempts != 0 {
+		t.Fatalf("search claimed %d attempts after cancellation", s.attempts)
 	}
 }

@@ -4,16 +4,16 @@ import (
 	"context"
 
 	"ltsp/internal/ddg"
+	"ltsp/internal/machine"
 	"ltsp/internal/modsched"
 	"ltsp/internal/obs"
-	"ltsp/internal/sched"
 )
 
-// scheduler is the "exact" backend: branch-and-bound per candidate II,
-// handing individual attempts to the heuristic when the loop exceeds
-// the size budget or a solve comes back undecided. It is created fresh
-// per compilation so fellBack can void the optimality proof.
-type scheduler struct {
+// Scheduler is the "exact" backend's fixed-II scheduler: branch-and-bound
+// per candidate II, handing individual attempts to the heuristic when the
+// loop exceeds the size budget or a solve comes back undecided. It keeps
+// the proof state of one II search, so each compile builds its own.
+type Scheduler struct {
 	lim      Limits
 	fellBack bool
 	// minFeasible is the lowest II any attempt scheduled successfully
@@ -23,43 +23,26 @@ type scheduler struct {
 	minFeasible int
 }
 
-// New returns a fresh exact backend with the default size budget.
-func New() sched.Scheduler { return &scheduler{lim: DefaultLimits(), minFeasible: -1} }
-
-// NewWithLimits returns a fresh exact backend with a custom budget
-// (tests shrink it to force fallbacks).
-func NewWithLimits(lim Limits) sched.Scheduler { return &scheduler{lim: lim, minFeasible: -1} }
-
-func (s *scheduler) Name() string { return sched.BackendExact }
-
-// heuristicAtII delegates one fixed-II attempt to the production
-// scheduler, trace events and all.
-func heuristicAtII(req *sched.Request, ii int, latf ddg.LatencyFn, tr *obs.Trace) (*modsched.Schedule, bool) {
-	return modsched.ScheduleAtII(req.Model, req.Graph, ii, latf, modsched.Options{BudgetRatio: req.BudgetRatio, Trace: tr})
-}
+// New returns a Scheduler for one II search under the given budget
+// (DefaultLimits in production; tests shrink it to force fallbacks).
+func New(lim Limits) *Scheduler { return &Scheduler{lim: lim, minFeasible: -1} }
 
 // ScheduleAtII solves the loop exactly at one II. Over-budget loops and
 // undecided solves fall back to the heuristic (with a trace event) —
 // a fallback is never an error, but it voids the II-optimality proof.
 // A canceled context returns nil, false so the search loop can exit.
-func (s *scheduler) ScheduleAtII(ctx context.Context, req *sched.Request, ii int, latf ddg.LatencyFn, tr *obs.Trace) (*modsched.Schedule, bool) {
+func (s *Scheduler) ScheduleAtII(ctx context.Context, m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, tr *obs.Trace) (*modsched.Schedule, bool) {
 	reason := ""
 	switch {
-	case len(req.Loop.Body) > s.lim.MaxBody:
+	case len(g.Loop.Body) > s.lim.MaxBody:
 		reason = "body-size"
 	case ii > s.lim.MaxII:
 		reason = "ii-budget"
 	}
 	if reason != "" {
-		s.fellBack = true
-		if tr.On() {
-			tr.Emit(obs.ExactFallbackEvent{II: ii, Reason: reason})
-		}
-		sol, ok := heuristicAtII(req, ii, latf, tr)
-		s.noteFeasible(ii, ok)
-		return sol, ok
+		return s.fallBack(m, g, ii, latf, tr, reason)
 	}
-	sol, st, stats := SolveMin(ctx, req.Model, req.Graph, ii, latf, s.lim)
+	sol, st, stats := SolveMin(ctx, m, g, ii, latf, s.lim)
 	if tr.On() {
 		tr.Emit(obs.ExactEvent{
 			II: ii, Status: st.String(), Nodes: stats.Nodes,
@@ -73,34 +56,33 @@ func (s *scheduler) ScheduleAtII(ctx context.Context, req *sched.Request, ii int
 	case StatusInfeasible:
 		return nil, false
 	default: // StatusUnknown
-		s.fellBack = true
 		if ctx.Err() != nil {
+			s.fellBack = true
 			return nil, false // canceled: let the search loop observe ctx
 		}
-		if tr.On() {
-			tr.Emit(obs.ExactFallbackEvent{II: ii, Reason: stats.Reason})
-		}
-		sol, ok := heuristicAtII(req, ii, latf, tr)
-		s.noteFeasible(ii, ok)
-		return sol, ok
+		return s.fallBack(m, g, ii, latf, tr, stats.Reason)
 	}
 }
 
-func (s *scheduler) noteFeasible(ii int, ok bool) {
+// fallBack delegates one fixed-II attempt to the production scheduler,
+// trace events and all, and voids the proof.
+func (s *Scheduler) fallBack(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, tr *obs.Trace, reason string) (*modsched.Schedule, bool) {
+	s.fellBack = true
+	if tr.On() {
+		tr.Emit(obs.ExactFallbackEvent{II: ii, Reason: reason})
+	}
+	sol, ok := modsched.ScheduleAtII(m, g, ii, latf, modsched.Options{Trace: tr})
+	s.noteFeasible(ii, ok)
+	return sol, ok
+}
+
+func (s *Scheduler) noteFeasible(ii int, ok bool) {
 	if ok && (s.minFeasible < 0 || ii < s.minFeasible) {
 		s.minFeasible = ii
 	}
 }
 
-// Search runs the sequential II search. The winner is proven
-// II-optimal when no attempt at a lower II fell back to the heuristic
-// (every lower II was then *proven* infeasible) and no lower II was
-// schedulable-but-rejected by register allocation.
-func (s *scheduler) Search(ctx context.Context, req *sched.Request, tr *obs.Trace, finish sched.Finisher) sched.Result {
-	s.fellBack, s.minFeasible = false, -1
-	r := sched.SequentialSearch(s, ctx, req, tr, finish)
-	if r.Found && !s.fellBack && s.minFeasible == r.II {
-		r.Proven = true
-	}
-	return r
-}
+// Proves reports that the search's winning II is proven optimal: no
+// attempt fell back to the heuristic, so every lower II was refuted, and
+// no lower II was schedulable-but-rejected by register allocation.
+func (s *Scheduler) Proves(ii int) bool { return !s.fellBack && s.minFeasible == ii }

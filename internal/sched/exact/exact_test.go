@@ -15,7 +15,6 @@ import (
 	"ltsp/internal/machine"
 	"ltsp/internal/modsched"
 	"ltsp/internal/obs"
-	"ltsp/internal/sched"
 	"ltsp/internal/sched/exact"
 	"ltsp/internal/verify"
 	"ltsp/internal/workload"
@@ -56,10 +55,17 @@ func fpAccumLoop() *ir.Loop {
 	return l
 }
 
-// buildReq assembles a sched.Request the way the pipeline does, with
-// base latencies for both rungs (the ladder shape is irrelevant to
-// these tests).
-func buildReq(t *testing.T, l *ir.Loop) *sched.Request {
+// setup is the read-only input of a fixed-II solve, built the way the
+// pipeline builds it but with base latencies (the latency policy is
+// irrelevant to these tests).
+type setup struct {
+	m     *machine.Model
+	g     *ddg.Graph
+	lat   ddg.LatencyFn
+	minII int
+}
+
+func newSetup(t *testing.T, l *ir.Loop) *setup {
 	t.Helper()
 	if err := l.Verify(); err != nil {
 		t.Fatal(err)
@@ -74,17 +80,7 @@ func buildReq(t *testing.T, l *ir.Loop) *sched.Request {
 	if rec := g.RecMII(lat); rec > minII {
 		minII = rec
 	}
-	return &sched.Request{
-		Loop: l, Model: m, Graph: g,
-		PolLat: lat, BaseLat: lat,
-		MinII: minII, MaxII: 2*minII + 16,
-	}
-}
-
-// acceptAll is a Finisher that accepts every schedule, so the search's
-// own behavior is observable without register allocation in the way.
-func acceptAll(ii int, s *modsched.Schedule, reduced bool, tr *obs.Trace) sched.Candidate {
-	return sched.Candidate{Done: true}
+	return &setup{m: m, g: g, lat: lat, minII: minII}
 }
 
 // traceEvents filters a trace down to one event kind.
@@ -130,9 +126,9 @@ func TestExactNeverWorseOnWorkloads(t *testing.T) {
 					Trace:           tr,
 				})
 			}
-			heur, herr := compile(sched.BackendHeuristic, nil)
+			heur, herr := compile(core.BackendHeuristic, nil)
 			tr := obs.New()
-			ex, xerr := compile(sched.BackendExact, tr)
+			ex, xerr := compile(core.BackendExact, tr)
 			if herr != nil {
 				// The heuristic could not compile this loop at all; the
 				// exact backend owes nothing here.
@@ -146,8 +142,8 @@ func TestExactNeverWorseOnWorkloads(t *testing.T) {
 			if ex.FinalII > heur.FinalII {
 				t.Errorf("%s: exact II %d worse than heuristic II %d", spec.Name, ex.FinalII, heur.FinalII)
 			}
-			if ex.Backend != sched.BackendExact {
-				t.Errorf("%s: Compiled.Backend = %q, want %q", spec.Name, ex.Backend, sched.BackendExact)
+			if ex.Backend != core.BackendExact {
+				t.Errorf("%s: Compiled.Backend = %q, want %q", spec.Name, ex.Backend, core.BackendExact)
 			}
 			if ex.ProvenII {
 				proven++
@@ -174,7 +170,7 @@ func TestExactNeverWorseOnWorkloads(t *testing.T) {
 // TestExactIIOne: a resource-light, recurrence-free loop schedules at
 // II = 1 and the result is provably optimal (II meets the lower bound).
 func TestExactIIOne(t *testing.T) {
-	c, err := core.Pipeline(copyAddLoop(), core.Options{Backend: sched.BackendExact})
+	c, err := core.Pipeline(copyAddLoop(), core.Options{Backend: core.BackendExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +202,7 @@ func TestExactRecMIIDominated(t *testing.T) {
 	if recII <= resII {
 		t.Fatalf("test premise broken: RecMII %d <= ResMII %d", recII, resII)
 	}
-	c, err := core.Pipeline(fpAccumLoop(), core.Options{Backend: sched.BackendExact})
+	c, err := core.Pipeline(fpAccumLoop(), core.Options{Backend: core.BackendExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +229,20 @@ func TestExactOverBudgetFallsBack(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := copyAddLoop()
-			req := buildReq(t, l)
-			defer req.Graph.Release()
-			backend := exact.NewWithLimits(tc.lim)
+			su := newSetup(t, copyAddLoop())
+			defer su.g.Release()
+			sch := exact.New(tc.lim)
 			tr := obs.New()
-			r := backend.Search(context.Background(), req, tr, acceptAll)
-			if !r.Found {
-				t.Fatalf("over-budget search failed outright (lastErr %v); want heuristic fallback", r.LastErr)
+			// The search's own loop, with every schedule accepted.
+			maxII := 2*su.minII + 16
+			ii := su.minII
+			for ; ii <= maxII; ii++ {
+				if _, ok := sch.ScheduleAtII(context.Background(), su.m, su.g, ii, su.lat, tr); ok {
+					break
+				}
+			}
+			if ii > maxII {
+				t.Fatal("over-budget search failed outright; want heuristic fallback")
 			}
 			evs := traceEvents(tr, "exact-fallback")
 			if len(evs) == 0 {
@@ -250,10 +252,8 @@ func TestExactOverBudgetFallsBack(t *testing.T) {
 			if fb.Reason != tc.reason {
 				t.Fatalf("fallback reason = %q, want %q", fb.Reason, tc.reason)
 			}
-			// A fallback voids the optimality proof unless the winner
-			// already meets the MinII lower bound.
-			if r.Proven && r.II != req.MinII {
-				t.Fatalf("proof survived a fallback at II %d > MinII %d", r.II, req.MinII)
+			if sch.Proves(ii) {
+				t.Fatalf("proof of II %d survived a fallback", ii)
 			}
 		})
 	}
@@ -263,15 +263,14 @@ func TestExactOverBudgetFallsBack(t *testing.T) {
 // recurrence bound unconditionally (negative-cycle detection, not
 // search exhaustion).
 func TestExactInfeasibleBelowRecMII(t *testing.T) {
-	l := fpAccumLoop()
-	req := buildReq(t, l)
-	defer req.Graph.Release()
-	if req.MinII < 2 {
-		t.Fatalf("test premise broken: MinII %d leaves no II to refute", req.MinII)
+	su := newSetup(t, fpAccumLoop())
+	defer su.g.Release()
+	if su.minII < 2 {
+		t.Fatalf("test premise broken: MinII %d leaves no II to refute", su.minII)
 	}
-	sol, st, stats := exact.SolveMin(context.Background(), req.Model, req.Graph, req.MinII-1, req.PolLat, exact.DefaultLimits())
+	sol, st, stats := exact.SolveMin(context.Background(), su.m, su.g, su.minII-1, su.lat, exact.DefaultLimits())
 	if st != exact.StatusInfeasible || sol != nil {
-		t.Fatalf("II %d below RecMII: status %v, want infeasible", req.MinII-1, st)
+		t.Fatalf("II %d below RecMII: status %v, want infeasible", su.minII-1, st)
 	}
 	if stats.Reason != "" {
 		t.Fatalf("infeasible verdict carried an unknown-reason %q", stats.Reason)
@@ -281,20 +280,19 @@ func TestExactInfeasibleBelowRecMII(t *testing.T) {
 // TestExactLifetimeMinimized: SolveMin's schedule carries the lifetime
 // it reports, and with an ample budget the minimum is proven.
 func TestExactLifetimeMinimized(t *testing.T) {
-	l := copyAddLoop()
-	req := buildReq(t, l)
-	defer req.Graph.Release()
-	sol, st, stats := exact.SolveMin(context.Background(), req.Model, req.Graph, req.MinII, req.PolLat, exact.DefaultLimits())
+	su := newSetup(t, copyAddLoop())
+	defer su.g.Release()
+	sol, st, stats := exact.SolveMin(context.Background(), su.m, su.g, su.minII, su.lat, exact.DefaultLimits())
 	if st != exact.StatusFeasible {
 		t.Fatalf("status %v, want feasible", st)
 	}
-	if got := exact.MaxLifetime(req.Graph, sol); got != stats.MaxLife {
+	if got := exact.MaxLifetime(su.g, sol); got != stats.MaxLife {
 		t.Fatalf("schedule lifetime %d != reported %d", got, stats.MaxLife)
 	}
 	if !stats.LifeProven {
 		t.Fatalf("lifetime %d not proven minimal within a %d-node budget", stats.MaxLife, exact.DefaultLimits().MaxNodes)
 	}
-	if err := sol.Validate(req.Model, req.Graph, req.PolLat); err != nil {
+	if err := sol.Validate(su.m, su.g, su.lat); err != nil {
 		t.Fatalf("exact schedule fails the modulo-constraint validator: %v", err)
 	}
 }
@@ -307,21 +305,20 @@ func TestExactCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	l := copyAddLoop()
-	req := buildReq(t, l)
-	defer req.Graph.Release()
+	su := newSetup(t, copyAddLoop())
+	defer su.g.Release()
 
 	// Solver level: undecided with the deadline reason, not a bogus verdict.
-	_, st, stats := exact.SolveMin(ctx, req.Model, req.Graph, req.MinII, req.PolLat, exact.DefaultLimits())
+	_, st, stats := exact.SolveMin(ctx, su.m, su.g, su.minII, su.lat, exact.DefaultLimits())
 	if st != exact.StatusUnknown || stats.Reason != "deadline" {
 		t.Fatalf("canceled solve: status %v reason %q, want unknown/deadline", st, stats.Reason)
 	}
 
-	// Backend level: no schedule, no heuristic fallback (the search loop
-	// must observe ctx, not mask it).
+	// Scheduler level: no schedule, no heuristic fallback (the search
+	// loop must observe ctx, not mask it).
 	tr := obs.New()
-	backend := exact.New()
-	if s, ok := backend.ScheduleAtII(ctx, req, req.MinII, req.PolLat, tr); ok || s != nil {
+	sch := exact.New(exact.DefaultLimits())
+	if s, ok := sch.ScheduleAtII(ctx, su.m, su.g, su.minII, su.lat, tr); ok || s != nil {
 		t.Fatal("canceled ScheduleAtII produced a schedule")
 	}
 	if evs := traceEvents(tr, "exact-fallback"); len(evs) != 0 {
@@ -330,7 +327,7 @@ func TestExactCancellation(t *testing.T) {
 
 	// Pipeline level: the compilation fails with the context's error.
 	before := runtime.NumGoroutine()
-	_, err := core.PipelineCtx(ctx, copyAddLoop(), core.Options{Backend: sched.BackendExact})
+	_, err := core.PipelineCtx(ctx, copyAddLoop(), core.Options{Backend: core.BackendExact})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled exact compile: err = %v, want context.Canceled in the chain", err)
 	}
@@ -353,7 +350,7 @@ func TestExactDeadlineMidSearch(t *testing.T) {
 		if _, err := hlo.Apply(l, hlo.Options{Model: machine.Itanium2(), Mode: hlo.ModeHLO}); err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.PipelineCtx(ctx, l, core.Options{Backend: sched.BackendExact, LatencyTolerant: true})
+		c, err := core.PipelineCtx(ctx, l, core.Options{Backend: core.BackendExact, LatencyTolerant: true})
 		cancel()
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("deadline %v: unexpected error class: %v", d, err)
@@ -383,9 +380,9 @@ func TestOracleMeasuresWithoutMeddling(t *testing.T) {
 		}
 		return c
 	}
-	heur := compile(sched.BackendHeuristic, nil)
+	heur := compile(core.BackendHeuristic, nil)
 	tr := obs.New()
-	oc := compile(sched.BackendOracle, tr)
+	oc := compile(core.BackendOracle, tr)
 
 	if oc.FinalII != heur.FinalII || oc.Stages != heur.Stages || oc.Attempts != heur.Attempts {
 		t.Fatalf("oracle changed the artifact: II %d/%d stages %d/%d attempts %d/%d",
@@ -394,8 +391,8 @@ func TestOracleMeasuresWithoutMeddling(t *testing.T) {
 	if !reflect.DeepEqual(oc.Schedule, heur.Schedule) {
 		t.Fatal("oracle schedule differs from heuristic schedule")
 	}
-	if oc.Backend != sched.BackendOracle {
-		t.Fatalf("Compiled.Backend = %q, want %q", oc.Backend, sched.BackendOracle)
+	if oc.Backend != core.BackendOracle {
+		t.Fatalf("Compiled.Backend = %q, want %q", oc.Backend, core.BackendOracle)
 	}
 	evs := traceEvents(tr, "oracle-gap")
 	if len(evs) != 1 {
@@ -430,7 +427,7 @@ func TestBackendsDifferentialOracle(t *testing.T) {
 		}
 		return c
 	}
-	heur, ex := compile(sched.BackendHeuristic), compile(sched.BackendExact)
+	heur, ex := compile(core.BackendHeuristic), compile(core.BackendExact)
 	if err := verify.Backends(heur.Loop(), heur.Program, ex.Program, verify.Config{Seed: 11}); err != nil {
 		t.Fatalf("equivalent backends flagged divergent: %v", err)
 	}

@@ -2,8 +2,9 @@
 // a branch-and-bound search over schedule times at a fixed II with
 // difference-constraint bounds propagation, proving feasibility or
 // infeasibility of each candidate II and minimizing the maximum
-// register lifetime as a tiebreak. It registers itself as the "exact"
-// and "oracle" backends of package sched.
+// register lifetime as a tiebreak. Package core's II search calls a
+// Scheduler at each candidate II for the "exact" backend, and Probe
+// after the heuristic's search for the "oracle" backend.
 //
 // The solver decides feasibility within the standard scheduling window
 // of optimal modulo-scheduling formulations: each operation's start

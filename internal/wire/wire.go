@@ -17,9 +17,9 @@ import (
 	"math"
 
 	"ltsp"
+	"ltsp/internal/core"
 	"ltsp/internal/hlo"
 	"ltsp/internal/ir"
-	"ltsp/internal/sched"
 	"ltsp/internal/sim"
 )
 
@@ -86,19 +86,19 @@ func ParseMode(s string) (hlo.HintMode, error) {
 // BackendName returns the canonical wire spelling of a scheduler backend
 // (the heuristic is spelled "" so it vanishes from canonical encodings).
 func BackendName(s string) string {
-	if s == sched.BackendHeuristic {
+	if s == core.BackendHeuristic {
 		return ""
 	}
 	return s
 }
 
 // ParseBackend parses a wire backend spelling into its canonical form.
-// Names must be one of sched.Backends(); resubmitting an unknown name
+// Names must be one of core.Backends(); resubmitting an unknown name
 // cannot succeed, so the error is non-retryable.
 func ParseBackend(s string) (string, error) {
-	name, err := sched.Resolve(s)
+	name, err := core.Resolve(s)
 	if err != nil {
-		return "", fmt.Errorf("wire: unknown scheduler backend %q (have %v)", s, sched.Backends())
+		return "", fmt.Errorf("wire: unknown scheduler backend %q (have %v)", s, core.Backends())
 	}
 	return BackendName(name), nil
 }

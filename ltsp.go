@@ -35,7 +35,6 @@ import (
 	"ltsp/internal/machine"
 	"ltsp/internal/obs"
 	"ltsp/internal/regalloc"
-	"ltsp/internal/sched"
 	"ltsp/internal/sim"
 	"ltsp/internal/verify"
 )
@@ -227,18 +226,18 @@ func NewTrace() *Trace { return obs.New() }
 const (
 	// BackendHeuristic is the production iterative modulo scheduler (the
 	// default).
-	BackendHeuristic = sched.BackendHeuristic
+	BackendHeuristic = core.BackendHeuristic
 	// BackendExact is the branch-and-bound optimal pipeliner for small
 	// loops: it proves II-optimality and minimizes max register lifetime.
-	BackendExact = sched.BackendExact
+	BackendExact = core.BackendExact
 	// BackendOracle compiles with the heuristic and measures its
 	// optimality gap against the exact solver.
-	BackendOracle = sched.BackendOracle
+	BackendOracle = core.BackendOracle
 )
 
 // SchedulerBackends returns the names of every selectable scheduling
 // backend, sorted.
-func SchedulerBackends() []string { return sched.Backends() }
+func SchedulerBackends() []string { return core.Backends() }
 
 // Compiled is the result of compiling one loop.
 type Compiled struct {
@@ -320,7 +319,7 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 	// Validate the backend up front: an unknown name is a caller error,
 	// not "pipelining infeasible", so it must never degrade to the
 	// sequential-schedule fallback.
-	backend, err := sched.Resolve(opts.Backend)
+	backend, err := core.Resolve(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
