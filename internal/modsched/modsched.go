@@ -274,17 +274,13 @@ func (sc *scratch) rows(ii int) []mrtRow {
 	return rows
 }
 
-// DefaultBudgetRatio is the placement budget multiplier used when
-// Options.BudgetRatio is zero or negative. The resulting budget is
-// DefaultBudgetRatio * len(body), floored at 32 placements.
+// DefaultBudgetRatio is the placement budget multiplier: one attempt
+// may place at most DefaultBudgetRatio * len(body) operations, floored
+// at 32; exceeding it fails the attempt at this II.
 const DefaultBudgetRatio = 60
 
 // Options tunes the scheduler.
 type Options struct {
-	// BudgetRatio bounds total placements at BudgetRatio * len(body);
-	// exceeding it fails the attempt at this II. Defaults to
-	// DefaultBudgetRatio (60) when zero or negative.
-	BudgetRatio int
 	// Trace, when non-nil, receives one obs.SchedEvent per ScheduleAtII
 	// call (success or failure).
 	Trace *obs.Trace
@@ -299,11 +295,7 @@ func ScheduleAtII(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, op
 	}
 	body := g.Loop.Body
 	n := len(body)
-	budgetRatio := opts.BudgetRatio
-	if budgetRatio <= 0 {
-		budgetRatio = DefaultBudgetRatio
-	}
-	budget := budgetRatio * n
+	budget := DefaultBudgetRatio * n
 	if budget < 32 {
 		budget = 32
 	}

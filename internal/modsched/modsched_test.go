@@ -185,9 +185,8 @@ func TestAttemptsCounted(t *testing.T) {
 	}
 }
 
-// TestDefaultBudgetRatio pins the documented default budget multiplier:
-// with Options.BudgetRatio unset the scheduler must budget exactly
-// DefaultBudgetRatio * len(body) placements (the loop here is large
+// TestDefaultBudgetRatio pins the documented budget multiplier: the
+// scheduler must budget exactly DefaultBudgetRatio * len(body) placements (the loop here is large
 // enough that the 32-placement floor does not kick in), observable via
 // the SchedEvent it emits.
 func TestDefaultBudgetRatio(t *testing.T) {
