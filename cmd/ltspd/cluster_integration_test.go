@@ -109,7 +109,7 @@ func TestClusterIntegration(t *testing.T) {
 	// reach b only through a peer cache-fill. The first drives the plain
 	// fill assertions; the second is requested under a trace so the
 	// cross-node span timeline can be checked end to end.
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	var reqs []*wire.CompileRequest
 	var hashes []string
 	for k := int64(0); k < 2048 && len(reqs) < 2; k++ {

@@ -44,8 +44,6 @@ type MembershipConfig struct {
 // snapshot for the whole operation (a hedged peer fill never sees a
 // half-updated ring, and an in-flight fill against a since-removed peer
 // simply completes against its snapshot).
-//
-// Membership itself implements Resolver over the current ring's peers.
 type Membership struct {
 	cfg  MembershipConfig
 	ring atomic.Pointer[Ring]
@@ -77,7 +75,7 @@ func NewMembership(cfg MembershipConfig) *Membership {
 		m.cfg.Logger.Warn("cluster: initial membership resolve failed; starting with self only", "err", err)
 		peers = []Peer{cfg.Self}
 	}
-	ring := New(Static(peers), cfg.VNodes)
+	ring := New(peers, cfg.VNodes)
 	m.ring.Store(ring)
 	m.reconcileHealth(ring)
 	return m
@@ -87,7 +85,7 @@ func NewMembership(cfg MembershipConfig) *Membership {
 // for the whole of an operation.
 func (m *Membership) Ring() *Ring { return m.ring.Load() }
 
-// Peers implements Resolver over the current ring.
+// Peers returns the current ring's peers.
 func (m *Membership) Peers() []Peer { return m.Ring().Peers() }
 
 // Swaps returns how many ring swaps have been applied since the initial
@@ -134,7 +132,7 @@ func (m *Membership) Refresh() (bool, error) {
 	if samePeers(m.Ring().Peers(), peers) {
 		return false, nil
 	}
-	ring := New(Static(peers), m.cfg.VNodes)
+	ring := New(peers, m.cfg.VNodes)
 	m.ring.Store(ring)
 	m.swaps.Add(1)
 	m.reconcileHealth(ring)

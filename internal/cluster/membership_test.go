@@ -170,7 +170,7 @@ func TestRingSwapAtomicity(t *testing.T) {
 	// Precompute the legal peer-set fingerprints.
 	legal := make(map[string]bool)
 	for _, v := range versions {
-		legal[fingerprint(New(Static(v), 16).Peers())] = true
+		legal[fingerprint(New(v, 16).Peers())] = true
 	}
 
 	stop := make(chan struct{})
@@ -249,8 +249,8 @@ func ringHas(r *Ring, id string) bool {
 // TestMembershipMinimalMovement: swapping one peer out moves only that
 // peer's arcs (quick-checked over random keys).
 func TestMembershipMinimalMovement(t *testing.T) {
-	before := New(Static([]Peer{{"a", "ua"}, {"b", "ub"}, {"c", "uc"}}), 64)
-	after := New(Static([]Peer{{"a", "ua"}, {"b", "ub"}, {"d", "ud"}}), 64)
+	before := New([]Peer{{"a", "ua"}, {"b", "ub"}, {"c", "uc"}}, 64)
+	after := New([]Peer{{"a", "ua"}, {"b", "ub"}, {"d", "ud"}}, 64)
 	check := func(k string) bool {
 		ob, _ := before.Owner(k)
 		oa, _ := after.Owner(k)

@@ -15,18 +15,14 @@ import (
 // from when it can change at runtime. Resolve returns the current peer
 // set or an error, in which case the previously resolved set stays in
 // effect (a flapping DNS server or a half-written peers file must never
-// empty the ring).
-//
-// Source is the dynamic counterpart of Resolver: a Resolver answers
-// "what is the membership" infallibly from whatever it last learned,
-// while a Source is allowed to fail per refresh. Membership adapts a
-// Source into a Resolver by polling it and swapping rings atomically.
+// empty the ring). Membership polls a Source and swaps in a ring built
+// from each new peer set.
 type Source interface {
 	Resolve() ([]Peer, error)
 }
 
-// StaticSource is a fixed-membership Source (and the Resolve analogue
-// of Static). It never fails and never changes.
+// StaticSource is a fixed-membership Source, the one the -peers flag
+// builds. It never fails and never changes.
 type StaticSource []Peer
 
 // Resolve implements Source.

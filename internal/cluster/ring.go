@@ -12,10 +12,9 @@
 //
 // Ownership is a pure function of (peer IDs, VNodes, key): every node
 // and every fleet-aware client that agrees on the peer list computes
-// the same owner with no coordination. The Resolver interface abstracts
-// where the peer list comes from; Static is the fixed-list resolver the
-// -peers flag builds, and anything discovery-shaped (DNS, a membership
-// service) can implement Resolver without touching the ring math.
+// the same owner with no coordination. A Ring is built from a plain peer
+// list; where that list comes from at runtime (the -peers flag, a peers
+// file, DNS) is a Source, which Membership polls to rebuild the ring.
 package cluster
 
 import (
@@ -35,21 +34,6 @@ type Peer struct {
 	ID   string
 	Addr string
 }
-
-// Resolver supplies the current peer list. Implementations must return
-// peers in a deterministic order for equal membership (the ring sorts
-// again, so the order itself does not matter — only the set does).
-type Resolver interface {
-	// Peers returns the current cluster membership, including the local
-	// peer.
-	Peers() []Peer
-}
-
-// Static is a fixed-membership Resolver.
-type Static []Peer
-
-// Peers implements Resolver.
-func (s Static) Peers() []Peer { return s }
 
 // ParsePeers parses a comma-separated peer list, each element either
 // "addr" (ID = Addr) or "id=addr". Empty elements are ignored.
@@ -95,14 +79,15 @@ type ringPoint struct {
 	peer int // index into peers
 }
 
-// New builds a ring over the resolver's current peers with vnodes
-// virtual nodes per peer (<= 0 selects DefaultVNodes). An empty peer set
-// yields an empty ring whose lookups return nothing.
-func New(r Resolver, vnodes int) *Ring {
+// New builds a ring over the peers with vnodes virtual nodes per peer
+// (<= 0 selects DefaultVNodes). Only the set of peers matters, not their
+// order; the ring keeps its own sorted copy. An empty peer set yields an
+// empty ring whose lookups return nothing.
+func New(peers []Peer, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	peers := append([]Peer(nil), r.Peers()...)
+	peers = append([]Peer(nil), peers...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
 	ring := &Ring{peers: peers, vnodes: vnodes}
 	ring.points = make([]ringPoint, 0, len(peers)*vnodes)

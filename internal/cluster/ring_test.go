@@ -33,8 +33,8 @@ func TestOwnershipDeterministic(t *testing.T) {
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	a := New(Static(peers), 0)
-	b := New(Static(shuffled), 0)
+	a := New(peers, 0)
+	b := New(shuffled, 0)
 	for _, key := range keysN(500, 1) {
 		oa := a.Owners(key, 3)
 		ob := b.Owners(key, 3)
@@ -61,7 +61,7 @@ func TestReplicaSets(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(Static(peersN(tc.peers)), 0)
+			r := New(peersN(tc.peers), 0)
 			for _, key := range keysN(100, 2) {
 				owners := r.Owners(key, tc.n)
 				if len(owners) != tc.wantLen {
@@ -83,7 +83,7 @@ func TestReplicaSets(t *testing.T) {
 // (n+1)-replica set — growing replication never reshuffles existing
 // replicas, it only appends.
 func TestOwnersPrefixStable(t *testing.T) {
-	r := New(Static(peersN(6)), 0)
+	r := New(peersN(6), 0)
 	for _, key := range keysN(200, 3) {
 		prev := []Peer{}
 		for n := 1; n <= 4; n++ {
@@ -102,8 +102,8 @@ func TestOwnersPrefixStable(t *testing.T) {
 func TestMinimalMovementOnJoin(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 9} {
 		t.Run(fmt.Sprintf("%d_peers", n), func(t *testing.T) {
-			old := New(Static(peersN(n)), 0)
-			grown := New(Static(peersN(n+1)), 0) // peersN(n+1) = peersN(n) + one joiner
+			old := New(peersN(n), 0)
+			grown := New(peersN(n+1), 0) // peersN(n+1) = peersN(n) + one joiner
 			joiner := fmt.Sprintf("http://node-%d:8347", n)
 			keys := keysN(4000, 4)
 			moved := 0
@@ -137,9 +137,9 @@ func TestMinimalMovementOnJoin(t *testing.T) {
 // owned; keys owned by surviving peers do not move.
 func TestMinimalMovementOnLeave(t *testing.T) {
 	peers := peersN(5)
-	full := New(Static(peers), 0)
+	full := New(peers, 0)
 	leaver := peers[2].ID
-	shrunk := New(Static(append(append([]Peer{}, peers[:2]...), peers[3:]...)), 0)
+	shrunk := New(append(append([]Peer{}, peers[:2]...), peers[3:]...), 0)
 	for _, key := range keysN(4000, 5) {
 		a, _ := full.Owner(key)
 		b, _ := shrunk.Owner(key)
@@ -169,7 +169,7 @@ func TestPropertyRandomMemberships(t *testing.T) {
 			id := fmt.Sprintf("http://p%d-%d:%d", round, i, 8000+rng.Intn(1000))
 			peers[i] = Peer{ID: id, Addr: id}
 		}
-		ring := New(Static(peers), 0)
+		ring := New(peers, 0)
 		keys := keysN(2000, int64(round))
 
 		// Balance: with 128 vnodes the max primary share should be well
@@ -192,7 +192,7 @@ func TestPropertyRandomMemberships(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			// Join.
 			jid := fmt.Sprintf("http://joiner-%d:9000", round)
-			grown := New(Static(append(append([]Peer{}, peers...), Peer{ID: jid, Addr: jid})), 0)
+			grown := New(append(append([]Peer{}, peers...), Peer{ID: jid, Addr: jid}), 0)
 			for _, key := range keys {
 				a, _ := ring.Owner(key)
 				b, _ := grown.Owner(key)
@@ -204,7 +204,7 @@ func TestPropertyRandomMemberships(t *testing.T) {
 			// Leave.
 			li := rng.Intn(n)
 			rest := append(append([]Peer{}, peers[:li]...), peers[li+1:]...)
-			shrunk := New(Static(rest), 0)
+			shrunk := New(rest, 0)
 			for _, key := range keys {
 				a, _ := ring.Owner(key)
 				b, _ := shrunk.Owner(key)
@@ -254,7 +254,7 @@ func TestParsePeers(t *testing.T) {
 }
 
 func TestIsOwner(t *testing.T) {
-	r := New(Static(peersN(4)), 0)
+	r := New(peersN(4), 0)
 	key := keysN(1, 9)[0]
 	owners := r.Owners(key, 2)
 	for _, p := range owners {
@@ -277,7 +277,7 @@ func TestIsOwner(t *testing.T) {
 }
 
 func BenchmarkOwners(b *testing.B) {
-	r := New(Static(peersN(10)), 0)
+	r := New(peersN(10), 0)
 	keys := keysN(1024, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -65,7 +65,7 @@ func TestChaosPeerFillHungOwnersNoLeaks(t *testing.T) {
 
 	// Find hashes whose whole replica set is the two hung nodes, so the
 	// fill has no healthy replica to fall back to.
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	var reqs []*wire.CompileRequest
 	for k := int64(0); len(reqs) < 3 && k < 2048; k++ {
 		req := compileRequest(t, copyAddLoop(5000+k))
@@ -239,7 +239,7 @@ func TestChaosPeerKillRestartMidBatch(t *testing.T) {
 	// Warm-start proof: pick a pre-kill artifact the victim owns and ask
 	// the restarted node for it. Its second-life memory started empty, so
 	// a cached answer can only have come from its disk store.
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	victimOwned := -1
 	for i := 0; i < killAt; i++ {
 		if owner, ok := ring.Owner(hashes[i]); ok && owner.ID == victim.self {

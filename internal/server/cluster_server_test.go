@@ -379,7 +379,7 @@ func loopOwnedBy(t testing.TB, ring *cluster.Ring, owner cluster.Peer) (*wire.Co
 func TestPeerCacheFill(t *testing.T) {
 	checkGoroutineLeaks(t)
 	_, tss, peers := clusterNodes(t, 2, nil)
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	req, _ := loopOwnedBy(t, ring, peers[0])
 
 	// Compile on the owner: a normal local compilation.
@@ -435,7 +435,7 @@ func TestPeerFillFallsBackToLocalCompile(t *testing.T) {
 	_, tss, peers := clusterNodes(t, 2, func(i int, cfg *server.Config) {
 		cfg.PeerTimeout = 300 * time.Millisecond
 	})
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	req, _ := loopOwnedBy(t, ring, peers[0])
 
 	// Take the owner down. Closing the listener gives connection-refused,
@@ -479,7 +479,7 @@ func TestPeerFillWritesThrough(t *testing.T) {
 	_, tss, peers := clusterNodes(t, 2, func(i int, cfg *server.Config) {
 		cfg.Store = stores[i]
 	})
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	req, hash := loopOwnedBy(t, ring, peers[0])
 
 	if resp, body := post(t, tss[0].URL+"/v2/compile", req); resp.StatusCode != http.StatusOK {
@@ -566,7 +566,7 @@ func TestArtifactBodiesIdenticalAcrossTiers(t *testing.T) {
 	_, tss, peers := clusterNodes(t, 2, func(i int, cfg *server.Config) {
 		cfg.Store = stores[i]
 	})
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	req, hash := loopOwnedBy(t, ring, peers[0])
 	if resp, body := post(t, tss[0].URL+"/v2/compile", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner compile: %s: %s", resp.Status, body)

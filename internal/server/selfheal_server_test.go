@@ -163,7 +163,7 @@ func TestAntiEntropyReconvergesEmptyNode(t *testing.T) {
 			for i, ts := range tss {
 				peers[i] = cluster.Peer{ID: ts.URL, Addr: ts.URL}
 			}
-			ring := cluster.New(cluster.Static(peers), 0)
+			ring := cluster.New(peers, 0)
 			// Pick loops node 0 does not own, so that nodes 1.. are
 			// exactly their owners (on a pair that is every loop).
 			var hashes []string
@@ -524,7 +524,7 @@ func TestMembershipSwapMidHedgedFill(t *testing.T) {
 
 	// Two distinct loops owned by B under the two-peer ring, compiled
 	// there.
-	ring := cluster.New(cluster.Static([]cluster.Peer{peerA, peerB}), 0)
+	ring := cluster.New([]cluster.Peer{peerA, peerB}, 0)
 	reqs := loopsOwnedBy(t, ring, peerB, 2)
 	for i, req := range reqs {
 		if resp, body := post(t, tsB.URL+"/v2/compile", req); resp.StatusCode != http.StatusOK {

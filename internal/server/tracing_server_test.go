@@ -160,7 +160,7 @@ func TestTracedPeerFill(t *testing.T) {
 	_, tss, peers := clusterNodes(t, 2, func(i int, cfg *server.Config) {
 		cfg.TraceSample = -1
 	})
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 	req, _ := loopOwnedBy(t, ring, peers[0])
 
 	// Warm the owner so the non-owner's peer fill hits.

@@ -200,7 +200,7 @@ func New(cfg Config) (*Client, error) {
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 	if len(cfg.Peers) > 0 {
-		c.ring = cluster.New(cluster.Static(cfg.Peers), cfg.VNodes)
+		c.ring = cluster.New(cfg.Peers, cfg.VNodes)
 	}
 	return c, nil
 }

@@ -149,7 +149,7 @@ func fleetRequest(t *testing.T, k int64) (*wire.CompileRequest, string) {
 func TestFleetRoutesToPrimaryOwner(t *testing.T) {
 	nodes, peers := newFleet(t, 3)
 	client := newFleetClient(t, peers, nil)
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 
 	for k := int64(0); k < 8; k++ {
 		req, hash := fleetRequest(t, k)
@@ -184,7 +184,7 @@ func TestFleetRoutesToPrimaryOwner(t *testing.T) {
 func TestFleetFailsOverToReplica(t *testing.T) {
 	nodes, peers := newFleet(t, 3)
 	client := newFleetClient(t, peers, nil)
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 
 	req, hash := fleetRequest(t, 100)
 	owners := ring.Owners(hash, 2)
@@ -220,7 +220,7 @@ func TestFleetFailsOverToReplica(t *testing.T) {
 func TestFleetBatchShardsByOwner(t *testing.T) {
 	nodes, peers := newFleet(t, 3)
 	client := newFleetClient(t, peers, nil)
-	ring := cluster.New(cluster.Static(peers), 0)
+	ring := cluster.New(peers, 0)
 
 	const total = 24
 	items := make([]wire.CompileItem, total)
