@@ -6,8 +6,7 @@
 // Usage:
 //
 //	ltsp-bench                 # run everything
-//	ltsp-bench -run fig7       # one experiment: fig5 fig7 fig8 fig9 fig10
-//	                           # casestudy regstats compiletime
+//	ltsp-bench -run fig7       # one experiment (-help lists them)
 //	ltsp-bench -json           # machine-readable results on stdout
 //
 // Remote mode sweeps the whole workload suite through a running ltspd
@@ -31,27 +30,6 @@ import (
 	"ltsp/ltspclient"
 )
 
-// fig5Out bundles the analytic model with its simulator validation so the
-// pair renders (and marshals) as one experiment.
-type fig5Out struct {
-	Analytic   []experiments.Fig5Point      `json:"analytic"`
-	Validation []experiments.Fig5Validation `json:"validation"`
-}
-
-func (f fig5Out) String() string { return experiments.FormatFig5(f.Analytic, f.Validation) }
-
-// ablationOut bundles the three ablation studies.
-type ablationOut struct {
-	OzQ         []experiments.OzQPoint       `json:"ozq"`
-	RotReg      []experiments.RotRegPoint    `json:"rot_reg"`
-	RotVsUnroll []experiments.RotVsUnrollRow `json:"rot_vs_unroll"`
-}
-
-func (a ablationOut) String() string {
-	return experiments.FormatAblations(a.OzQ, a.RotReg) + "\n" +
-		experiments.FormatRotVsUnroll(a.RotVsUnroll)
-}
-
 // jsonRecord is one element of the -json output array. Result is the
 // experiment's native result struct, whose fields carry both measured and
 // paper-reported values.
@@ -62,7 +40,12 @@ type jsonRecord struct {
 }
 
 func main() {
-	var run = flag.String("run", "all", "experiment to run: all | fig5 | fig7 | fig8 | fig9 | fig10 | casestudy | regstats | compiletime | versioning | sampling | ablation | oracle-gap")
+	exps := experiments.All()
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.Name)
+	}
+	var run = flag.String("run", "all", "experiment to run: "+strings.Join(names, " | "))
 	var jsonOut = flag.Bool("json", false, "emit machine-readable JSON results on stdout instead of text")
 	var workers = flag.Int("workers", 0, "evaluation worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
 	var cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -123,66 +106,27 @@ func main() {
 	}
 	all := want["all"]
 
-	type experiment struct {
-		name string
-		fn   func() (fmt.Stringer, error)
-	}
-	exps := []experiment{
-		{"fig5", func() (fmt.Stringer, error) {
-			v, err := experiments.RunFig5Validation()
-			if err != nil {
-				return nil, err
-			}
-			return fig5Out{Analytic: experiments.AnalyticFig5(), Validation: v}, nil
-		}},
-		{"fig7", func() (fmt.Stringer, error) { return experiments.RunFig7() }},
-		{"fig8", func() (fmt.Stringer, error) { return experiments.RunFig8() }},
-		{"fig9", func() (fmt.Stringer, error) { return experiments.RunFig9() }},
-		{"fig10", func() (fmt.Stringer, error) { return experiments.RunFig10() }},
-		{"casestudy", func() (fmt.Stringer, error) { return experiments.RunCaseStudy() }},
-		{"regstats", func() (fmt.Stringer, error) { return experiments.RunRegStats() }},
-		{"compiletime", func() (fmt.Stringer, error) { return experiments.RunCompileTime() }},
-		{"versioning", func() (fmt.Stringer, error) { return experiments.RunVersioning() }},
-		{"sampling", func() (fmt.Stringer, error) { return experiments.RunMissSampling() }},
-		{"ablation", func() (fmt.Stringer, error) {
-			ozq, err := experiments.RunOzQAblation()
-			if err != nil {
-				return nil, err
-			}
-			rot, err := experiments.RunRotRegAblation()
-			if err != nil {
-				return nil, err
-			}
-			rvu, err := experiments.RunRotVsUnroll()
-			if err != nil {
-				return nil, err
-			}
-			return ablationOut{OzQ: ozq, RotReg: rot, RotVsUnroll: rvu}, nil
-		}},
-		{"oracle-gap", func() (fmt.Stringer, error) { return experiments.RunOracleGap() }},
-	}
-
 	var records []jsonRecord
 	ran := 0
 	for _, e := range exps {
-		if !all && !want[e.name] {
+		if !all && !want[e.Name] {
 			continue
 		}
 		start := time.Now()
-		res, err := e.fn()
+		res, err := e.Run()
 		elapsed := time.Since(start)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		if *jsonOut {
 			records = append(records, jsonRecord{
-				Experiment:  e.name,
+				Experiment:  e.Name,
 				WallSeconds: elapsed.Seconds(),
 				Result:      res,
 			})
 		} else {
-			fmt.Printf("──── %s (%.1fs) %s\n\n%s\n", e.name, elapsed.Seconds(),
+			fmt.Printf("──── %s (%.1fs) %s\n\n%s\n", e.Name, elapsed.Seconds(),
 				strings.Repeat("─", 50), res)
 		}
 		ran++

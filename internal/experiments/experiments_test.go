@@ -24,10 +24,7 @@ func gainOf(t *testing.T, r *SuiteResult, bench string, cfg int) float64 {
 // paper's Equ. 2: for every (level, k) point the measured stall reduction
 // must match 100*(1-(1-c)/k) within a few points.
 func TestFig5ValidationMatchesFormula(t *testing.T) {
-	pts, err := memoRun(RunFig5Validation)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := result[Fig5Result](t, "fig5").Validation
 	if len(pts) < 12 {
 		t.Fatalf("only %d validation points", len(pts))
 	}
@@ -70,10 +67,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := memoRun(RunFig7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig7Result](t, "fig7")
 	g06 := r.CPU2006.Geomean
 	// Thresholds help: the geomean at n=16/32 beats n=0.
 	if !(g06[2] > g06[0] && g06[3] > g06[0]) {
@@ -138,10 +132,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := memoRun(RunFig8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig8Result](t, "fig8")
 	// Both moderate settings gain on both suites.
 	for _, g := range append(append([]float64{}, r.CPU2006.Geomean...), r.CPU2000.Geomean...) {
 		if g <= 0 {
@@ -174,10 +165,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := memoRun(RunFig9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig9Result](t, "fig9")
 	allL3, hloGain := r.CPU2006.Geomean[0], r.CPU2006.Geomean[1]
 	// Load-latency information compensates for missing trip counts:
 	// indiscriminate boosting is near zero or negative, HLO hints win
@@ -220,10 +208,7 @@ func TestFig10Directions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := memoRun(RunFig10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*Fig10Result](t, "fig10")
 	if r.ExeChange >= 0 {
 		t.Errorf("BE_EXE_BUBBLE %+.1f%%, want a reduction (paper: -12%%)", r.ExeChange)
 	}
@@ -246,10 +231,7 @@ func TestFig10Directions(t *testing.T) {
 
 // TestCaseStudy asserts the Sec. 4.4 reproduction.
 func TestCaseStudy(t *testing.T) {
-	r, err := memoRun(RunCaseStudy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*CaseStudyResult](t, "casestudy")
 	if math.Abs(r.AvgTrip-2.3) > 0.05 {
 		t.Errorf("avg trip = %.2f, want 2.3", r.AvgTrip)
 	}
@@ -291,10 +273,7 @@ func TestRegStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := memoRun(RunRegStats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*RegStatsResult](t, "regstats")
 	if r.GRChange <= 0 || r.FRChange <= 0 || r.PRChange <= 0 {
 		t.Errorf("register changes %+.1f/%+.1f/%+.1f, all must grow",
 			r.GRChange, r.FRChange, r.PRChange)
@@ -322,10 +301,7 @@ func TestCompileTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
-	r, err := memoRun(RunCompileTime)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*CompileTimeResult](t, "compiletime")
 	if r.BaseAttempts == 0 || r.VariantAttempts == 0 {
 		t.Error("no attempts measured")
 	}
@@ -445,10 +421,7 @@ func TestOzQAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	pts, err := memoRun(RunOzQAblation)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := result[AblationResult](t, "ablation").OzQ
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Gain < pts[i-1].Gain-0.3 {
 			t.Errorf("gain fell with capacity: %+v", pts)
@@ -469,10 +442,7 @@ func TestRotRegAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	pts, err := memoRun(RunRotRegAblation)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := result[AblationResult](t, "ablation").RotReg
 	small, full := pts[0], pts[len(pts)-1]
 	if small.Reduced == 0 {
 		t.Error("tiny rotating file never forced latency reduction")
@@ -494,10 +464,7 @@ func TestVersioning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	r, err := memoRun(RunVersioning)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*VersioningResult](t, "versioning")
 	// mesa: every static threshold loses ~19%; versioning recovers most.
 	staticLoss := gainOf(t, r.CPU2000PGO, "177.mesa", 0)
 	versioned := gainOf(t, r.CPU2000PGO, "177.mesa", 1)
@@ -527,10 +494,7 @@ func TestMissSampling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment")
 	}
-	r, err := memoRun(RunMissSampling)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := result[*SamplingResult](t, "sampling")
 	static, sampled := r.CPU2006.Geomean[0], r.CPU2006.Geomean[1]
 	if sampled < static-0.2 {
 		t.Errorf("sampled hints %.1f%% worse than static heuristics %.1f%%", sampled, static)
@@ -553,10 +517,7 @@ func TestMissSampling(t *testing.T) {
 // costs U-fold code size and a far larger plain-register footprint, and
 // deep latency buffers may not fit at all.
 func TestRotVsUnroll(t *testing.T) {
-	rows, err := memoRun(RunRotVsUnroll)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := result[AblationResult](t, "ablation").RotVsUnroll
 	if len(rows) < 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
