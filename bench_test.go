@@ -42,3 +42,26 @@ func BenchmarkSimulateKernel(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
 }
+
+// BenchmarkSimulateCold measures what one simulate request costs from
+// nothing: a fresh runner (cold hierarchy) and one execution of the
+// running example at trip 128. Its B/op is the memory a cold simulate
+// pays for, which benchguard bounds as cold_sim_bytes.
+func BenchmarkSimulateCold(b *testing.B) {
+	l, src, _ := buildExample(HintL2)
+	c, err := Compile(l, Options{Mode: ModeHLO, Prefetch: true, LatencyTolerant: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem := NewMemory()
+	for i := int64(0); i < 128; i++ {
+		mem.Store(src+4*i, 4, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRunner(nil).Run(c.Program, 128, mem); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,7 +9,16 @@
 // from L2 with one extra format-conversion cycle; stores are write-through
 // to L2; lfetch can target either L1 or (for the paper's heuristic 3,
 // OzQ-pressure relief) L2 only.
+//
+// Levels are filled lazily: a set's lines are allocated on its first fill,
+// so a hierarchy costs memory in proportion to the sets a run touches,
+// not to the 12 MB L3 it models.
 package cache
+
+import (
+	"fmt"
+	"math"
+)
 
 // LevelConfig describes one cache level.
 type LevelConfig struct {
@@ -26,6 +35,21 @@ func (c LevelConfig) LineSize() int64 { return 1 << c.LineShift }
 // SizeBytes returns the level capacity.
 func (c LevelConfig) SizeBytes() int64 { return int64(c.Sets*c.Ways) << c.LineShift }
 
+// validate reports whether the level can index the geometry: a power of
+// two sets (the set is the tag's low bits), at least one way, and every
+// line's slab index within an int32.
+func (c LevelConfig) validate() error {
+	switch {
+	case c.Sets < 1 || c.Sets&(c.Sets-1) != 0:
+		return fmt.Errorf("%d sets, want a power of two >= 1", c.Sets)
+	case c.Ways < 1:
+		return fmt.Errorf("%d ways, want >= 1", c.Ways)
+	case c.Ways > math.MaxInt32/c.Sets:
+		return fmt.Errorf("%d sets of %d ways exceed %d lines", c.Sets, c.Ways, math.MaxInt32)
+	}
+	return nil
+}
+
 // Config describes the whole hierarchy.
 type Config struct {
 	L1, L2, L3 LevelConfig
@@ -33,6 +57,17 @@ type Config struct {
 	MemLat int
 	// FPExtra is added to FP load latencies (format conversion).
 	FPExtra int
+}
+
+// Validate returns an error naming the first level whose geometry the
+// hierarchy cannot model.
+func (c Config) Validate() error {
+	for i, l := range [...]LevelConfig{c.L1, c.L2, c.L3} {
+		if err := l.validate(); err != nil {
+			return fmt.Errorf("cache: L%d: %w", i+1, err)
+		}
+	}
+	return nil
 }
 
 // DefaultItanium2 returns the hierarchy used in the paper's evaluation:
@@ -97,22 +132,39 @@ type line struct {
 	lastUse int64
 }
 
+// level is one cache level, filled lazily: a set costs memory only once a
+// line is inserted into it. A set that was never filled holds nothing, as
+// if all its ways were invalid.
 type level struct {
 	cfg LevelConfig
-	// lines holds the Sets*Ways lines, set s at [s*Ways, (s+1)*Ways).
+	// slot[s] is 1 + the index in lines of set s's first way, or 0 while
+	// set s has never been filled. A set's Ways lines are appended to the
+	// slab on its first insert and stay there, so a *line taken from probe
+	// is valid only until the level's next insert.
+	slot  []int32
 	lines []line
 	gen   uint64
 	tick  int64
 }
 
+// newLevel builds an empty level. A geometry that fails validate gets no
+// sets, so accessing it panics; Config.Validate is the caller's check.
 func newLevel(cfg LevelConfig) *level {
-	return &level{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways), gen: 1}
+	l := &level{cfg: cfg, gen: 1}
+	if cfg.validate() == nil {
+		l.slot = make([]int32, cfg.Sets)
+	}
+	return l
 }
 
-// set returns the lines of the set tag maps to.
+// set returns the lines of the set tag maps to, or nil if that set was
+// never filled.
 func (l *level) set(tag int64) []line {
-	s := int(tag&int64(l.cfg.Sets-1)) * l.cfg.Ways
-	return l.lines[s : s+l.cfg.Ways]
+	i := int(l.slot[tag&int64(len(l.slot)-1)]) - 1
+	if i < 0 {
+		return nil
+	}
+	return l.lines[i : i+l.cfg.Ways : i+l.cfg.Ways]
 }
 
 // probe returns the line if present.
@@ -133,6 +185,11 @@ func (l *level) probe(addr int64) *line {
 // insert fills addr's line with the given fill time, evicting LRU.
 func (l *level) insert(addr, fill int64) {
 	tag := addr >> l.cfg.LineShift
+	s := tag & int64(len(l.slot)-1)
+	if l.slot[s] == 0 {
+		l.slot[s] = int32(len(l.lines)) + 1
+		l.lines = append(l.lines, make([]line, l.cfg.Ways)...)
+	}
 	set := l.set(tag)
 	victim := 0
 	for i := range set {
@@ -158,7 +215,8 @@ type Hierarchy struct {
 	Stats Stats
 }
 
-// New builds a hierarchy from the configuration.
+// New builds a hierarchy from the configuration. It does not check cfg:
+// a hierarchy whose config fails Validate panics on its first access.
 func New(cfg Config) *Hierarchy {
 	return &Hierarchy{cfg: cfg, l1: newLevel(cfg.L1), l2: newLevel(cfg.L2), l3: newLevel(cfg.L3)}
 }
