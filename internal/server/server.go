@@ -1192,6 +1192,14 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, 
 	if req.Trip > s.cfg.MaxTrip {
 		return nil, http.StatusBadRequest, fmt.Errorf("trip count %d exceeds server limit %d", req.Trip, s.cfg.MaxTrip)
 	}
+	for i, mi := range req.Memory {
+		switch {
+		case mi.Float:
+		case mi.Size == 0, mi.Size == 1, mi.Size == 2, mi.Size == 4, mi.Size == 8:
+		default:
+			return nil, http.StatusBadRequest, fmt.Errorf("memory[%d]: size %d, want 1, 2, 4 or 8 (0 means 8)", i, mi.Size)
+		}
+	}
 
 	var (
 		art    *Artifact

@@ -199,6 +199,53 @@ func TestSimulateWithMemory(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsWhatItCannotModel: negative simulator overheads and
+// a memory initializer of a size the store has no form for are 400s that
+// say what was wrong, not a simulated clock run backwards or a store
+// loop over the requested size.
+func TestSimulateRejectsWhatItCannotModel(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(2)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %s: %s", resp.Status, body)
+	}
+	var cr wire.CompileResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	neg := -1000
+	cases := []struct {
+		name string
+		req  wire.SimulateRequest
+		want string
+	}{
+		{"feOverhead -1000", wire.SimulateRequest{Sim: wire.SimOptions{FEOverhead: &neg}}, "FEOverhead"},
+		{"flushOverhead -1000", wire.SimulateRequest{Sim: wire.SimOptions{FlushOverhead: &neg}}, "FlushOverhead"},
+		{"rseCyclesPerExec -1", wire.SimulateRequest{Sim: wire.SimOptions{RSECyclesPerExec: -1}}, "RSECyclesPerExec"},
+		{"memory size 16", wire.SimulateRequest{Memory: []wire.MemInit{
+			{Addr: 0x1000, Size: 4, Val: 1},
+			{Addr: 0x2000, Size: 16, Val: 1},
+		}}, "memory[1]: size 16"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.req.Version, tc.req.Hash, tc.req.Trip = wire.Version, cr.Hash, 10
+			resp, body := post(t, ts.URL+"/v2/simulate", tc.req)
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.want)) {
+				t.Fatalf("got %s %s, want 400 naming %q", resp.Status, body, tc.want)
+			}
+		})
+	}
+	// Every size the store has a form for is accepted.
+	ok := wire.SimulateRequest{Version: wire.Version, Hash: cr.Hash, Trip: 10, Memory: []wire.MemInit{
+		{Addr: 0x1000, Val: 1}, {Addr: 0x1008, Size: 1}, {Addr: 0x1010, Size: 2},
+		{Addr: 0x1018, Size: 4}, {Addr: 0x1020, Size: 8}, {Addr: 0x1028, Float: true, FVal: 1.5},
+	}}
+	if resp, body := post(t, ts.URL+"/v2/simulate", ok); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid initializers: %s: %s", resp.Status, body)
+	}
+}
+
 // TestValidation exercises the request validation paths.
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{MaxTrip: 1000})

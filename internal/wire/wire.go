@@ -183,7 +183,7 @@ func (w SimOptions) ToConfig() sim.Config {
 
 // MemInit seeds one memory word before simulation. Float selects the
 // floating-point store form (8-byte IEEE754); otherwise Size/Val describe
-// an integer store.
+// an integer store of 1, 2, 4 or 8 bytes (Size 0 means 8).
 type MemInit struct {
 	Addr  int64   `json:"addr"`
 	Size  int     `json:"size,omitempty"`
