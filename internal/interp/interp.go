@@ -185,17 +185,24 @@ type State struct {
 	// control). Default true.
 	DataRotation bool
 
-	rrbGR, rrbFR, rrbPR int
+	// rrb holds the GR, FR and PR rename bases.
+	rrb [3]int
 
-	// effs and pend are Group's scratch, reused from group to group.
-	effs []Effect
-	pend pending
+	// Pending is the current issue group's deferred register writes.
+	Pending []Write
 }
 
 // NewState returns a zeroed state with fresh memory. r0 stays 0, f0 = 0.0,
 // f1 = 1.0 and p0 = true are maintained as architectural constants.
-func NewState() *State {
-	s := &State{Mem: NewMemory(), DataRotation: true}
+func NewState() *State { return NewStateOn(nil) }
+
+// NewStateOn returns a zeroed state on mem, or on fresh memory when mem
+// is nil.
+func NewStateOn(mem *Memory) *State {
+	if mem == nil {
+		mem = NewMemory()
+	}
+	s := &State{Mem: mem, DataRotation: true}
 	s.FR[1] = 1.0
 	s.PR[0] = true
 	return s
@@ -207,7 +214,7 @@ func (s *State) RenameGR(n int) int {
 	if n < RotBase {
 		return n
 	}
-	return RotBase + (n-RotBase+s.rrbGR)%rotSize
+	return RotBase + (n-RotBase+s.rrb[0])%rotSize
 }
 
 // RenameFR maps a logical FR number to its physical index.
@@ -215,7 +222,7 @@ func (s *State) RenameFR(n int) int {
 	if n < RotBase {
 		return n
 	}
-	return RotBase + (n-RotBase+s.rrbFR)%rotSize
+	return RotBase + (n-RotBase+s.rrb[1])%rotSize
 }
 
 // RenamePR maps a logical PR number to its physical index.
@@ -223,7 +230,7 @@ func (s *State) RenamePR(n int) int {
 	if n < RotPRLo {
 		return n
 	}
-	return RotPRLo + (n-RotPRLo+s.rrbPR)%rotPRSz
+	return RotPRLo + (n-RotPRLo+s.rrb[2])%rotPRSz
 }
 
 // PhysIndex returns the physical register index a logical register operand
@@ -262,251 +269,15 @@ func (s *State) writePR(r ir.Reg, v bool) {
 	}
 }
 
-// PredOn reports whether the instruction's qualifying predicate is true.
-func (s *State) PredOn(in *ir.Instr) bool {
-	if in.Pred.IsNone() {
-		return true
-	}
-	return s.readPR(in.Pred)
-}
-
-// Effect describes what executing one instruction did, for the timing
-// simulator.
-type Effect struct {
-	// Executed is false when the qualifying predicate was off.
-	Executed bool
-	// IsMem/IsLoad/IsStore/IsPrefetch classify memory activity; Addr is the
-	// effective address (before post-increment) and FP marks FP loads.
-	IsMem, IsLoad, IsStore, IsPrefetch bool
-	Addr                               int64
-	FP                                 bool
-}
-
-// pending defers register writes so that all instructions issued in the
-// same cycle read operands before any of them writes (in-order issue groups
-// read at dispersal).
-type pending struct {
-	gr []struct {
-		r ir.Reg
-		v int64
-	}
-	fr []struct {
-		r ir.Reg
-		v float64
-	}
-	pr []struct {
-		r ir.Reg
-		v bool
-	}
-}
-
-// Group executes the instructions of one issue group with
-// reads-before-writes semantics and returns their effects. The returned
-// slice is reused by the next Group call. An instruction the interpreter
-// cannot execute (an op outside the executable set — reachable from
-// adversarial wire input, so an error rather than a panic) aborts the
-// group with no writes applied.
-func (s *State) Group(ins []*ir.Instr) ([]Effect, error) {
-	effs := s.effs[:0]
-	p := &s.pend
-	p.gr, p.fr, p.pr = p.gr[:0], p.fr[:0], p.pr[:0]
-	for _, in := range ins {
-		e, err := s.exec(in, p)
-		if err != nil {
-			return nil, err
-		}
-		effs = append(effs, e)
-	}
-	s.effs = effs
-	for _, w := range p.gr {
-		s.writeGR(w.r, w.v)
-	}
-	for _, w := range p.fr {
-		s.writeFR(w.r, w.v)
-	}
-	for _, w := range p.pr {
-		s.writePR(w.r, w.v)
-	}
-	return effs, nil
-}
-
-// Exec executes a single instruction immediately (one-instruction group).
-func (s *State) Exec(in *ir.Instr) (Effect, error) {
-	e, err := s.Group([]*ir.Instr{in})
-	if err != nil {
-		return Effect{}, err
-	}
-	return e[0], nil
-}
-
-func (p *pending) defGR(r ir.Reg, v int64) {
-	p.gr = append(p.gr, struct {
-		r ir.Reg
-		v int64
-	}{r, v})
-}
-func (p *pending) defFR(r ir.Reg, v float64) {
-	p.fr = append(p.fr, struct {
-		r ir.Reg
-		v float64
-	}{r, v})
-}
-func (p *pending) defPR(r ir.Reg, v bool) {
-	p.pr = append(p.pr, struct {
-		r ir.Reg
-		v bool
-	}{r, v})
-}
-
-func (s *State) exec(in *ir.Instr, p *pending) (Effect, error) {
-	on := s.PredOn(in)
-	// cmp.unc semantics: a predicated-off compare clears both destination
-	// predicates. This is what turns consumer instructions off during
-	// pipeline fill/drain when their stage's compare did not run.
-	if !on {
-		switch in.Op {
-		case ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpEqI, ir.OpCmpLtI, ir.OpFCmpLt:
-			for _, d := range in.Dsts {
-				if !d.IsNone() {
-					p.defPR(d, false)
-				}
-			}
-		}
-		return Effect{}, nil
-	}
-	eff := Effect{Executed: true}
-	switch in.Op {
-	case ir.OpNop:
-	case ir.OpMovI:
-		p.defGR(in.Dsts[0], in.Imm)
-	case ir.OpMov:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0]))
-	case ir.OpAdd:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])+s.readGR(in.Srcs[1]))
-	case ir.OpSub:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])-s.readGR(in.Srcs[1]))
-	case ir.OpAddI:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])+in.Imm)
-	case ir.OpAnd:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])&s.readGR(in.Srcs[1]))
-	case ir.OpOr:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])|s.readGR(in.Srcs[1]))
-	case ir.OpXor:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])^s.readGR(in.Srcs[1]))
-	case ir.OpShlI:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])<<uint(in.Imm&63))
-	case ir.OpShrI:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])>>uint(in.Imm&63))
-	case ir.OpShladd:
-		p.defGR(in.Dsts[0], (s.readGR(in.Srcs[0])<<uint(in.Imm&63))+s.readGR(in.Srcs[1]))
-	case ir.OpMul:
-		p.defGR(in.Dsts[0], s.readGR(in.Srcs[0])*s.readGR(in.Srcs[1]))
-	case ir.OpCmpEq:
-		s.compare(in, p, s.readGR(in.Srcs[0]) == s.readGR(in.Srcs[1]))
-	case ir.OpCmpLt:
-		s.compare(in, p, s.readGR(in.Srcs[0]) < s.readGR(in.Srcs[1]))
-	case ir.OpCmpEqI:
-		s.compare(in, p, s.readGR(in.Srcs[0]) == in.Imm)
-	case ir.OpCmpLtI:
-		s.compare(in, p, s.readGR(in.Srcs[0]) < in.Imm)
-	case ir.OpFMovI:
-		p.defFR(in.Dsts[0], in.FImm)
-	case ir.OpFMov:
-		p.defFR(in.Dsts[0], s.readFR(in.Srcs[0]))
-	case ir.OpFAdd:
-		p.defFR(in.Dsts[0], s.readFR(in.Srcs[0])+s.readFR(in.Srcs[1]))
-	case ir.OpFSub:
-		p.defFR(in.Dsts[0], s.readFR(in.Srcs[0])-s.readFR(in.Srcs[1]))
-	case ir.OpFMul:
-		p.defFR(in.Dsts[0], s.readFR(in.Srcs[0])*s.readFR(in.Srcs[1]))
-	case ir.OpFMA:
-		p.defFR(in.Dsts[0], s.readFR(in.Srcs[0])*s.readFR(in.Srcs[1])+s.readFR(in.Srcs[2]))
-	case ir.OpFCmpLt:
-		s.comparePR(in, p, s.readFR(in.Srcs[0]) < s.readFR(in.Srcs[1]))
-	case ir.OpGetF:
-		p.defGR(in.Dsts[0], int64(s.readFR(in.Srcs[0])))
-	case ir.OpSetF:
-		p.defFR(in.Dsts[0], float64(s.readGR(in.Srcs[0])))
-	case ir.OpSel:
-		if s.readPR(in.Srcs[0]) {
-			p.defGR(in.Dsts[0], s.readGR(in.Srcs[1]))
-		} else {
-			p.defGR(in.Dsts[0], s.readGR(in.Srcs[2]))
-		}
-	case ir.OpFSel:
-		if s.readPR(in.Srcs[0]) {
-			p.defFR(in.Dsts[0], s.readFR(in.Srcs[1]))
-		} else {
-			p.defFR(in.Dsts[0], s.readFR(in.Srcs[2]))
-		}
-	case ir.OpChk:
-		// Data-speculation check: always succeeds in this model (the
-		// workloads' speculated dependences never actually alias).
-	case ir.OpLd:
-		base := in.BaseReg()
-		addr := s.readGR(base)
-		p.defGR(in.Dsts[0], s.Mem.Load(addr, in.Mem.Size))
-		if in.Mem.PostInc != 0 {
-			p.defGR(base, addr+in.Mem.PostInc)
-		}
-		eff.IsMem, eff.IsLoad, eff.Addr = true, true, addr
-	case ir.OpLdF:
-		base := in.BaseReg()
-		addr := s.readGR(base)
-		p.defFR(in.Dsts[0], s.Mem.LoadF(addr))
-		if in.Mem.PostInc != 0 {
-			p.defGR(base, addr+in.Mem.PostInc)
-		}
-		eff.IsMem, eff.IsLoad, eff.FP, eff.Addr = true, true, true, addr
-	case ir.OpSt:
-		base := in.BaseReg()
-		addr := s.readGR(base)
-		s.Mem.Store(addr, in.Mem.Size, s.readGR(in.Srcs[0]))
-		if in.Mem.PostInc != 0 {
-			p.defGR(base, addr+in.Mem.PostInc)
-		}
-		eff.IsMem, eff.IsStore, eff.Addr = true, true, addr
-	case ir.OpStF:
-		base := in.BaseReg()
-		addr := s.readGR(base)
-		s.Mem.StoreF(addr, s.readFR(in.Srcs[0]))
-		if in.Mem.PostInc != 0 {
-			p.defGR(base, addr+in.Mem.PostInc)
-		}
-		eff.IsMem, eff.IsStore, eff.Addr = true, true, addr
-	case ir.OpLfetch:
-		base := in.BaseReg()
-		addr := s.readGR(base)
-		if in.Mem.PostInc != 0 {
-			p.defGR(base, addr+in.Mem.PostInc)
-		}
-		eff.IsMem, eff.IsPrefetch, eff.Addr = true, true, addr
-	default:
-		return Effect{}, fmt.Errorf("interp: cannot execute %v", in.Op)
-	}
-	return eff, nil
-}
-
-func (s *State) compare(in *ir.Instr, p *pending, res bool) { s.comparePR(in, p, res) }
-
-func (s *State) comparePR(in *ir.Instr, p *pending, res bool) {
-	if !in.Dsts[0].IsNone() {
-		p.defPR(in.Dsts[0], res)
-	}
-	if !in.Dsts[1].IsNone() {
-		p.defPR(in.Dsts[1], !res)
-	}
-}
-
 // rotate decrements the rename bases (the value in logical X moves to
 // logical X+1) and injects the new stage predicate into logical p16. With
 // DataRotation off only the predicate file rotates.
 func (s *State) rotate(inject bool) {
 	if s.DataRotation {
-		s.rrbGR = (s.rrbGR - 1 + rotSize) % rotSize
-		s.rrbFR = (s.rrbFR - 1 + rotSize) % rotSize
+		s.rrb[0] = (s.rrb[0] - 1 + rotSize) % rotSize
+		s.rrb[1] = (s.rrb[1] - 1 + rotSize) % rotSize
 	}
-	s.rrbPR = (s.rrbPR - 1 + rotPRSz) % rotPRSz
+	s.rrb[2] = (s.rrb[2] - 1 + rotPRSz) % rotPRSz
 	s.PR[s.RenamePR(RotPRLo)] = inject
 }
 

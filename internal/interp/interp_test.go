@@ -494,3 +494,17 @@ func TestForkOfForkPanics(t *testing.T) {
 	}()
 	f.Fork()
 }
+
+// TestPredicatedOffUnknownOpRuns: an op outside the executable set is
+// only an error when it executes.
+func TestPredicatedOffUnknownOpRuns(t *testing.T) {
+	off := ir.Predicated(ir.PR(6), &ir.Instr{Op: ir.Op(250)})
+	p := &Program{Name: "off", Groups: [][]*ir.Instr{{off, ir.AddI(ir.GR(4), ir.GR(4), 1)}}}
+	s, err := Run(p, 2, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.GR[4] != 2 {
+		t.Errorf("r4 = %d, want 2", s.GR[4])
+	}
+}

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -107,73 +106,13 @@ func Run(p *Program, trip int64, mem *Memory) (*State, error) {
 	if trip < 1 {
 		return nil, fmt.Errorf("interp: trip count %d < 1", trip)
 	}
-	if len(p.Groups) == 0 {
-		return nil, errors.New("interp: program has no groups")
+	var c Code
+	if err := c.Decode(p, nil); err != nil {
+		return nil, err
 	}
-	s := NewState()
-	if mem != nil {
-		s.Mem = mem
-	}
-	s.ApplySetup(p.Setup)
-	s.LC = trip - 1
-	s.DataRotation = !p.NoDataRotation
-	// Runaway cap for data-terminated loops (and malformed programs).
-	maxIters := trip + int64(p.Stages) + 4
-	switch {
-	case p.Pipelined && !p.WhileQP.IsNone():
-		s.EC = int64(p.Stages)
-		for iters := int64(0); iters < maxIters; iters++ {
-			for _, g := range p.Groups {
-				if _, err := s.Group(g); err != nil {
-					return nil, err
-				}
-			}
-			if !s.Wtop(p.WhileQP) {
-				break
-			}
-		}
-	case p.Pipelined:
-		s.EC = int64(p.Stages)
-		s.PR[RotPRLo] = true // stage-0 predicate on for the first iteration
-		rotEvery := len(p.Groups)
-		if p.RotateEvery > 0 {
-			rotEvery = p.RotateEvery
-		}
-	kernel:
-		for {
-			for c, g := range p.Groups {
-				if _, err := s.Group(g); err != nil {
-					return nil, err
-				}
-				if (c+1)%rotEvery == 0 {
-					if !s.Ctop() {
-						break kernel
-					}
-				}
-			}
-		}
-	case !p.WhileQP.IsNone():
-		for iters := int64(0); iters < maxIters; iters++ {
-			for _, g := range p.Groups {
-				if _, err := s.Group(g); err != nil {
-					return nil, err
-				}
-			}
-			if !s.PR[s.PhysIndex(p.WhileQP)] {
-				break
-			}
-		}
-	default:
-		for {
-			for _, g := range p.Groups {
-				if _, err := s.Group(g); err != nil {
-					return nil, err
-				}
-			}
-			if !s.Cloop() {
-				break
-			}
-		}
+	s := NewStateOn(mem)
+	if _, err := c.Drive(s, trip, s.Issue); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

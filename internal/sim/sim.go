@@ -16,11 +16,10 @@ package sim
 import (
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"ltsp/internal/cache"
 	"ltsp/internal/interp"
-	"ltsp/internal/ir"
 	"ltsp/internal/machine"
 	"ltsp/internal/obs"
 )
@@ -150,37 +149,47 @@ type Result struct {
 
 // Runner simulates programs against a persistent cache hierarchy, so that
 // successive executions of a loop (trip-count distributions) see warm
-// caches exactly as repeated invocations in a real program would.
+// caches exactly as repeated invocations in a real program would. Its
+// decode and per-run tables are scratch, reused from run to run.
 type Runner struct {
 	cfg  Config
 	hier *cache.Hierarchy
-	ozq  []int64 // completion times of in-flight requests
-	// ozqDrainedAt is the cycle ozq was last drained at, or math.MinInt64
-	// when a drain must scan: a second drain at the same cycle removes
-	// nothing unless a request added since completes by then.
-	ozqDrainedAt int64
+	ozq  ozq
 	// clock is the absolute cycle counter, persistent across Run calls so
 	// that cache fill timestamps from earlier executions stay meaningful.
 	clock int64
-	// defs and loadReady are per-issue-group scratch, reused from group
-	// to group: the group's register definitions, and the data-ready
-	// cycle of each load by its position in the group.
-	defs      []defSite
-	loadReady []int64
+	code  interp.Code
+	// regs holds, per unified register index, the cycle its value is
+	// ready and the load site (code.SiteIDs index) that produced it, or
+	// -1: a stall is blamed on the site behind the latest-ready source.
+	regs [interp.NumRegs]regState
+	// sites accumulates the per-site attribution of one run, by
+	// code.SiteIDs index.
+	sites []siteStats
+	// on holds the qualifying predicate of each instruction of the
+	// current issue group.
+	on []bool
 	// bankBusy marks the L2 banks a memory request of the current issue
 	// group has used (nil when bank conflicts are off).
 	bankBusy []bool
 }
 
-// defSite is one register an issue group defines: its physical index
-// recorded before execution, and the defining instruction with its
-// position in the group (instr is nil for a predicated-off compare's
-// cleared destinations).
-type defSite struct {
-	idx   int
-	reg   ir.Reg
-	instr *ir.Instr
-	pos   int
+type regState struct {
+	ready int64
+	site  int32
+}
+
+type siteStats struct {
+	levels                      [5]int64
+	latency, stalls, events, oz int64
+}
+
+// accessKind maps a decoded memory access to the hierarchy's.
+var accessKind = [...]cache.AccessKind{
+	interp.AccessLoad:       cache.Load,
+	interp.AccessStore:      cache.Store,
+	interp.AccessPrefetchL1: cache.PrefetchL1,
+	interp.AccessPrefetchL2: cache.PrefetchL2,
 }
 
 // validate rejects what the simulator cannot model: a cache geometry the
@@ -228,384 +237,267 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 	if err := r.cfg.validate(); err != nil {
 		return nil, err
 	}
-	st := interp.NewState()
-	if mem != nil {
-		st.Mem = mem
+	if err := r.code.Decode(p, r.cfg.Model.Latency); err != nil {
+		return nil, err
 	}
-	st.ApplySetup(p.Setup)
-	st.LC = trip - 1
-	st.DataRotation = !p.NoDataRotation
+	st := interp.NewStateOn(mem)
 	res := &Result{State: st}
 	statsBefore := r.hier.Stats
-
-	var readyGR [interp.NumGR]int64
-	var readyFR [interp.NumFR]int64
-	var readyPR [interp.NumPR]int64
-	// srcXX[i] is the load site (body instruction ID) whose in-flight
-	// result register i holds, or -1 when the register's last producer was
-	// not a load. The arrays drive the per-site stall attribution: a stall
-	// is blamed on the site that produced the latest-ready source.
-	var srcGR [interp.NumGR]int
-	var srcFR [interp.NumFR]int
-	var srcPR [interp.NumPR]int
-	for i := range srcGR {
-		srcGR[i] = -1
+	for i := range r.regs {
+		r.regs[i] = regState{site: -1}
 	}
-	for i := range srcFR {
-		srcFR[i] = -1
-	}
-	for i := range srcPR {
-		srcPR[i] = -1
-	}
-	tl := r.cfg.Timeline
-
-	start := r.clock
-	t := start + int64(r.cfg.FEOverhead)
-	res.Acct.FEBubble = int64(r.cfg.FEOverhead)
+	r.sites = slices.Grow(r.sites[:0], len(r.code.SiteIDs))[:len(r.code.SiteIDs)]
+	clear(r.sites)
+	r.on = slices.Grow(r.on[:0], r.code.MaxGroup)[:r.code.MaxGroup]
 	r.ozq = r.ozq[:0]
-	r.ozqDrainedAt = math.MinInt64
-
-	model := r.cfg.Model
-	banks := model.L2Banks
-	if !r.cfg.BankConflicts || banks <= 0 {
+	if banks := r.cfg.Model.L2Banks; !r.cfg.BankConflicts || banks <= 0 {
 		r.bankBusy = nil
 	} else if len(r.bankBusy) != banks {
 		r.bankBusy = make([]bool, banks)
 	}
-	bankBusy := r.bankBusy
 
-	if p.Pipelined {
-		st.EC = int64(p.Stages)
-		st.PR[interp.RotPRLo] = true
+	start := r.clock
+	r.clock += int64(r.cfg.FEOverhead)
+	res.Acct.FEBubble = int64(r.cfg.FEOverhead)
+	iters, err := r.code.Drive(st, trip, func(g []interp.Inst) error { return r.issue(g, st, res) })
+	if err != nil {
+		return nil, err
 	}
-
-	runGroup := func(group []*ir.Instr) error {
-		// Stall-on-use: the whole issue group waits for every source of
-		// every enabled instruction (and for all qualifying predicates).
-		// stallSite tracks the load that produced the latest-ready source,
-		// so the whole stall episode is attributed to one load site.
-		maxReady := t
-		stallSite := -1
-		for _, in := range group {
-			if !in.Pred.IsNone() {
-				idx := st.PhysIndex(in.Pred)
-				if v := readyPR[idx]; v > maxReady {
-					maxReady = v
-					stallSite = srcPR[idx]
-				}
-			}
-			if !st.PredOn(in) {
-				continue
-			}
-			// The qualifying predicate was checked above.
-			for _, u := range in.Srcs {
-				if u.IsNone() {
-					continue
-				}
-				var v int64
-				site := -1
-				idx := st.PhysIndex(u)
-				switch u.Class {
-				case ir.ClassGR:
-					v, site = readyGR[idx], srcGR[idx]
-				case ir.ClassFR:
-					v, site = readyFR[idx], srcFR[idx]
-				case ir.ClassPR:
-					v, site = readyPR[idx], srcPR[idx]
-				}
-				if v > maxReady {
-					maxReady = v
-					stallSite = site
-				}
-			}
-		}
-		if maxReady > t {
-			d := maxReady - t
-			res.Acct.ExeBubble += d
-			if stallSite >= 0 {
-				if res.LoadSiteStalls == nil {
-					res.LoadSiteStalls = map[int]int64{}
-					res.LoadSiteStallEvents = map[int]int64{}
-				}
-				res.LoadSiteStalls[stallSite] += d
-				res.LoadSiteStallEvents[stallSite]++
-			}
-			if tl.On() {
-				tl.Complete("stall(data)", t, d, 0, TIDDataStall,
-					map[string]any{"site": stallSite})
-			}
-			if r.cfg.Trace != nil {
-				fmt.Fprintf(r.cfg.Trace, "%8d  stall %d cycles (data)\n", t, d)
-			}
-			t = maxReady
-		}
-		if r.cfg.Trace != nil {
-			for _, in := range group {
-				state := "  "
-				if !st.PredOn(in) {
-					state = "--"
-				}
-				fmt.Fprintf(r.cfg.Trace, "%8d  %s %s\n", t, state, in)
-			}
-		}
-		if tl.On() {
-			for lane, in := range group {
-				name := in.String()
-				if !st.PredOn(in) {
-					name = "-- " + name
-				}
-				tl.Complete(name, t, 1, 0, TIDLane0+lane, nil)
-			}
-		}
-
-		// Record physical destination indices before execution (rotation
-		// does not occur within a group, but the state's values change).
-		defs := r.defs[:0]
-		for pos, in := range group {
-			if !st.PredOn(in) {
-				// cmp.unc still clears its destinations; they become ready
-				// next cycle.
-				switch in.Op {
-				case ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpEqI, ir.OpCmpLtI, ir.OpFCmpLt:
-					for _, d := range in.Dsts {
-						if !d.IsNone() {
-							defs = append(defs, defSite{st.PhysIndex(d), d, nil, pos})
-						}
-					}
-				}
-				continue
-			}
-			for _, d := range in.Dsts {
-				if !d.IsNone() {
-					defs = append(defs, defSite{st.PhysIndex(d), d, in, pos})
-				}
-			}
-			if in.Mem != nil && in.Mem.PostInc != 0 {
-				if b := in.BaseReg(); !b.IsNone() {
-					defs = append(defs, defSite{st.PhysIndex(b), b, in, pos})
-				}
-			}
-		}
-		r.defs = defs
-
-		effs, err := st.Group(group)
-		if err != nil {
-			return err
-		}
-
-		clear(bankBusy)
-		// Memory requests: OzQ admission, cache access, bank conflicts.
-		loadReady := r.loadReady[:0]
-		for range group {
-			loadReady = append(loadReady, 0)
-		}
-		r.loadReady = loadReady
-		for i, in := range group {
-			eff := effs[i]
-			if !eff.Executed || !eff.IsMem {
-				continue
-			}
-			// Drain completed OzQ entries.
-			r.drainOzQ(t)
-			if len(r.ozq) >= model.OzQCapacity {
-				wait := r.minOzQ()
-				if wait > t {
-					res.Acct.L1DFPUBubble += wait - t
-					res.OzQFullStalls += wait - t
-					if res.LoadSiteOzQStalls == nil {
-						res.LoadSiteOzQStalls = map[int]int64{}
-					}
-					res.LoadSiteOzQStalls[in.ID] += wait - t
-					if tl.On() {
-						tl.Complete("stall(ozq)", t, wait-t, 0, TIDOzQStall,
-							map[string]any{"site": in.ID})
-					}
-					t = wait
-				}
-				r.drainOzQ(t)
-			}
-			kind := cache.Load
-			switch {
-			case eff.IsStore:
-				kind = cache.Store
-			case eff.IsPrefetch:
-				if in.Mem.Hint == ir.HintL2 {
-					kind = cache.PrefetchL2
-				} else {
-					kind = cache.PrefetchL1
-				}
-			}
-			cres := r.hier.Access(t, eff.Addr, eff.FP, kind)
-			if eff.IsLoad {
-				res.LoadsByLevel[cres.Level]++
-				if res.LoadSiteLevels == nil {
-					res.LoadSiteLevels = map[int]*[5]int64{}
-					res.LoadSiteLatency = map[int]int64{}
-				}
-				site := res.LoadSiteLevels[in.ID]
-				if site == nil {
-					site = new([5]int64)
-					res.LoadSiteLevels[in.ID] = site
-				}
-				site[cres.Level]++
-				res.LoadSiteLatency[in.ID] += cres.ReadyAt - t
-			}
-			if bankBusy != nil && cres.MissedL1 {
-				bank := (eff.Addr >> 4) & int64(banks-1)
-				if bankBusy[bank] {
-					cres.ReadyAt += int64(model.BankConflictPenalty)
-					res.BankConflictCount++
-				}
-				bankBusy[bank] = true
-			}
-			if cres.MissedL1 && !cres.Merged {
-				if cres.ReadyAt <= t {
-					r.ozqDrainedAt = math.MinInt64
-				}
-				r.ozq = append(r.ozq, cres.ReadyAt)
-				if len(r.ozq) > res.OzQPeak {
-					res.OzQPeak = len(r.ozq)
-				}
-			}
-			if eff.IsLoad {
-				loadReady[i] = cres.ReadyAt
-			}
-		}
-
-		// Publish destination ready times and record which load (if any)
-		// produced each register, for the stall attribution.
-		for _, d := range defs {
-			var ready int64
-			site := -1
-			switch {
-			case d.instr == nil:
-				ready = t + 1 // cleared compare destinations
-			case d.instr.Op.IsLoad() && d.reg == d.instr.Dsts[0]:
-				ready = loadReady[d.pos] // load data result
-				site = d.instr.ID
-			case d.instr.Op.IsMem():
-				ready = t + 1 // post-incremented base
-			default:
-				ready = t + int64(model.Latency(d.instr.Op))
-			}
-			switch d.reg.Class {
-			case ir.ClassGR:
-				if d.idx != 0 {
-					readyGR[d.idx] = ready
-					srcGR[d.idx] = site
-				}
-			case ir.ClassFR:
-				readyFR[d.idx] = ready
-				srcFR[d.idx] = site
-			case ir.ClassPR:
-				readyPR[d.idx] = ready
-				srcPR[d.idx] = site
-			}
-		}
-		t++
-		return nil
-	}
-
-	maxIters := trip + int64(p.Stages) + 4 // runaway cap for while loops
-	switch {
-	case p.Pipelined && !p.WhileQP.IsNone():
-		st.EC = int64(p.Stages)
-		for res.KernelIters < maxIters {
-			for _, g := range p.Groups {
-				if err := runGroup(g); err != nil {
-					return nil, err
-				}
-			}
-			res.KernelIters++
-			if !st.Wtop(p.WhileQP) {
-				break
-			}
-		}
-	case p.Pipelined:
-		rotEvery := len(p.Groups)
-		if p.RotateEvery > 0 {
-			rotEvery = p.RotateEvery
-		}
-	kernel:
-		for {
-			for c, g := range p.Groups {
-				if err := runGroup(g); err != nil {
-					return nil, err
-				}
-				if (c+1)%rotEvery == 0 {
-					res.KernelIters++
-					if !st.Ctop() {
-						break kernel
-					}
-				}
-			}
-		}
-	case !p.WhileQP.IsNone():
-		for res.KernelIters < maxIters {
-			for _, g := range p.Groups {
-				if err := runGroup(g); err != nil {
-					return nil, err
-				}
-			}
-			res.KernelIters++
-			if !st.PR[st.PhysIndex(p.WhileQP)] {
-				break
-			}
-		}
-	default:
-		for {
-			for _, g := range p.Groups {
-				if err := runGroup(g); err != nil {
-					return nil, err
-				}
-			}
-			res.KernelIters++
-			if !st.Cloop() {
-				break
-			}
-		}
-	}
-
+	res.KernelIters = iters
 	res.Acct.FlushBubble = int64(r.cfg.FlushOverhead)
-	t += int64(r.cfg.FlushOverhead)
 	res.Acct.RSEBubble = r.cfg.RSECyclesPerExec
-	t += r.cfg.RSECyclesPerExec
+	r.clock += int64(r.cfg.FlushOverhead) + r.cfg.RSECyclesPerExec
 
-	r.clock = t
-	res.Cycles = t - start
+	res.Cycles = r.clock - start
 	res.Acct.Total = res.Cycles
 	res.Acct.Unstalled = res.Cycles - res.Acct.Bubbles()
 	res.Cache = diffStats(statsBefore, r.hier.Stats)
+	r.siteMaps(res)
 	return res, nil
 }
 
-// drainOzQ removes the requests complete by now. A request completes
-// after the cycle it issues in, so the scan runs once per cycle value:
-// again only when an OzQ-full wait has moved the clock, or when a request
-// completed in its issue cycle (zero-latency cache levels).
-func (r *Runner) drainOzQ(now int64) {
-	if r.ozqDrainedAt == now {
-		return
-	}
-	r.ozqDrainedAt = now
-	w := 0
-	for _, c := range r.ozq {
-		if c > now {
-			r.ozq[w] = c
-			w++
+// issue simulates one issue group at r.clock in three passes: the
+// scoreboard, which stalls the whole group on any unready source of an
+// enabled instruction (stall-on-use) and on every qualifying predicate;
+// execution with its memory requests (OzQ admission, cache access, bank
+// conflicts); and the publish, which writes each result with its ready
+// cycle and producing load site.
+func (r *Runner) issue(g []interp.Inst, st *interp.State, res *Result) error {
+	t := r.clock
+	maxReady, stallSite := t, int32(-1)
+	for i := range g {
+		in := &g[i]
+		u, on := st.Pred(in)
+		r.on[i] = on
+		if u >= 0 {
+			if v := r.regs[u]; v.ready > maxReady {
+				maxReady, stallSite = v.ready, v.site
+			}
+		}
+		if !on {
+			continue
+		}
+		for _, sl := range in.Src {
+			if sl.U < 0 {
+				continue
+			}
+			if v := r.regs[st.Index(sl)]; v.ready > maxReady {
+				maxReady, stallSite = v.ready, v.site
+			}
 		}
 	}
-	r.ozq = r.ozq[:w]
+	tl := r.cfg.Timeline
+	if maxReady > t {
+		d := maxReady - t
+		res.Acct.ExeBubble += d
+		id := -1
+		if stallSite >= 0 {
+			r.sites[stallSite].stalls += d
+			r.sites[stallSite].events++
+			id = r.code.SiteIDs[stallSite]
+		}
+		if tl.On() {
+			tl.Complete("stall(data)", t, d, 0, TIDDataStall, map[string]any{"site": id})
+		}
+		if r.cfg.Trace != nil {
+			fmt.Fprintf(r.cfg.Trace, "%8d  stall %d cycles (data)\n", t, d)
+		}
+		t = maxReady
+	}
+	if r.cfg.Trace != nil || tl.On() {
+		r.show(g, t)
+	}
+
+	model := r.cfg.Model
+	clear(r.bankBusy)
+	st.Pending = st.Pending[:0]
+	for i := range g {
+		in := &g[i]
+		first := len(st.Pending)
+		addr, err := st.Step(in, r.on[i])
+		if err != nil {
+			return err
+		}
+		if !r.on[i] || in.Access == interp.NoAccess {
+			continue
+		}
+		site := &r.sites[in.Site]
+		r.ozq.drain(t)
+		if len(r.ozq) >= model.OzQCapacity {
+			if wait := r.ozq[0]; wait > t {
+				res.Acct.L1DFPUBubble += wait - t
+				res.OzQFullStalls += wait - t
+				site.oz += wait - t
+				if tl.On() {
+					tl.Complete("stall(ozq)", t, wait-t, 0, TIDOzQStall, map[string]any{"site": in.In.ID})
+				}
+				t = wait
+			}
+			r.ozq.drain(t)
+		}
+		cres := r.hier.Access(t, addr, in.FP, accessKind[in.Access])
+		load := in.Access == interp.AccessLoad
+		if load {
+			// The site's latency leaves out a bank conflict's penalty.
+			res.LoadsByLevel[cres.Level]++
+			site.levels[cres.Level]++
+			site.latency += cres.ReadyAt - t
+		}
+		if r.bankBusy != nil && cres.MissedL1 {
+			bank := (addr >> 4) & int64(len(r.bankBusy)-1)
+			if r.bankBusy[bank] {
+				cres.ReadyAt += int64(model.BankConflictPenalty)
+				res.BankConflictCount++
+			}
+			r.bankBusy[bank] = true
+		}
+		if cres.MissedL1 && !cres.Merged {
+			r.ozq.push(cres.ReadyAt)
+			res.OzQPeak = max(res.OzQPeak, len(r.ozq))
+		}
+		if load {
+			for k := first; k < len(st.Pending); k++ {
+				if st.Pending[k].Site >= 0 {
+					st.Pending[k].Ready = cres.ReadyAt
+				}
+			}
+		}
+	}
+
+	for i := range st.Pending {
+		w := &st.Pending[i]
+		st.Retire(w)
+		if w.U == 0 {
+			continue // r0
+		}
+		ready := w.Ready
+		if w.Site < 0 {
+			ready += t
+		}
+		r.regs[w.U] = regState{ready, w.Site}
+	}
+	r.clock = t + 1
+	return nil
 }
 
-func (r *Runner) minOzQ() int64 {
-	min := r.ozq[0]
-	for _, c := range r.ozq[1:] {
-		if c < min {
-			min = c
+// show writes the group issuing at cycle t to the trace and timeline,
+// marking the instructions whose predicate is off.
+func (r *Runner) show(g []interp.Inst, t int64) {
+	for lane := range g {
+		in, on := g[lane].In, r.on[lane]
+		if w := r.cfg.Trace; w != nil {
+			state := "  "
+			if !on {
+				state = "--"
+			}
+			fmt.Fprintf(w, "%8d  %s %s\n", t, state, in)
+		}
+		if tl := r.cfg.Timeline; tl.On() {
+			name := in.String()
+			if !on {
+				name = "-- " + name
+			}
+			tl.Complete(name, t, 1, 0, TIDLane0+lane, nil)
 		}
 	}
-	return min
+}
+
+// siteMaps turns the run's site tables into the Result's per-site maps:
+// a map is nil when no site has an entry, and a site has an entry only
+// when it counted something.
+func (r *Runner) siteMaps(res *Result) {
+	var levels [][5]int64
+	for k := range r.sites {
+		s, id := &r.sites[k], r.code.SiteIDs[k]
+		if s.levels != [5]int64{} {
+			if res.LoadSiteLevels == nil {
+				res.LoadSiteLevels = make(map[int]*[5]int64, len(r.sites))
+				res.LoadSiteLatency = make(map[int]int64, len(r.sites))
+				levels = make([][5]int64, 0, len(r.sites))
+			}
+			levels = append(levels, s.levels)
+			res.LoadSiteLevels[id] = &levels[len(levels)-1]
+			res.LoadSiteLatency[id] = s.latency
+		}
+		if s.events > 0 {
+			if res.LoadSiteStalls == nil {
+				res.LoadSiteStalls = map[int]int64{}
+				res.LoadSiteStallEvents = map[int]int64{}
+			}
+			res.LoadSiteStalls[id] = s.stalls
+			res.LoadSiteStallEvents[id] = s.events
+		}
+		if s.oz > 0 {
+			if res.LoadSiteOzQStalls == nil {
+				res.LoadSiteOzQStalls = map[int]int64{}
+			}
+			res.LoadSiteOzQStalls[id] = s.oz
+		}
+	}
+}
+
+// ozq holds the completion times of the in-flight memory requests as a
+// binary min-heap: the earliest completion is ozq[0].
+type ozq []int64
+
+func (q *ozq) push(c int64) {
+	h := append(*q, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	*q = h
+}
+
+// drain removes the requests complete by now. A request completes after
+// the cycle it issues in, or in it when the serving level has zero
+// latency.
+func (q *ozq) drain(now int64) {
+	h := *q
+	for len(h) > 0 && h[0] <= now {
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1] < h[c] {
+				c++
+			}
+			if h[i] <= h[c] {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	*q = h
 }
 
 func diffStats(a, b cache.Stats) cache.Stats {

@@ -444,3 +444,22 @@ func TestOzQZeroLatencyRequestsLeave(t *testing.T) {
 		t.Errorf("OzQ peak %d, full stalls %d; want 1 and 0", r.OzQPeak, r.OzQFullStalls)
 	}
 }
+
+// TestUnknownOpOnlyFailsWhenExecuted: an op outside the executable set
+// is an error when its predicate holds and is skipped like any other
+// instruction when it does not.
+func TestUnknownOpOnlyFailsWhenExecuted(t *testing.T) {
+	bad := func() *ir.Instr { return &ir.Instr{Op: ir.Op(250)} }
+	off := seqProgram(nil, []*ir.Instr{ir.Predicated(ir.PR(6), bad()), ir.AddI(ir.GR(4), ir.GR(4), 1)})
+	r, err := NewRunner(plainConfig()).Run(off, 3, nil)
+	if err != nil {
+		t.Fatalf("predicated-off unknown op: %v", err)
+	}
+	if got := r.State.ReadReg(ir.GR(4)); got != 3 {
+		t.Errorf("r4 = %d, want 3", got)
+	}
+	_, err = NewRunner(plainConfig()).Run(seqProgram(nil, []*ir.Instr{bad()}), 1, nil)
+	if err == nil || !strings.Contains(err.Error(), "interp: cannot execute") {
+		t.Fatalf("executed unknown op: err = %v, want interp: cannot execute", err)
+	}
+}
