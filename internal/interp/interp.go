@@ -46,6 +46,11 @@ const (
 type Memory struct {
 	pages  map[int64]pageRef
 	forked bool
+	// rp is the page the last load read (number rpn), wp the page m owns
+	// that the last store wrote (number wpn); nil is an empty entry.
+	// Successive accesses of a loop mostly stay on one page.
+	rpn, wpn int64
+	rp, wp   *[pageSize]byte
 	// Reads counts load accesses, Writes store accesses (for tests).
 	Reads, Writes int64
 }
@@ -80,15 +85,34 @@ func (m *Memory) Fork() *Memory {
 // writable returns page pn for writing, allocating it or copying the
 // base's page on first write.
 func (m *Memory) writable(pn int64) *[pageSize]byte {
+	if pn == m.wpn && m.wp != nil {
+		return m.wp
+	}
 	r := m.pages[pn]
-	if r.owner == m {
-		return r.p
+	if r.owner != m {
+		p := new([pageSize]byte)
+		if r.p != nil {
+			*p = *r.p
+		}
+		r = pageRef{p: p, owner: m}
+		m.pages[pn] = r
+		if pn == m.rpn {
+			m.rp = nil // it may hold the base's page
+		}
 	}
-	p := new([pageSize]byte)
-	if r.p != nil {
-		*p = *r.p
+	m.wpn, m.wp = pn, r.p
+	return r.p
+}
+
+// page returns page pn for reading, or nil when it was never written.
+func (m *Memory) page(pn int64) *[pageSize]byte {
+	if pn == m.rpn && m.rp != nil {
+		return m.rp
 	}
-	m.pages[pn] = pageRef{p: p, owner: m}
+	p := m.pages[pn].p
+	if p != nil {
+		m.rpn, m.rp = pn, p
+	}
 	return p
 }
 
@@ -97,7 +121,7 @@ func (m *Memory) Load(addr int64, size int) int64 {
 	m.Reads++
 	off := int(addr & (pageSize - 1))
 	if off+size <= pageSize {
-		p := m.pages[addr>>12].p
+		p := m.page(addr >> 12)
 		if p == nil {
 			return 0
 		}
@@ -115,7 +139,7 @@ func (m *Memory) Load(addr int64, size int) int64 {
 	var v uint64
 	for i := 0; i < size; i++ {
 		a := addr + int64(i)
-		if p := m.pages[a>>12].p; p != nil {
+		if p := m.page(a >> 12); p != nil {
 			v |= uint64(p[a&(pageSize-1)]) << (8 * i)
 		}
 	}
