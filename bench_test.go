@@ -31,6 +31,7 @@ func BenchmarkSimulateKernel(b *testing.B) {
 		mem.Store(src+4*i, 4, i)
 	}
 	runner := NewRunner(nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {

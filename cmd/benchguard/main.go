@@ -375,6 +375,31 @@ func measureHealthAllocs() float64 {
 	})
 }
 
+// measureWarmSimAllocs returns the allocations of one warm simulate: the
+// running example at trip 4096, with the L2 hint on its load, on a
+// runner that has run it before, as BenchmarkSimulateKernel runs it. A run allocates its Result, its state
+// and the per-site maps; decode scratch and the site tables are reused
+// from the runner.
+func measureWarmSimAllocs() float64 {
+	opts := ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, LatencyTolerant: true}
+	l := exampleLoop()
+	l.Body[0].Mem.Hint = ir.HintL2
+	c, err := ltsp.Compile(l, opts)
+	if err != nil {
+		fatal(fmt.Errorf("compile: %w", err))
+	}
+	mem := ltsp.NewMemory()
+	for i := int64(0); i < 4096; i++ {
+		mem.Store(0x100000+4*i, 4, i)
+	}
+	runner := ltsp.NewRunner(nil)
+	return testing.AllocsPerRun(20, func() {
+		if _, err := runner.Run(c.Program, 4096, mem); err != nil {
+			fatal(fmt.Errorf("simulate: %w", err))
+		}
+	})
+}
+
 // measureColdSimBytes returns the heap bytes one cold simulate allocates:
 // a fresh runner (cold cache hierarchy) and one execution of the running
 // example at trip 128, as a /v2/simulate request runs it. The memory
@@ -620,8 +645,9 @@ func main() {
 	provNs := measureProvenanceAppend(*loopReps, 20000)
 	healthAllocs := measureHealthAllocs()
 	coldSimBytes := measureColdSimBytes(50)
-	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, artifact_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f, cold_sim %.0f B (workers %d, cores %d)\n",
-		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, artRatio, hitAllocs, provNs, healthAllocs, coldSimBytes, experiments.Workers(), runtime.GOMAXPROCS(0))
+	warmSimAllocs := measureWarmSimAllocs()
+	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, artifact_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f, cold_sim %.0f B, warm_sim_allocs %.0f (workers %d, cores %d)\n",
+		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, artRatio, hitAllocs, provNs, healthAllocs, coldSimBytes, warmSimAllocs, experiments.Workers(), runtime.GOMAXPROCS(0))
 
 	ok := report(os.Stdout, "design bounds (this run)", []gate{
 		// The admission-control decision sits on every request's path, so
@@ -687,6 +713,10 @@ func main() {
 		// follows the cache sets the loop touches, not the modeled
 		// capacity (a flat L3 alone is 3 MB).
 		{name: "cold_sim_bytes", value: coldSimBytes, bound: 256 * 1024, basis: "a simulate pays for the sets it touches"},
+		// A warm simulate reuses the runner's decode scratch and site
+		// tables; the bound is the count before the decoded form, so a
+		// per-run decode that allocates fails here.
+		{name: "warm_sim_allocs", value: warmSimAllocs, bound: 17, basis: "allocs per warm run"},
 	})
 
 	if *write {
