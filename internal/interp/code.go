@@ -25,16 +25,17 @@ var (
 )
 
 // Slot is a register operand resolved at decode. A static register is
-// its unified index U (F < 0); a rotating one is the unified index of
-// its file's first rotating register, with F naming the rename base and
-// Off its distance into the region. U < 0 marks an absent operand.
+// its unified index U (F == 0; the zero Slot is r0); a rotating one is
+// the unified index of its file's first rotating register, with F - 1
+// its rename base and Off its distance into the region. U < 0 marks an
+// absent operand.
 type Slot struct {
 	U   int16
 	Off int16
 	F   int8
 }
 
-var noSlot = Slot{U: -1, F: -1}
+var noSlot = Slot{U: -1}
 
 // Access is the cache access a decoded memory instruction makes.
 type Access uint8
@@ -156,7 +157,7 @@ func decode(in *ir.Instr, lat func(ir.Op) int) (Inst, error) {
 		return d, err
 	}
 	// A memory op without a base register reads its address from r0.
-	d.Base = Slot{F: -1}
+	d.Base = Slot{}
 	if len(in.Srcs) > 0 && d.Src[len(in.Srcs)-1].U >= 0 {
 		d.Base = d.Src[len(in.Srcs)-1]
 	}
@@ -181,8 +182,7 @@ func decode(in *ir.Instr, lat func(ir.Op) int) (Inst, error) {
 // resolve turns a register into its slot: the rotating part of a file
 // is renamed at run time, modulo the region's size as Rename* does.
 func resolve(r ir.Reg) (Slot, error) {
-	var base, lo int
-	var f int8
+	var base, lo, f int
 	switch r.Class {
 	case ir.ClassNone:
 		return noSlot, nil
@@ -199,19 +199,19 @@ func resolve(r ir.Reg) (Slot, error) {
 	case r.N < 0:
 		return noSlot, fmt.Errorf("interp: register %v outside its file", r)
 	case r.N < lo:
-		return Slot{U: int16(base + r.N), F: -1}, nil
+		return Slot{U: int16(base + r.N)}, nil
 	}
-	return Slot{U: rotStart[f], Off: int16((r.N - lo) % rotLen[f]), F: f}, nil
+	return Slot{U: rotStart[f], Off: int16((r.N - lo) % rotLen[f]), F: int8(f + 1)}, nil
 }
 
 // Index returns the unified register index a slot names under the
 // current rotation.
 func (s *State) Index(sl Slot) int {
-	if sl.F < 0 {
+	if sl.F == 0 {
 		return int(sl.U)
 	}
-	x := int(sl.Off) + s.rrb[sl.F]
-	if n := rotLen[sl.F]; x >= n {
+	x := int(sl.Off) + s.rrb[sl.F-1]
+	if n := rotLen[sl.F-1]; x >= n {
 		x -= n
 	}
 	return int(sl.U) + x

@@ -179,9 +179,12 @@ type regState struct {
 	site  int32
 }
 
+// siteStats is one memory op site's attribution over a run: its demand
+// loads by serving level and their summed latency, the ExeBubble cycles
+// and stall episodes blamed on it, and its wait for an OzQ slot.
 type siteStats struct {
-	levels                      [5]int64
-	latency, stalls, events, oz int64
+	levels                            [5]int64
+	latency, stalls, events, ozqStall int64
 }
 
 // accessKind maps a decoded memory access to the hierarchy's.
@@ -347,7 +350,7 @@ func (r *Runner) issue(g []interp.Inst, st *interp.State, res *Result) error {
 			if wait := r.ozq[0]; wait > t {
 				res.Acct.L1DFPUBubble += wait - t
 				res.OzQFullStalls += wait - t
-				site.oz += wait - t
+				site.ozqStall += wait - t
 				if tl.On() {
 					tl.Complete("stall(ozq)", t, wait-t, 0, TIDOzQStall, map[string]any{"site": in.In.ID})
 				}
@@ -447,11 +450,11 @@ func (r *Runner) siteMaps(res *Result) {
 			res.LoadSiteStalls[id] = s.stalls
 			res.LoadSiteStallEvents[id] = s.events
 		}
-		if s.oz > 0 {
+		if s.ozqStall > 0 {
 			if res.LoadSiteOzQStalls == nil {
 				res.LoadSiteOzQStalls = map[int]int64{}
 			}
-			res.LoadSiteOzQStalls[id] = s.oz
+			res.LoadSiteOzQStalls[id] = s.ozqStall
 		}
 	}
 }
