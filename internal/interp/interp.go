@@ -19,7 +19,6 @@ package interp
 
 import (
 	"encoding/binary"
-	"fmt"
 	"maps"
 	"math"
 
@@ -255,20 +254,6 @@ func (s *State) RenamePR(n int) int {
 		return n
 	}
 	return RotPRLo + (n-RotPRLo+s.rrb[2])%rotPRSz
-}
-
-// PhysIndex returns the physical register index a logical register operand
-// resolves to under the current rotation.
-func (s *State) PhysIndex(r ir.Reg) int {
-	switch r.Class {
-	case ir.ClassGR:
-		return s.RenameGR(r.N)
-	case ir.ClassFR:
-		return s.RenameFR(r.N)
-	case ir.ClassPR:
-		return s.RenamePR(r.N)
-	}
-	panic(fmt.Sprintf("interp: PhysIndex of %v", r))
 }
 
 func (s *State) readGR(r ir.Reg) int64   { return s.GR[s.RenameGR(r.N)] }

@@ -105,12 +105,3 @@ func TestRotationFRIndependent(t *testing.T) {
 		t.Error("predicate injection lost")
 	}
 }
-
-func TestPhysIndexPanicsOnNone(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PhysIndex(None) did not panic")
-		}
-	}()
-	NewState().PhysIndex(ir.None)
-}
