@@ -167,8 +167,10 @@ type Runner struct {
 	// code.SiteIDs index.
 	sites []siteStats
 	// on holds the qualifying predicate of each instruction of the
-	// current issue group.
-	on []bool
+	// current issue group, and pending lends each run's state its
+	// deferred-write buffer.
+	on      []bool
+	pending []interp.Write
 	// bankBusy marks the L2 banks a memory request of the current issue
 	// group has used (nil when bank conflicts are off).
 	bankBusy []bool
@@ -244,6 +246,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 		return nil, err
 	}
 	st := interp.NewStateOn(mem)
+	st.Pending = r.pending
 	res := &Result{State: st}
 	statsBefore := r.hier.Stats
 	for i := range r.regs {
@@ -263,6 +266,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 	r.clock += int64(r.cfg.FEOverhead)
 	res.Acct.FEBubble = int64(r.cfg.FEOverhead)
 	iters, err := r.code.Drive(st, trip, func(g []interp.Inst) error { return r.issue(g, st, res) })
+	r.pending, st.Pending = st.Pending[:0], nil
 	if err != nil {
 		return nil, err
 	}
