@@ -268,6 +268,7 @@ func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result
 	iters, err := r.code.Drive(st, trip, func(g []interp.Inst) error { return r.issue(g, st, res) })
 	r.pending, st.Pending = st.Pending[:0], nil
 	if err != nil {
+		r.clock = start
 		return nil, err
 	}
 	res.KernelIters = iters
