@@ -10,17 +10,17 @@ import (
 )
 
 // The decoded form numbers the three register files in one index space:
-// GR at [0, NumGR), FR at [FRBase, PRBase), PR at [PRBase, NumRegs).
+// GR at [0, NumGR), FR at [frBase, prBase), PR at [prBase, NumRegs).
 const (
-	FRBase  = NumGR
-	PRBase  = NumGR + NumFR
+	frBase  = NumGR
+	prBase  = NumGR + NumFR
 	NumRegs = NumGR + NumFR + NumPR
 )
 
 // Per rename base (0 GR, 1 FR, 2 PR): the unified index of the first
 // rotating register and the size of the rotating region.
 var (
-	rotStart = [3]int16{RotBase, FRBase + RotBase, PRBase + RotPRLo}
+	rotStart = [3]int16{RotBase, frBase + RotBase, prBase + RotPRLo}
 	rotLen   = [3]int{rotSize, rotSize, rotPRSz}
 )
 
@@ -78,7 +78,7 @@ type Inst struct {
 // instruction array cut into issue groups. Its slices are scratch that
 // the next Decode reuses.
 type Code struct {
-	Insts []Inst
+	insts []Inst
 	// SiteIDs lists the distinct body IDs of the memory ops, ascending.
 	SiteIDs []int
 	// MaxGroup is the length of the longest issue group.
@@ -94,7 +94,7 @@ func (c *Code) Decode(p *Program, lat func(ir.Op) int) error {
 		return errors.New("interp: program has no groups")
 	}
 	c.prog, c.MaxGroup = p, 0
-	c.Insts, c.SiteIDs = c.Insts[:0], c.SiteIDs[:0]
+	c.insts, c.SiteIDs = c.insts[:0], c.SiteIDs[:0]
 	for _, g := range p.Groups {
 		c.MaxGroup = max(c.MaxGroup, len(g))
 		for _, in := range g {
@@ -105,7 +105,7 @@ func (c *Code) Decode(p *Program, lat func(ir.Op) int) error {
 			if d.Access != NoAccess {
 				c.SiteIDs = append(c.SiteIDs, in.ID)
 			}
-			c.Insts = append(c.Insts, d)
+			c.insts = append(c.insts, d)
 		}
 	}
 	slices.Sort(c.SiteIDs)
@@ -113,11 +113,11 @@ func (c *Code) Decode(p *Program, lat func(ir.Op) int) error {
 	c.groups = c.groups[:0]
 	lo := 0
 	for _, g := range p.Groups {
-		c.groups = append(c.groups, c.Insts[lo:lo+len(g):lo+len(g)])
+		c.groups = append(c.groups, c.insts[lo:lo+len(g):lo+len(g)])
 		lo += len(g)
 	}
-	for i := range c.Insts {
-		if in := &c.Insts[i]; in.Access != NoAccess {
+	for i := range c.insts {
+		if in := &c.insts[i]; in.Access != NoAccess {
 			k, _ := slices.BinarySearch(c.SiteIDs, in.In.ID)
 			in.Site = int32(k)
 		}
@@ -189,9 +189,9 @@ func resolve(r ir.Reg) (Slot, error) {
 	case ir.ClassGR:
 		lo = RotBase
 	case ir.ClassFR:
-		base, lo, f = FRBase, RotBase, 1
+		base, lo, f = frBase, RotBase, 1
 	case ir.ClassPR:
-		base, lo, f = PRBase, RotPRLo, 2
+		base, lo, f = prBase, RotPRLo, 2
 	default:
 		return noSlot, fmt.Errorf("interp: register %v has no file", r)
 	}
@@ -224,7 +224,7 @@ func (s *State) Pred(in *Inst) (int, bool) {
 		return -1, true
 	}
 	u := s.Index(in.Pred)
-	return u, s.PR[u-PRBase]
+	return u, s.PR[u-prBase]
 }
 
 // Write is a register write an issue group defers to its end: in-order
@@ -250,22 +250,22 @@ func (s *State) def(sl Slot, bits uint64, site int32, ready int64) {
 // and p0 are dropped.
 func (s *State) Retire(w *Write) {
 	switch u := int(w.U); {
-	case u < FRBase:
+	case u < frBase:
 		if u != 0 {
 			s.GR[u] = int64(w.Bits)
 		}
-	case u < PRBase:
-		if u > FRBase+1 {
-			s.FR[u-FRBase] = math.Float64frombits(w.Bits)
+	case u < prBase:
+		if u > frBase+1 {
+			s.FR[u-frBase] = math.Float64frombits(w.Bits)
 		}
-	case u != PRBase:
-		s.PR[u-PRBase] = w.Bits != 0
+	case u != prBase:
+		s.PR[u-prBase] = w.Bits != 0
 	}
 }
 
 func (s *State) gr(sl Slot) int64   { return s.GR[s.Index(sl)] }
-func (s *State) fr(sl Slot) float64 { return s.FR[s.Index(sl)-FRBase] }
-func (s *State) pr(sl Slot) bool    { return s.PR[s.Index(sl)-PRBase] }
+func (s *State) fr(sl Slot) float64 { return s.FR[s.Index(sl)-frBase] }
+func (s *State) pr(sl Slot) bool    { return s.PR[s.Index(sl)-prBase] }
 
 func fbits(v float64) uint64 { return math.Float64bits(v) }
 
@@ -392,10 +392,10 @@ func (s *State) Step(in *Inst, on bool) (addr int64, err error) {
 	return addr, nil
 }
 
-// Issue executes one issue group with reads-before-writes semantics. An
+// issue executes one issue group with reads-before-writes semantics. An
 // instruction that cannot execute aborts the group with no register
 // writes applied.
-func (s *State) Issue(g []Inst) error {
+func (s *State) issue(g []Inst) error {
 	s.Pending = s.Pending[:0]
 	for i := range g {
 		_, on := s.Pred(&g[i])

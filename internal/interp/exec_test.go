@@ -19,7 +19,7 @@ func (s *State) Group(ins []*ir.Instr) error {
 	if err := c.Decode(&Program{Groups: [][]*ir.Instr{ins}}, nil); err != nil {
 		return err
 	}
-	return s.Issue(c.Insts)
+	return s.issue(c.insts)
 }
 
 // Exec executes a single instruction immediately (one-instruction group)

@@ -111,7 +111,7 @@ func Run(p *Program, trip int64, mem *Memory) (*State, error) {
 		return nil, err
 	}
 	s := NewStateOn(mem)
-	if _, err := c.Drive(s, trip, s.Issue); err != nil {
+	if _, err := c.Drive(s, trip, s.issue); err != nil {
 		return nil, err
 	}
 	return s, nil
