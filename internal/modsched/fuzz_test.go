@@ -10,9 +10,13 @@ import (
 )
 
 // FuzzScheduleAtII drives the iterative modulo scheduler over random
-// loops with fuzzed sizes, load latencies and II offsets. Two properties
-// must hold for any input: ScheduleAtII never panics, and every schedule
-// it does return passes full dependence/resource/distance validation.
+// loops with fuzzed sizes, load latencies and II offsets, from three
+// below MinII (where an attempt exhausts its budget) to seven above.
+// Three properties must hold for any input: ScheduleAtII never panics,
+// it agrees with the reference scheduler (scheduleAtIIRef) on the
+// outcome, every placement and the attempt and eviction counts, and
+// every schedule it returns passes full dependence/resource/distance
+// validation.
 // (This lives in the internal package because verify imports modsched;
 // the independent verifier gets its own fuzz target in internal/verify.)
 func FuzzScheduleAtII(f *testing.F) {
@@ -38,9 +42,12 @@ func FuzzScheduleAtII(f *testing.F) {
 		if r := g.RecMII(lat); r > minII {
 			minII = r
 		}
-		ii := minII + int(iiOff%8)
+		ii := minII - 3 + int(iiOff%11)
 		if ii < 1 {
 			ii = 1
+		}
+		if d := sameAsRef(m, g, ii, lat); d != "" {
+			t.Fatalf("seed %d sz %d boost %d ii %d: %s", seed, sz, boost, ii, d)
 		}
 		s, ok := ScheduleAtII(m, g, ii, lat, Options{})
 		if !ok {
