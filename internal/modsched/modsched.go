@@ -7,8 +7,9 @@
 package modsched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ltsp/internal/ddg"
@@ -94,9 +95,8 @@ func ceilDiv(a, b int) int {
 // mrt is the modulo reservation table: per kernel row, which instructions
 // occupy which ports. Each row carries its port-occupancy vector (unit
 // counts per dispersal port, plus the row's total issue slots) maintained
-// incrementally on place/remove, so the hot fits/conflicts checks read the
-// counts directly instead of rescanning the row's occupant list — the
-// scan the scheduler previously performed once per candidate slot.
+// incrementally on place/remove, so the hot fits/victim checks read the
+// counts directly instead of rescanning the row's occupant list.
 type mrt struct {
 	m    *machine.Model
 	ii   int
@@ -179,56 +179,61 @@ func (t *mrt) remove(opIdx int) {
 	}
 }
 
-// conflicts returns body indices in the row that must be evicted to make
-// space for op: every occupant of the needed port class (or, if the row is
-// only issue-width-bound, one arbitrary occupant). The implicit branch is
-// never evicted.
-func (t *mrt) conflicts(row int, op ir.Op) []int {
-	var out []int
+// victim returns the occupant of the row to evict so that op can take
+// it, or -1 when none can go. When op's port class is full, that is the
+// first occupant of the class in entry order with the lowest height;
+// when the row is bound only by issue width, its first occupant. The
+// implicit branch is never a victim.
+func (t *mrt) victim(row int, op ir.Op, heights []int) int {
 	port, aType := t.m.PortOf(op)
 	r := &t.rows[row]
-	needPortSpace := false
+	var full bool
 	if aType {
-		needPortSpace = r.perPort[machine.PortI] >= t.m.Units[machine.PortI] &&
+		full = r.perPort[machine.PortI] >= t.m.Units[machine.PortI] &&
 			r.perPort[machine.PortM] >= t.m.Units[machine.PortM]
 	} else {
-		needPortSpace = r.perPort[port] >= t.m.Units[port]
+		full = r.perPort[port] >= t.m.Units[port]
 	}
-	for _, e := range r.entries {
-		if e.op < 0 {
-			continue
-		}
-		if needPortSpace {
-			if aType && (e.port == machine.PortI || e.port == machine.PortM) {
-				out = append(out, e.op)
+	v := -1
+	if full {
+		for _, e := range r.entries {
+			if e.op < 0 {
+				continue
 			}
-			if !aType && e.port == port {
-				out = append(out, e.op)
+			inClass := e.port == port
+			if aType {
+				inClass = e.port == machine.PortI || e.port == machine.PortM
+			}
+			if inClass && (v < 0 || heights[e.op] < heights[v]) {
+				v = e.op
 			}
 		}
 	}
-	if len(out) == 0 && r.total >= t.m.IssueWidth {
+	if v < 0 && r.total >= t.m.IssueWidth {
 		for _, e := range r.entries {
 			if e.op >= 0 {
-				out = append(out, e.op)
-				break
+				return e.op
 			}
 		}
 	}
-	return out
+	return v
 }
 
-// scratch bundles the per-ScheduleAtII working state that does not
-// escape into the returned Schedule: the scheduled/lastTried/order
-// arrays and the modulo reservation table with its rows. Pooled so the
-// II search (which calls ScheduleAtII once or twice per candidate II)
-// reuses the arenas instead of reallocating them every attempt.
-// Time and Port are NOT here — they become Schedule fields and must be
-// freshly allocated per call.
+// scratch bundles the per-ScheduleAtII working state: the heights, the
+// priority order and each operation's rank in it, the placement times
+// and ports, the scheduled/lastTried arrays and the modulo reservation
+// table with its rows. Pooled so the II search (which calls ScheduleAtII
+// once or twice per candidate II) reuses the arenas instead of
+// reallocating them every attempt; a successful attempt copies Time and
+// Port out into its Schedule.
 type scratch struct {
 	scheduledBuf []bool
+	heightsBuf   []int
+	timeBuf      []int
+	portBuf      []machine.Port
 	lastTriedBuf []int
 	orderBuf     []int
+	rankBuf      []int
 	rowOfBuf     []int
 	rowsBuf      []mrtRow
 	table        mrt
@@ -242,9 +247,7 @@ func (sc *scratch) bools(n int) []bool {
 		sc.scheduledBuf = make([]bool, n)
 	}
 	s := sc.scheduledBuf[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }
 
@@ -258,6 +261,15 @@ func (sc *scratch) ints(buf *[]int, n, fill int) []int {
 		s[i] = fill
 	}
 	return s
+}
+
+// ports returns an n-length port slice backed by the scratch. Every
+// entry is written before a successful attempt reads it.
+func (sc *scratch) ports(n int) []machine.Port {
+	if cap(sc.portBuf) < n {
+		sc.portBuf = make([]machine.Port, n)
+	}
+	return sc.portBuf[:n]
 }
 
 // rows returns ii empty MRT rows, reusing each row's entry array.
@@ -303,34 +315,40 @@ func ScheduleAtII(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, op
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	heights := g.Heights(ii, latf)
-	time := make([]int, n)
+	heights := sc.ints(&sc.heightsBuf, n, 0)
+	g.HeightsInto(heights, ii, latf)
+	time := sc.ints(&sc.timeBuf, n, 0)
+	port := sc.ports(n)
 	scheduled := sc.bools(n)
-	port := make([]machine.Port, n)
 	// lastTried[i] remembers the last slot at which i was placed, so a
 	// re-placement after eviction is forced to move forward (Rau's rule).
 	lastTried := sc.ints(&sc.lastTriedBuf, n, -1)
 	table := newMRT(m, ii, n, sc)
 
 	// Priority order: height desc, then program order for determinism.
+	// The key is unique, so any sort gives this order.
 	order := sc.ints(&sc.orderBuf, n, 0)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if heights[order[a]] != heights[order[b]] {
-			return heights[order[a]] > heights[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if heights[a] != heights[b] {
+			return cmp.Compare(heights[b], heights[a])
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
-
-	pick := func() int {
-		for _, i := range order {
-			if !scheduled[i] {
-				return i
-			}
-		}
-		return -1
+	rank := sc.ints(&sc.rankBuf, n, 0)
+	for r, i := range order {
+		rank[i] = r
+	}
+	// Every operation before order[next] is scheduled, so the next one to
+	// place is the first unscheduled one from there; unscheduling an
+	// operation rewinds next to its rank.
+	next := 0
+	unschedule := func(op int) {
+		scheduled[op] = false
+		table.remove(op)
+		next = min(next, rank[op])
 	}
 
 	attempts := 0
@@ -342,10 +360,13 @@ func ScheduleAtII(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, op
 		})
 	}
 	for {
-		op := pick()
-		if op < 0 {
+		for next < n && scheduled[order[next]] {
+			next++
+		}
+		if next == n {
 			break
 		}
+		op := order[next]
 		if attempts >= budget {
 			if opts.Trace.On() {
 				emit(false, 0)
@@ -389,18 +410,11 @@ func ScheduleAtII(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, op
 					placedPort, placed = p, true
 					break
 				}
-				cands := table.conflicts(placedAt%ii, body[op].Op)
-				if len(cands) == 0 {
+				v := table.victim(placedAt%ii, body[op].Op, heights)
+				if v < 0 {
 					break
 				}
-				victim := cands[0]
-				for _, cand := range cands[1:] {
-					if heights[cand] < heights[victim] {
-						victim = cand
-					}
-				}
-				scheduled[victim] = false
-				table.remove(victim)
+				unschedule(v)
 				evictions++
 			}
 			if !placed {
@@ -424,8 +438,7 @@ func ScheduleAtII(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, op
 				continue
 			}
 			if time[e.To] < placedAt+g.Latency(e, latf)-ii*e.Distance {
-				scheduled[e.To] = false
-				table.remove(e.To)
+				unschedule(e.To)
 				evictions++
 			}
 		}
@@ -442,7 +455,8 @@ func ScheduleAtII(m *machine.Model, g *ddg.Graph, ii int, latf ddg.LatencyFn, op
 		}
 	}
 
-	s := &Schedule{II: ii, Time: time, Port: port, Attempts: attempts, Evictions: evictions}
+	s := &Schedule{II: ii, Time: slices.Clone(time), Port: slices.Clone(port),
+		Attempts: attempts, Evictions: evictions}
 	for i := range time {
 		if st := time[i]/ii + 1; st > s.Stages {
 			s.Stages = st
