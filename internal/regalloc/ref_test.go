@@ -16,10 +16,9 @@ import (
 // Allocate to its results and error texts.
 func allocateRef(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignment, error) {
 	l := g.Loop
-	asn := &Assignment{
-		Phys:          map[ir.Reg]Alloc{},
-		StagePredBase: 16,
-	}
+	asn := &Assignment{StagePredBase: 16}
+	phys := map[ir.Reg]Alloc{}
+	nums := g.Numbering()
 	inPlace := g.InPlaceRegs()
 
 	type vreg struct {
@@ -62,7 +61,7 @@ func allocateRef(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignm
 	var blades []blade
 	var statics []vreg
 	for _, v := range defined {
-		if _, ip := inPlace[v.r]; ip {
+		if inPlace[nums.Index(v.r)] >= 0 {
 			statics = append(statics, v)
 			continue
 		}
@@ -116,7 +115,7 @@ func allocateRef(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignm
 				Capacity: rotSize(m, b.v.r.Class),
 			}
 		}
-		asn.Phys[b.v.r] = Alloc{Kind: KindRotating, Base: base, Width: b.width}
+		phys[b.v.r] = Alloc{Kind: KindRotating, Base: base, Width: b.width}
 		next[b.v.r.Class] = lo + total
 		switch b.v.r.Class {
 		case ir.ClassGR:
@@ -150,7 +149,7 @@ func allocateRef(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignm
 			return fmt.Errorf("regalloc: %s: static %s register file exhausted (%d in use)",
 				l.Name, r.Class, n)
 		}
-		asn.Phys[r] = Alloc{Kind: KindStatic, Base: n}
+		phys[r] = Alloc{Kind: KindStatic, Base: n}
 		staticNext[r.Class] = n + 1
 		switch r.Class {
 		case ir.ClassGR:
@@ -173,6 +172,11 @@ func allocateRef(m *machine.Model, g *ddg.Graph, s *modsched.Schedule) (*Assignm
 			return nil, err
 		}
 	}
+	asn.phys = make([]Alloc, nums.Len())
+	for r, a := range phys {
+		asn.phys[nums.Index(r)] = a
+	}
+	asn.Plan = &Plan{Regs: nums}
 	return asn, nil
 }
 
