@@ -393,12 +393,44 @@ type Instr struct {
 
 // Clone returns a deep copy of the instruction (operand slices and MemRef
 // are copied, so mutations of the clone do not alias the original).
-func (in *Instr) Clone() *Instr {
-	c := *in
-	c.Dsts = append([]Reg(nil), in.Dsts...)
-	c.Srcs = append([]Reg(nil), in.Srcs...)
-	c.Mem = in.Mem.Clone()
-	return &c
+func (in *Instr) Clone() *Instr { return CloneInstrs([]*Instr{in})[0] }
+
+// CloneInstrs deep-copies the instructions like Clone, drawing the
+// copies, their operands and their memory descriptors from one array
+// each. Operand slices are capped at their length, so appending to one
+// never writes into another's.
+func CloneInstrs(body []*Instr) []*Instr {
+	nregs, nmem := 0, 0
+	for _, in := range body {
+		nregs += len(in.Dsts) + len(in.Srcs)
+		if in.Mem != nil {
+			nmem++
+		}
+	}
+	out := make([]*Instr, len(body))
+	instrs := make([]Instr, len(body))
+	regs := make([]Reg, nregs)
+	mems := make([]MemRef, nmem)
+	take := func(rs []Reg) []Reg {
+		if len(rs) == 0 {
+			return nil
+		}
+		n := copy(regs, rs)
+		c := regs[:n:n]
+		regs = regs[n:]
+		return c
+	}
+	for i, in := range body {
+		c := &instrs[i]
+		*c = *in
+		c.Dsts, c.Srcs = take(in.Dsts), take(in.Srcs)
+		if in.Mem != nil {
+			mems[0] = *in.Mem
+			c.Mem, mems = &mems[0], mems[1:]
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // AllUses returns every register the instruction reads: sources, the

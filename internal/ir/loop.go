@@ -71,7 +71,7 @@ type Loop struct {
 func (l *Loop) Clone() *Loop {
 	c := &Loop{
 		Name:     l.Name,
-		Body:     make([]*Instr, len(l.Body)),
+		Body:     CloneInstrs(l.Body),
 		Setup:    append([]RegInit(nil), l.Setup...),
 		LiveOut:  append([]Reg(nil), l.LiveOut...),
 		MemDeps:  append([]MemDep(nil), l.MemDeps...),
@@ -80,9 +80,6 @@ func (l *Loop) Clone() *Loop {
 	if l.While != nil {
 		w := *l.While
 		c.While = &w
-	}
-	for i, in := range l.Body {
-		c.Body[i] = in.Clone()
 	}
 	return c
 }
