@@ -280,14 +280,14 @@ func measureDiskHit(reps, iters int) float64 {
 	}
 	req := wire.CompileRequest{Version: wire.Version, Loop: loopData,
 		Options: wire.Options{Mode: "hlo", Prefetch: true, LatencyTolerant: true}}
-	canon, err := req.Canonical()
+	d, err := req.Decode()
 	if err != nil {
 		fatal(err)
 	}
-	hash := wire.HashOf(canon)
+	hash := d.Hash
 	if err := st.Put(&store.Entry{
 		Hash:     hash,
-		Request:  canon,
+		Request:  d.Canonical,
 		Response: json.RawMessage(`{"hash":"` + hash + `","outcome":"pipelined"}`),
 		Trace:    json.RawMessage(`[]`),
 	}); err != nil {

@@ -50,14 +50,12 @@ type Bundle struct {
 	MinBodyLen  int  `json:"minBodyLen,omitempty"`
 }
 
-// Capture builds a bundle from a failing compile request. panicVal and
-// stack describe a recovered panic (nil/empty for verification
-// failures); failure is the verification error (nil for panics).
-func Capture(kind string, req *wire.CompileRequest, panicVal any, stack []byte, failure error) *Bundle {
-	b := &Bundle{Version: Version, Kind: kind}
-	if data, err := json.Marshal(req); err == nil {
-		b.Request = data
-	}
+// Capture builds a bundle from the canonical encoding of a failing
+// compile request (wire.Decoded.Canonical). panicVal and stack describe
+// a recovered panic (nil/empty for verification failures); failure is
+// the verification error (nil for panics).
+func Capture(kind string, request json.RawMessage, panicVal any, stack []byte, failure error) *Bundle {
+	b := &Bundle{Version: Version, Kind: kind, Request: request}
 	if panicVal != nil {
 		b.PanicValue = fmt.Sprint(panicVal)
 	}
@@ -105,16 +103,12 @@ func (b *Bundle) Minimize(maxAttempts int) {
 	if err != nil {
 		return
 	}
-	l, err := req.DecodeLoop()
+	d, err := req.Decode()
 	if err != nil {
 		return
 	}
-	opts, err := req.Options.ToOptions()
-	if err != nil {
-		return
-	}
-	fails := func(cand *ir.Loop) bool { return compileOnce(cand, opts) != nil }
-	min, shrunk := MinimizeLoop(l, fails, maxAttempts)
+	fails := func(cand *ir.Loop) bool { return compileOnce(cand, d.Options) != nil }
+	min, shrunk := MinimizeLoop(d.Loop, fails, maxAttempts)
 	if !shrunk {
 		return
 	}
@@ -131,7 +125,7 @@ func (b *Bundle) Minimize(maxAttempts int) {
 	if enc, err := json.Marshal(req); err == nil {
 		b.Request = enc
 		b.Minimized = true
-		b.OrigBodyLen = len(l.Body)
+		b.OrigBodyLen = len(d.Loop.Body)
 		b.MinBodyLen = len(min.Body)
 	}
 }
@@ -260,16 +254,12 @@ func (b *Bundle) Replay() (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := req.DecodeLoop()
+	d, err := req.Decode()
 	if err != nil {
 		return &ReplayResult{Reproduced: true,
-			Detail: fmt.Sprintf("loop rejected at decode: %v", err)}, nil
+			Detail: fmt.Sprintf("request rejected at decode: %v", err)}, nil
 	}
-	opts, err := req.Options.ToOptions()
-	if err != nil {
-		return nil, err
-	}
-	if failure := compileOnce(l, opts); failure != nil {
+	if failure := compileOnce(d.Loop, d.Options); failure != nil {
 		return &ReplayResult{Reproduced: true, Detail: failure.Error()}, nil
 	}
 	return &ReplayResult{Detail: "compilation and verification now succeed"}, nil

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -67,7 +68,9 @@ func TestMinimizeLoopNoFalseShrink(t *testing.T) {
 	}
 }
 
-func validRequest(t *testing.T) *wire.CompileRequest {
+// validRequest is the canonical encoding of a request that compiles and
+// verifies clean.
+func validRequest(t *testing.T) json.RawMessage {
 	t.Helper()
 	l := ir.NewLoop("ok")
 	v, b := l.NewGR(), l.NewGR()
@@ -80,7 +83,11 @@ func validRequest(t *testing.T) *wire.CompileRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return req
+	canon, err := req.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canon
 }
 
 // TestCaptureWriteLoadReplay round-trips a bundle through disk and
@@ -136,7 +143,11 @@ func TestReplayReproducesBadLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := repro.Capture(repro.KindPanic, req, "decode-adjacent crash", nil, nil)
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := repro.Capture(repro.KindPanic, data, "decode-adjacent crash", nil, nil)
 	res, err := b.Replay()
 	if err != nil {
 		t.Fatal(err)

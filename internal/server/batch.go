@@ -58,7 +58,7 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	} else if !decodeJSONBody(w, body.Bytes(), &req) {
 		return
 	}
-	if err := checkVersion(req.Version); err != nil {
+	if err := wire.CheckVersion(req.Version); err != nil {
 		writeError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion, "%v", err)
 		return
 	}
@@ -105,22 +105,32 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
-	s.metrics.BatchLatency.Observe(time.Since(start))
 	resp := &wire.CompileBatchResponse{Items: results}
 	if wantsBinary(r) {
 		writeBinary(w, binary.EncodeCompileBatchResponse(nil, resp))
-		return
+	} else {
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.metrics.BatchLatency.Observe(time.Since(start))
 }
 
 // batchItem runs one batch item on a worker slot, writing its result to
 // *res, and returns the item's outcome. ctx is the batch's context and
-// ictx the item's, which parents the item's stages.
+// ictx the item's, which parents the item's stages. The item's wait for
+// a slot counts in the shedder's queue depth, so single requests behind
+// a queued batch are shed on a truthful estimate; the item itself is
+// never shed and waits out the batch deadline, not QueueTimeout, so a
+// long batch's later items are not rejected for being late in line.
 func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *wire.BatchItemResult) string {
+	s.shed.Enqueue()
+	acquired := false
 	select {
 	case s.sem <- struct{}{}:
+		acquired = true
 	case <-ctx.Done():
+	}
+	s.shed.Dequeue()
+	if !acquired {
 		s.metrics.Timeouts.Add(1)
 		s.metrics.BatchItemErrors.Add(1)
 		*res = wire.BatchItemResult{

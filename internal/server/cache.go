@@ -192,7 +192,7 @@ func (c *ArtifactCache) Peek(key string) (*Artifact, bool) {
 }
 
 // runFlight invokes fn with panic containment. Without it, a panicking
-// computation would escape GetOrCompute with the in-flight entry still
+// computation would escape resolve with the in-flight entry still
 // registered and its done channel never closed — every current and future
 // waiter on the key would block forever. The panic becomes an error
 // delivered to all waiters instead.
@@ -205,23 +205,6 @@ func runFlight(fctx context.Context, fn func(context.Context) (*Artifact, error)
 	return fn(fctx)
 }
 
-// GetOrCompute returns the artifact for key, computing it with fn on a
-// miss. The bool result reports whether the artifact came from the cache
-// (a completed entry or an in-flight computation started by another
-// request) rather than from this call's own fn. Errors are returned to
-// every waiter and never cached.
-//
-// ctx is the caller's interest in the result, not the computation's
-// lifetime: fn receives a flight context that stays alive while ANY
-// waiter (creator or deduplicated) still wants the artifact and is
-// canceled once the last one gives up, so abandoned compilations stop
-// cooperatively instead of burning a worker. A waiter whose own ctx ends
-// while an identical computation is in flight returns ctx.Err()
-// immediately without dooming the flight for the others.
-func (c *ArtifactCache) GetOrCompute(ctx context.Context, key string, fn func(context.Context) (*Artifact, error)) (*Artifact, bool, error) {
-	return c.resolve(ctx, key, c.probe(key), fn)
-}
-
 // cacheProbe is the memory tier's lookup result: a completed artifact
 // (outcome "hit"), an in-flight computation to join ("dedup"), or a new
 // flight the caller must run through resolve ("miss").
@@ -231,9 +214,10 @@ type cacheProbe struct {
 	outcome string
 }
 
-// probe is the lookup half of GetOrCompute, split out so the server
+// probe is the memory tier's lookup, split from resolve so the server
 // times the lookup itself as the mem_lookup stage, apart from any wait
-// on a coalesced computation.
+// on a coalesced computation. A miss registers a new flight, which the
+// caller must complete with resolve.
 func (c *ArtifactCache) probe(key string) cacheProbe {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,6 +241,18 @@ func (c *ArtifactCache) probe(key string) cacheProbe {
 
 // resolve completes a probe: a hit returns at once, a joined flight is
 // awaited under ctx, and a fresh flight runs fn and publishes its result.
+// The bool result reports whether the artifact came from the cache (a
+// completed entry or an in-flight computation started by another
+// request) rather than from this call's own fn. Errors are returned to
+// every waiter and never cached.
+//
+// ctx is the caller's interest in the result, not the computation's
+// lifetime: fn receives a flight context that stays alive while ANY
+// waiter (creator or deduplicated) still wants the artifact and is
+// canceled once the last one gives up, so abandoned compilations stop
+// cooperatively instead of burning a worker. A waiter whose own ctx ends
+// while an identical computation is in flight returns ctx.Err()
+// immediately without dooming the flight for the others.
 func (c *ArtifactCache) resolve(ctx context.Context, key string, p cacheProbe, fn func(context.Context) (*Artifact, error)) (*Artifact, bool, error) {
 	call := p.call
 	switch p.outcome {

@@ -43,7 +43,7 @@ func TestFlightCanceledWhenLastWaiterLeaves(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	_, _, err := c.GetOrCompute(ctx, "k", blockingFn(started, finish))
+	_, _, err := c.resolve(ctx, "k", c.probe("k"), blockingFn(started, finish))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled: the flight must observe the cancellation", err)
 	}
@@ -63,7 +63,7 @@ func TestFlightSurvivesLosingWaiter(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	creatorDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(ctx1, "k", blockingFn(started, finish))
+		_, _, err := c.resolve(ctx1, "k", c.probe("k"), blockingFn(started, finish))
 		creatorDone <- err
 	}()
 	<-started
@@ -76,7 +76,7 @@ func TestFlightSurvivesLosingWaiter(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	go func() {
 		close(dedupJoined)
-		art, cached, err := c.GetOrCompute(ctx2, "k", func(context.Context) (*Artifact, error) {
+		art, cached, err := c.resolve(ctx2, "k", c.probe("k"), func(context.Context) (*Artifact, error) {
 			t.Error("dedup waiter must not start its own computation")
 			return nil, nil
 		})
@@ -126,7 +126,7 @@ func TestFlightSurvivesLosingWaiter(t *testing.T) {
 func TestFlightErrorNotCached(t *testing.T) {
 	c := NewArtifactCache(16, &Metrics{})
 	boom := errors.New("boom")
-	_, cached, err := c.GetOrCompute(context.Background(), "k", func(context.Context) (*Artifact, error) {
+	_, cached, err := c.resolve(context.Background(), "k", c.probe("k"), func(context.Context) (*Artifact, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) || cached {

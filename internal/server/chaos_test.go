@@ -16,10 +16,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ltsp/internal/faultinject"
+	"ltsp/internal/ir"
 	"ltsp/internal/server"
 	"ltsp/internal/wire"
 	"ltsp/ltspclient"
@@ -267,6 +269,81 @@ func TestShedsImpossibleDeadline(t *testing.T) {
 	resp2, body := post(t, ts.URL+"/v2/compile", req)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("unshed compile: %s: %s", resp2.Status, body)
+	}
+}
+
+// TestShedCountsQueuedBatchItems: batch items waiting for a worker slot
+// count in the queue depth the shedder predicts from. With one slot held
+// by a blocked compile and eight batch items queued behind it, a compile
+// with a 500ms budget faces (8+1+1) x 100ms = 1s: it is shed at once
+// with 503 + Retry-After, not admitted to time out with 504 (which is
+// what an estimate of (0+1+1) x 100ms, blind to the batch, leads to).
+func TestShedCountsQueuedBatchItems(t *testing.T) {
+	const items = 8
+	srv, ts := newTestServer(t, server.Config{PoolSize: 1})
+	srv.Shedder().Prime(100 * time.Millisecond)
+	release := make(chan struct{})
+	server.SetTestCompileHook(func(l *ir.Loop) {
+		if l.Name == "blocker" {
+			<-release
+		}
+	})
+	defer server.SetTestCompileHook(nil)
+	var pending sync.WaitGroup
+	defer pending.Wait()
+	defer close(release)
+	send := func(path string, body any) {
+		payload, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending.Add(1)
+		go func() {
+			defer pending.Done()
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(string(payload)))
+			if err != nil {
+				t.Errorf("%s: %v", path, err)
+				return
+			}
+			resp.Body.Close()
+		}()
+	}
+
+	blocker := copyAddLoop(1)
+	blocker.Name = "blocker"
+	send("/v2/compile", compileRequest(t, blocker))
+	waitFor(t, 2*time.Second, "the blocker to hold the slot", func() bool { return srv.Metrics().InFlight.Load() == 1 })
+
+	batch := &wire.CompileBatchRequest{Version: wire.Version}
+	for i := 0; i < items; i++ {
+		req := compileRequest(t, copyAddLoop(int64(3000+i)))
+		batch.Items = append(batch.Items, wire.CompileItem{Loop: req.Loop, Options: req.Options})
+	}
+	send("/v2/compile-batch", batch)
+	waitFor(t, 2*time.Second, "the batch items to count in the queue depth", func() bool { return server.QueueDepth(srv) == items })
+
+	payload, err := json.Marshal(compileRequest(t, copyAddLoop(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/compile", strings.NewReader(string(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(wire.DeadlineHeader, "500")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env wire.ErrorEnvelope
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != wire.CodeOverloaded {
+		t.Fatalf("compile behind a queued batch: %s %+v, want 503 overloaded", resp.Status, env.Error)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("shed response missing Retry-After")
 	}
 }
 

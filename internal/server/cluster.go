@@ -301,15 +301,11 @@ func (s *Server) materialize(ctx context.Context, hash string, art *Artifact) (*
 	if err := json.Unmarshal(art.Entry.Request, &creq); err != nil {
 		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored request undecodable: %v", err)}
 	}
-	l, err := creq.DecodeLoop()
+	d, err := creq.Decode()
 	if err != nil {
-		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored loop undecodable: %v", err)}
+		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored request undecodable: %v", err)}
 	}
-	opts, err := creq.Options.ToOptions()
-	if err != nil {
-		return nil, &codedError{wire.CodeInternal, fmt.Errorf("stored options invalid: %v", err)}
-	}
-	c, _, err := s.compileStep(ctx, &creq, l, opts, false)
+	c, _, err := s.compileStep(ctx, d, false)
 	if err != nil {
 		return nil, err
 	}

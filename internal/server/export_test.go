@@ -16,6 +16,10 @@ func SetTestCompileHook(fn func(*ir.Loop)) { testCompileHook = fn }
 // override tests use to exercise the verify-failure path.
 func SetTestVerifyHook(fn func(*ltsp.Compiled) error) { testVerifyHook = fn }
 
+// QueueDepth reports how many requests and batch items the shedder
+// counts as waiting for a worker slot.
+func QueueDepth(s *Server) int64 { return s.shed.queued.Load() }
+
 // RegisteredMetric is one metric registry entry: its JSON path ("" when
 // exposition-only), its Prometheus family ("" when JSON-only), labels
 // and TYPE.

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"sync"
 
-	"ltsp/internal/ir"
 	"ltsp/internal/wire"
 	"ltsp/internal/wire/binary"
 )
@@ -120,15 +119,7 @@ func decodeJSONBody(w http.ResponseWriter, body []byte, v any) bool {
 // failed semantic validation → invalid_loop, anything else (bad magic,
 // truncated or oversized frame, malformed payload) → invalid_request.
 func writeBinaryDecodeError(w http.ResponseWriter, err error) {
-	var inv *ir.InvalidLoopError
-	switch {
-	case errors.Is(err, binary.ErrVersion):
-		writeError(w, http.StatusBadRequest, wire.CodeUnsupportedVersion, "binary request: %v", err)
-	case errors.As(err, &inv):
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidLoop, "binary request: %v", err)
-	default:
-		writeError(w, http.StatusBadRequest, wire.CodeInvalidRequest, "binary request: %v", err)
-	}
+	writeError(w, http.StatusBadRequest, errCode(decodeErr(err), http.StatusBadRequest), "binary request: %v", err)
 }
 
 // writeBinary emits a 200 response with a binary frame body.

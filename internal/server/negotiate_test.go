@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	encbinary "encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -180,6 +181,45 @@ func TestBinaryFrameRejection(t *testing.T) {
 	ver := bytes.Clone(frame)
 	ver[3] = 99
 	check("future version", ver, wire.CodeUnsupportedVersion)
+}
+
+// TestUnsupportedVersionAlike: a future request envelope version gets
+// the same unsupported_version envelope from /v2/compile whether it
+// arrives as JSON ("v":9) or as a binary frame whose envelope version
+// is 2 (the frame format itself is current).
+func TestUnsupportedVersionAlike(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	req, err := wire.NewCompileRequest(testLoop(t), ltsp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Version = 9
+	jsonBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binFrame(t, testLoop(t), ltsp.Options{})
+	_, n := encbinary.Uvarint(frame[5:]) // payload length; the envelope version follows
+	if frame[5+n] != wire.Version {
+		t.Fatalf("envelope version byte = %d, want %d", frame[5+n], wire.Version)
+	}
+	frame[5+n] = 2
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json", "application/json", jsonBody},
+		{"binary", binary.ContentType, frame},
+	} {
+		resp, data := postRaw(t, ts.URL+"/v2/compile", tc.contentType, "", tc.body)
+		var env wire.ErrorEnvelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatalf("%s: error body is not the JSON envelope: %v (%s)", tc.name, err, data)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != wire.CodeUnsupportedVersion || env.Error.Retryable {
+			t.Fatalf("%s: status %d, envelope %+v; want 400 unsupported_version", tc.name, resp.StatusCode, env.Error)
+		}
+	}
 }
 
 // TestBinaryBatch: a binary batch request with a binary Accept round

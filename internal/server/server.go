@@ -844,13 +844,14 @@ func respondCompile(cached bool, art *Artifact) *wire.CompileResponse {
 	return &r
 }
 
-// compileCached resolves the request through the tier chain — memory,
-// then disk store, then peer cache-fill (when another node owns the
-// hash), then a local compilation — returning the artifact, its hash,
-// and whether it was served from any cache layer rather than compiled by
-// this call. ctx is this caller's interest in the result — the fill
-// itself runs under the cache's flight context, which stays alive while
-// any identical request still waits (see ArtifactCache.GetOrCompute).
+// compileCached decodes the request once and resolves it through the
+// tier chain — memory, then disk store, then peer cache-fill (when
+// another node owns the hash), then a local compilation of the decoded
+// loop — returning the artifact, its hash, and whether it was served
+// from any cache layer rather than compiled by this call. ctx is this
+// caller's interest in the result — the fill itself runs under the
+// cache's flight context, which stays alive while any identical request
+// still waits (see ArtifactCache.resolve).
 // Each compilation actually executed records its decision trace in the
 // artifact, bumps the matching outcome counter exactly once, and is
 // written through to the disk store.
@@ -860,18 +861,11 @@ func (s *Server) compileCached(ctx context.Context, req *wire.CompileRequest) (*
 		// compilation nobody will wait for.
 		return nil, "", false, err
 	}
-	if err := checkVersion(req.Version); err != nil {
-		return nil, "", false, err
-	}
-	canon, err := req.Canonical()
+	d, err := req.Decode()
 	if err != nil {
-		return nil, "", false, mapLoopErr(err)
+		return nil, "", false, decodeErr(err)
 	}
-	hash := wire.HashOf(canon)
-	opts, err := req.Options.ToOptions()
-	if err != nil {
-		return nil, "", false, err
-	}
+	hash := d.Hash
 	var probe cacheProbe
 	s.stage(ctx, stageMemLookup, func(context.Context) string {
 		probe = s.cache.probe(hash)
@@ -889,7 +883,7 @@ func (s *Server) compileCached(ctx context.Context, req *wire.CompileRequest) (*
 		if a := s.peerTier(fctx, hash); a != nil {
 			return a, nil
 		}
-		return s.compileTier(fctx, hash, req, canon, opts)
+		return s.compileTier(fctx, d)
 	})
 	if err != nil {
 		return nil, hash, false, err
@@ -960,30 +954,26 @@ func (s *Server) peerTier(ctx context.Context, hash string) (art *Artifact) {
 	return art
 }
 
-// compileTier compiles the request locally (with sampled verification),
-// counts its outcome, serializes the result into its store entry and
-// writes it through.
-func (s *Server) compileTier(ctx context.Context, hash string, req *wire.CompileRequest, canon json.RawMessage, opts ltsp.Options) (*Artifact, error) {
-	l, err := req.DecodeLoop()
-	if err != nil {
-		return nil, mapLoopErr(err)
-	}
-	opts.Trace = obs.New()
-	c, verify, err := s.compileStep(ctx, req, l, opts, true)
+// compileTier compiles the decoded request locally (with sampled
+// verification), counts its outcome, serializes the result into its
+// store entry and writes it through.
+func (s *Server) compileTier(ctx context.Context, d *wire.Decoded) (*Artifact, error) {
+	d.Options.Trace = obs.New()
+	c, verify, err := s.compileStep(ctx, d, true)
 	if err != nil {
 		return nil, err
 	}
 	s.metrics.CountOutcome(c.Backend, c.Outcome())
-	resp := compileResponse(hash, false, c)
+	resp := compileResponse(d.Hash, false, c)
 	respJSON, err := json.Marshal(resp)
 	if err != nil {
 		return nil, &codedError{wire.CodeInternal, fmt.Errorf("serializing response: %v", err)}
 	}
-	traceJSON, err := json.Marshal(opts.Trace)
+	traceJSON, err := json.Marshal(d.Options.Trace)
 	if err != nil {
 		return nil, &codedError{wire.CodeInternal, fmt.Errorf("serializing trace: %v", err)}
 	}
-	e := &store.Entry{Hash: hash, Request: canon, Response: respJSON, Trace: traceJSON,
+	e := &store.Entry{Hash: d.Hash, Request: d.Canonical, Response: respJSON, Trace: traceJSON,
 		Verify: verify, CreatedUnix: time.Now().Unix()}
 	s.writeThrough(ctx, e, store.SourceCompile)
 	a, _ := newArtifact(e, resp)
@@ -992,25 +982,26 @@ func (s *Server) compileTier(ctx context.Context, hash string, req *wire.Compile
 }
 
 // compileStep is the one compile path: the compile flight and
-// materialization both run it. It compiles l under the compile stage
-// and, when verify is set, puts a sampled slice of compilations through
-// the verify stage, reporting the verdict in meta. A panic anywhere in
-// the compiler (or the verifier) becomes a retryable "internal" error
-// plus a replayable on-disk bundle of req — the process, the worker pool
-// and the other flights are unaffected.
-func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *ir.Loop, opts ltsp.Options, verify bool) (c *ltsp.Compiled, meta store.VerifyMeta, err error) {
+// materialization both run it. It compiles the decoded loop under the
+// compile stage and, when verify is set, puts a sampled slice of
+// compilations through the verify stage, reporting the verdict in meta.
+// A panic anywhere in the compiler (or the verifier) becomes a retryable
+// "internal" error plus a replayable on-disk bundle of the canonical
+// request — the process, the worker pool and the other flights are
+// unaffected.
+func (s *Server) compileStep(ctx context.Context, d *wire.Decoded, verify bool) (c *ltsp.Compiled, meta store.VerifyMeta, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.PanicsRecovered.Add(1)
-			s.writeRepro(repro.Capture(repro.KindPanic, req, r, debug.Stack(), nil))
+			s.writeRepro(repro.Capture(repro.KindPanic, d.Canonical, r, debug.Stack(), nil))
 			c, err = nil, &codedError{wire.CodeInternal, fmt.Errorf("compiler panic: %v", r)}
 		}
 	}()
 	if hook := testCompileHook; hook != nil {
-		hook(l)
+		hook(d.Loop)
 	}
 	s.stage(ctx, stageCompile, func(context.Context) string {
-		if c, err = ltsp.CompileContext(ctx, l, opts); err != nil {
+		if c, err = ltsp.CompileContext(ctx, d.Loop, d.Options); err != nil {
 			return "error"
 		}
 		return c.Outcome()
@@ -1038,7 +1029,7 @@ func (s *Server) compileStep(ctx context.Context, req *wire.CompileRequest, l *i
 	})
 	if err != nil {
 		s.metrics.VerifyFailures.Add(1)
-		s.writeRepro(repro.Capture(repro.KindVerifyFailure, req, nil, nil, err))
+		s.writeRepro(repro.Capture(repro.KindVerifyFailure, d.Canonical, nil, nil, err))
 		return nil, meta, &codedError{wire.CodeInternal, fmt.Errorf("kernel verification failed: %v", err)}
 	}
 	return c, store.VerifyMeta{Sampled: true, Passed: true}, nil
@@ -1053,21 +1044,16 @@ func (s *Server) writeThrough(ctx context.Context, e *store.Entry, source string
 	})
 }
 
-// checkVersion rejects a request body of another wire version.
-func checkVersion(v int) error {
-	if v != wire.Version {
-		return &codedError{wire.CodeUnsupportedVersion,
-			fmt.Errorf("unsupported request version %d (want %d)", v, wire.Version)}
-	}
-	return nil
-}
-
-// mapLoopErr pins the invalid_loop envelope code on semantic loop
-// validation failures (ir.InvalidLoopError), which would otherwise render
-// as generic invalid_request.
-func mapLoopErr(err error) error {
+// decodeErr pins the envelope code of a request decode failure, JSON or
+// binary: version skew (wire.ErrVersion) is unsupported_version, a loop
+// that failed semantic validation (ir.InvalidLoopError) invalid_loop;
+// anything else renders as generic invalid_request.
+func decodeErr(err error) error {
 	var inv *ir.InvalidLoopError
-	if errors.As(err, &inv) {
+	switch {
+	case errors.Is(err, wire.ErrVersion):
+		return &codedError{wire.CodeUnsupportedVersion, err}
+	case errors.As(err, &inv):
 		return &codedError{wire.CodeInvalidLoop, err}
 	}
 	return err
@@ -1133,18 +1119,18 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		return respondCompile(cached, art), http.StatusOK, nil
 	})
-	s.metrics.CompileLatency.Observe(time.Since(start))
 	if err != nil {
 		s.metrics.CompileErrors.Add(1)
 		status = statusForErr(err, status)
 		writeError(w, status, errCode(err, status), "compile: %v", err)
-		return
+	} else {
+		resp := v.(*wire.CompileResponse)
+		writeCompileResponse(w, bin, status, resp)
+		if useHot && status == http.StatusOK {
+			s.storeHot(hotKey, resp)
+		}
 	}
-	resp := v.(*wire.CompileResponse)
-	writeCompileResponse(w, bin, status, resp)
-	if useHot && status == http.StatusOK {
-		s.storeHot(hotKey, resp)
-	}
+	s.metrics.CompileLatency.Observe(time.Since(start))
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -1170,21 +1156,21 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	v, status, err := s.runBounded(ctx, func(ctx context.Context) (any, int, error) {
 		return s.simulate(ctx, &req)
 	})
-	s.metrics.SimulateLatency.Observe(time.Since(start))
 	if err != nil {
 		s.metrics.SimulateErrors.Add(1)
 		status = statusForErr(err, status)
 		writeError(w, status, errCode(err, status), "simulate: %v", err)
-		return
+	} else {
+		writeJSON(w, status, v)
 	}
-	writeJSON(w, status, v)
+	s.metrics.SimulateLatency.Observe(time.Since(start))
 }
 
 var errUnknownArtifact = errors.New("unknown artifact hash (compile first, or send the loop inline)")
 
 func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (any, int, error) {
-	if err := checkVersion(req.Version); err != nil {
-		return nil, http.StatusBadRequest, err
+	if err := wire.CheckVersion(req.Version); err != nil {
+		return nil, http.StatusBadRequest, decodeErr(err)
 	}
 	if req.Trip < 1 {
 		return nil, http.StatusBadRequest, fmt.Errorf("trip count %d < 1", req.Trip)

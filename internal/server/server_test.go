@@ -537,3 +537,60 @@ func mutateName(t testing.TB, loop json.RawMessage, name string) json.RawMessage
 	}
 	return data
 }
+
+// slowWriter is a ResponseWriter whose every body write takes delay.
+type slowWriter struct {
+	*httptest.ResponseRecorder
+	delay time.Duration
+}
+
+func (w slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.delay)
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestLatencyCoversResponseWrite: the compile, simulate and batch
+// latency histograms time each request through its response write, as
+// the hot path does, so a slow client shows up in them.
+func TestLatencyCoversResponseWrite(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	srv := server.New(server.Config{})
+	t.Cleanup(srv.Close)
+	serve := func(path string, body any) {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
+		r.Header.Set("Content-Type", "application/json")
+		w := slowWriter{httptest.NewRecorder(), delay}
+		srv.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body)
+		}
+	}
+	req := compileRequest(t, copyAddLoop(5))
+	serve("/v2/compile", req)
+	serve("/v2/simulate", &wire.SimulateRequest{Version: wire.Version, Loop: req.Loop, Options: req.Options, Trip: 10})
+	serve("/v2/compile-batch", &wire.CompileBatchRequest{Version: wire.Version,
+		Items: []wire.CompileItem{{Loop: req.Loop, Options: req.Options}}})
+
+	doc, _, _ := server.RenderMetrics(srv)
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"compile_latency", "simulate_latency", "batch_latency"} {
+		var h struct {
+			Count int     `json:"count"`
+			SumMs float64 `json:"sum_ms"`
+		}
+		if err := json.Unmarshal(m[name], &h); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if h.Count != 1 || h.SumMs < float64(delay/time.Millisecond) {
+			t.Errorf("%s: count %d, sum %.2f ms; want one request of at least %v", name, h.Count, h.SumMs, delay)
+		}
+	}
+}

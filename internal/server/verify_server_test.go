@@ -15,6 +15,7 @@ import (
 	"ltsp/internal/repro"
 	"ltsp/internal/server"
 	"ltsp/internal/wire"
+	"ltsp/internal/wire/binary"
 )
 
 // decodeEnvelope parses the error envelope out of a response body.
@@ -110,6 +111,44 @@ func TestSeededPanicContained(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines grew from %d to %d after contained panics", before, after)
+	}
+}
+
+// TestBinaryPanicBundleReplays: a panic on a binary-framed request is
+// captured with the request's canonical encoding, loop included, so the
+// bundle replays offline like one captured from JSON.
+func TestBinaryPanicBundleReplays(t *testing.T) {
+	reproDir := t.TempDir()
+	_, ts := newTestServer(t, server.Config{VerifySample: -1, ReproDir: reproDir})
+	server.SetTestCompileHook(func(l *ir.Loop) {
+		if l.Name == "panicloop" {
+			panic("seeded compiler panic")
+		}
+	})
+	defer server.SetTestCompileHook(nil)
+
+	bad := copyAddLoop(100)
+	bad.Name = "panicloop"
+	resp, body := postRaw(t, ts.URL+"/v2/compile", binary.ContentType, "", binFrame(t, bad, ltsp.Options{}))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %s, want 500\n%s", resp.Status, body)
+	}
+	entries, err := os.ReadDir(reproDir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("repro dir: %d entries, err %v; want one bundle", len(entries), err)
+	}
+	b, err := repro.Load(filepath.Join(reproDir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hook-seeded panic does not reproduce offline; a bundle without
+	// the loop would be "rejected at decode" instead.
+	if res.Reproduced {
+		t.Fatalf("replay of the binary request's bundle: %s", res.Detail)
 	}
 }
 

@@ -65,8 +65,7 @@ func (a *ArtifactResponse) Normalize() error {
 // locally compiled one. Call Normalize first: the hash is defined over
 // the compact encoding.
 func (a *ArtifactResponse) CheckIntegrity() error {
-	sum := sha256.Sum256(a.Request)
-	if got := hex.EncodeToString(sum[:]); got != a.Hash {
+	if got := hashOf(a.Request); got != a.Hash {
 		return fmt.Errorf("wire: artifact request hashes to %s, envelope says %s", got, a.Hash)
 	}
 	return nil
@@ -81,12 +80,10 @@ type TraceResponse struct {
 	Events  json.RawMessage `json:"events"`
 }
 
-// HashOf returns the content-addressed artifact key of an
-// already-canonical request encoding (see CompileRequest.Canonical):
-// the hex sha256 of the bytes. Callers that need both the canonical
-// bytes and the hash use Canonical + HashOf instead of Canonical + Hash
-// to avoid canonicalizing twice.
-func HashOf(canonical []byte) string {
+// hashOf returns the content-addressed artifact key of an
+// already-canonical request encoding (see CompileRequest.Decode): the
+// hex sha256 of the bytes.
+func hashOf(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
 	return hex.EncodeToString(sum[:])
 }

@@ -5,7 +5,7 @@
 //
 // JSON remains the default and the canonical encoding: the artifact
 // content hash is defined over compact canonical JSON bytes (see
-// wire.CompileRequest.Canonical), never over binary frames, so binary
+// wire.CompileRequest.Decode), never over binary frames, so binary
 // and JSON peers interoperate in one content-addressed ring. The binary
 // decoder produces the very same structures the JSON decoder produces —
 // a property enforced by the differential fuzz target
@@ -39,6 +39,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"ltsp/internal/wire"
 )
 
 // ContentType is the negotiated media type of the binary wire format.
@@ -57,10 +59,6 @@ const (
 	kindCompileBatchResponse
 	kindArtifactResponse
 )
-
-// ErrVersion reports a frame (or embedded envelope) version this decoder
-// does not speak. Servers map it to the unsupported_version error code.
-var ErrVersion = errors.New("binary: unsupported version")
 
 // errTruncated covers every "the frame claims more than it carries"
 // condition: declared lengths and element counts are always validated
@@ -270,7 +268,7 @@ func decodeFrame(data []byte, wantKind byte) (*reader, error) {
 		return nil, errors.New("binary: bad magic")
 	}
 	if data[3] != FormatVersion {
-		return nil, fmt.Errorf("%w: frame format %d (want %d)", ErrVersion, data[3], FormatVersion)
+		return nil, fmtErr("%w: frame format %d (want %d)", wire.ErrVersion, data[3], FormatVersion)
 	}
 	kind := data[4]
 	plen, n := binary.Uvarint(data[5:])

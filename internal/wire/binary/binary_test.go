@@ -55,28 +55,64 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: json request: %v", name, err)
 		}
-		jhash, err := jreq.Hash()
+		jd, err := jreq.Decode()
 		if err != nil {
-			t.Fatalf("%s: json hash: %v", name, err)
+			t.Fatalf("%s: json decode: %v", name, err)
 		}
-		bhash, err := breq.Hash()
+		bd, err := breq.Decode()
 		if err != nil {
-			t.Fatalf("%s: binary hash: %v", name, err)
+			t.Fatalf("%s: binary decode: %v", name, err)
 		}
-		if jhash != bhash {
-			t.Fatalf("%s: hash differs by transfer encoding: json %s binary %s", name, jhash, bhash)
+		if jd.Hash != bd.Hash {
+			t.Fatalf("%s: hash differs by transfer encoding: json %s binary %s", name, jd.Hash, bd.Hash)
 		}
-
-		jl, err := jreq.DecodeLoop()
-		if err != nil {
-			t.Fatalf("%s: json loop: %v", name, err)
-		}
-		bl, err := breq.DecodeLoop()
-		if err != nil {
-			t.Fatalf("%s: binary loop: %v", name, err)
-		}
-		if !reflect.DeepEqual(jl, bl) {
+		if !reflect.DeepEqual(jd.Loop, bd.Loop) {
 			t.Fatalf("%s: loop differs by transfer encoding", name)
+		}
+	}
+}
+
+// TestDecodeTwiceAfterCompile: Decode hands every caller a loop of its
+// own, so a binary-decoded request (or batch item) decoded again after
+// its first loop went through the compiler — whose HLO pass mutates the
+// loop — still yields the same canonical bytes and hash.
+func TestDecodeTwiceAfterCompile(t *testing.T) {
+	gen, _ := workload.IntCopyAdd(16)
+	opts := testOptions[1]
+	frame, err := binary.EncodeCompileRequest(nil, gen(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := binary.DecodeCompileRequest(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchFrame, err := binary.EncodeCompileBatch(nil, []*ir.Loop{gen()}, []wire.Options{opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := binary.DecodeCompileBatch(batchFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*wire.CompileRequest{"request": req, "batch item": batch.Item(0)} {
+		first, err := r.Decode()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before, _ := ir.EncodeLoop(first.Loop)
+		if _, err := ltsp.Compile(first.Loop, first.Options); err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		if after, _ := ir.EncodeLoop(first.Loop); bytes.Equal(before, after) {
+			t.Fatalf("%s: the compile left its loop untouched; the test needs a mutating compile", name)
+		}
+		second, err := r.Decode()
+		if err != nil {
+			t.Fatalf("%s: second decode: %v", name, err)
+		}
+		if !bytes.Equal(first.Canonical, second.Canonical) || first.Hash != second.Hash {
+			t.Fatalf("%s: second decode differs: hash %s then %s", name, first.Hash, second.Hash)
 		}
 	}
 }
@@ -139,8 +175,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("items = %d, want %d", len(req.Items), len(loops))
 	}
 	for i := range loops {
-		item := req.Item(i)
-		bl, err := item.DecodeLoop()
+		bd, err := req.Item(i).Decode()
 		if err != nil {
 			t.Fatalf("item[%d]: %v", i, err)
 		}
@@ -148,14 +183,15 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jl, _ := jreq.DecodeLoop()
-		if !reflect.DeepEqual(jl, bl) {
+		jd, err := jreq.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(jd.Loop, bd.Loop) {
 			t.Fatalf("item[%d]: loop differs", i)
 		}
-		jh, _ := jreq.Hash()
-		bh, _ := req.Item(i).Hash()
-		if jh != bh {
-			t.Fatalf("item[%d]: hash differs: %s vs %s", i, jh, bh)
+		if jd.Hash != bd.Hash {
+			t.Fatalf("item[%d]: hash differs: %s vs %s", i, jd.Hash, bd.Hash)
 		}
 	}
 
@@ -254,7 +290,7 @@ func TestFrameValidation(t *testing.T) {
 	}
 	ver := bytes.Clone(frame)
 	ver[3] = 99
-	if _, err := binary.DecodeCompileRequest(ver); !errors.Is(err, binary.ErrVersion) {
+	if _, err := binary.DecodeCompileRequest(ver); !errors.Is(err, wire.ErrVersion) {
 		t.Fatalf("future format version: got %v, want ErrVersion", err)
 	}
 	if _, err := binary.DecodeCompileBatch(frame); err == nil {

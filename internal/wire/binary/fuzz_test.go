@@ -54,17 +54,13 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 		if err := json.Unmarshal(data, &req); err != nil {
 			return
 		}
-		jhash, err := req.Hash()
+		jd, err := req.Decode()
 		if err != nil {
 			// The JSON path rejects this request (bad version, invalid
 			// loop, invalid options) — nothing to compare.
 			return
 		}
-		jl, err := req.DecodeLoop()
-		if err != nil {
-			t.Fatalf("request hashed but its loop does not decode: %v", err)
-		}
-		frame, err := binary.EncodeCompileRequest(nil, jl, req.Options)
+		frame, err := binary.EncodeCompileRequest(nil, jd.Loop, req.Options)
 		if err != nil {
 			t.Fatalf("JSON-accepted request rejected by the binary encoder: %v", err)
 		}
@@ -72,19 +68,15 @@ func FuzzWireCodecEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("binary round trip rejected its own encoding: %v", err)
 		}
-		bhash, err := breq.Hash()
+		bd, err := breq.Decode()
 		if err != nil {
-			t.Fatalf("binary-decoded request does not hash: %v", err)
+			t.Fatalf("binary-decoded request does not decode: %v", err)
 		}
-		if bhash != jhash {
-			t.Fatalf("artifact hash depends on transfer encoding: json %s binary %s", jhash, bhash)
+		if bd.Hash != jd.Hash {
+			t.Fatalf("artifact hash depends on transfer encoding: json %s binary %s", jd.Hash, bd.Hash)
 		}
-		bl, err := breq.DecodeLoop()
-		if err != nil {
-			t.Fatalf("binary-decoded request lost its loop: %v", err)
-		}
-		if !reflect.DeepEqual(jl, bl) {
-			t.Fatalf("loop differs after binary round trip:\njson: %+v\nbin:  %+v", jl, bl)
+		if !reflect.DeepEqual(jd.Loop, bd.Loop) {
+			t.Fatalf("loop differs after binary round trip:\njson: %+v\nbin:  %+v", jd.Loop, bd.Loop)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package binary
 
 import (
 	"ltsp/internal/ir"
+	"ltsp/internal/wire"
 )
 
 // The loop payload mirrors the canonical JSON loop encoding field for
@@ -319,7 +320,7 @@ func encodeLoop(w *writer, l *ir.Loop) error {
 // validation epilogue as the JSON decoder (ir.FinishDecodedLoop).
 func decodeLoop(r *reader) (*ir.Loop, error) {
 	if v := r.u64(); r.err == nil && v != ir.WireVersion {
-		return nil, fmtErr("%w: loop wire version %d (want %d)", ErrVersion, v, ir.WireVersion)
+		return nil, fmtErr("%w: loop wire version %d (want %d)", wire.ErrVersion, v, ir.WireVersion)
 	}
 	l := ir.NewLoop(r.str())
 	nBody := r.count()

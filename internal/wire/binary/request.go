@@ -89,17 +89,15 @@ func EncodeCompileRequest(dst []byte, l *ir.Loop, o wire.Options) ([]byte, error
 }
 
 // DecodeCompileRequest parses a compile-request frame into a
-// wire.CompileRequest with the decoded (and semantically validated) loop
-// memoized: the serving path's Canonical/Hash/DecodeLoop calls on the
-// result never touch JSON until the canonical bytes are actually needed
-// for the artifact key.
+// wire.CompileRequest that carries the decoded (and semantically
+// validated) loop: its Decode never parses JSON.
 func DecodeCompileRequest(data []byte) (*wire.CompileRequest, error) {
 	r, err := decodeFrame(data, kindCompileRequest)
 	if err != nil {
 		return nil, err
 	}
 	if v := r.u64(); r.err == nil && v != wire.Version {
-		return nil, fmtErr("%w: request envelope %d (want %d)", ErrVersion, v, wire.Version)
+		return nil, fmtErr("%w: request envelope %d (want %d)", wire.ErrVersion, v, wire.Version)
 	}
 	opts := decodeOptions(r)
 	if r.err != nil {
@@ -135,7 +133,7 @@ func EncodeCompileBatch(dst []byte, loops []*ir.Loop, opts []wire.Options) ([]by
 }
 
 // DecodeCompileBatch parses a compile-batch frame; every item's loop is
-// decoded, validated and memoized exactly as in DecodeCompileRequest.
+// decoded, validated and carried exactly as in DecodeCompileRequest.
 func DecodeCompileBatch(data []byte) (*wire.CompileBatchRequest, error) {
 	r, err := decodeFrame(data, kindCompileBatchRequest)
 	if err != nil {
@@ -143,7 +141,7 @@ func DecodeCompileBatch(data []byte) (*wire.CompileBatchRequest, error) {
 	}
 	version := r.u64()
 	if r.err == nil && version != wire.Version {
-		return nil, fmtErr("%w: request envelope %d (want %d)", ErrVersion, version, wire.Version)
+		return nil, fmtErr("%w: request envelope %d (want %d)", wire.ErrVersion, version, wire.Version)
 	}
 	n := r.count()
 	if r.err != nil {

@@ -45,15 +45,11 @@ func FuzzCompileLoop(f *testing.F) {
 		if err := json.Unmarshal(data, &req); err != nil {
 			t.Skip()
 		}
-		l, err := req.DecodeLoop()
+		d, err := req.Decode()
 		if err != nil {
 			return
 		}
-		opts, err := req.Options.ToOptions()
-		if err != nil {
-			return
-		}
-		opts.Verify = true
-		_, _ = ltsp.Compile(l, opts) // errors are fine; panics are crashes
+		d.Options.Verify = true
+		_, _ = ltsp.Compile(d.Loop, d.Options) // errors are fine; panics are crashes
 	})
 }

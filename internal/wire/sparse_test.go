@@ -68,17 +68,13 @@ func compileWire(t *testing.T, l *ir.Loop, o ltsp.Options) (*ltsp.Compiled, uint
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := back.DecodeLoop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := back.Options.ToOptions()
+	d, err := back.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := ltsp.Compile(dl, opts)
+	c, err := ltsp.Compile(d.Loop, d.Options)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,8 @@
 package wire
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -199,55 +198,45 @@ type CompileRequest struct {
 	Loop    json.RawMessage `json:"loop"`
 	Options Options         `json:"options"`
 
-	// decoded and canonical memoize work a decoder has already done, so
-	// the serving path never re-parses JSON it has in hand. decoded is
-	// single-use: DecodeLoop steals it, because the compiler (HLO pass)
-	// mutates the loop it is given. Both fields are invisible to
-	// encoding/json; a request built by plain JSON unmarshaling starts
-	// with neither and behaves exactly as before.
-	//
-	// memoLoop and memoOpts record the public field values the memos were
-	// computed from. A caller that copies a request and then changes Loop
-	// or Options (tests do) silently invalidates the memos instead of
-	// observing stale results: decoded is trusted only while Loop is the
-	// very slice it was parsed from, canonical only while Options is also
-	// unchanged.
-	decoded   *ir.Loop
-	canonical []byte
-	memoLoop  json.RawMessage
-	memoOpts  Options
+	// frame is the loop a binary frame carried, used when Loop is empty.
+	// Decode copies it, so the frame's loop is never handed out for
+	// mutation.
+	frame *ir.Loop
 }
 
-// sameBytes reports slice identity (not content equality): same length
-// and same backing array start. O(1), which is the point — it guards
-// memo reuse on every Canonical/DecodeLoop call.
-func sameBytes(a, b json.RawMessage) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// ErrVersion is the sentinel every unsupported envelope (or frame)
+// version wraps, JSON and binary alike.
+var ErrVersion = errors.New("unsupported version")
+
+// CheckVersion rejects an envelope of another wire version.
+func CheckVersion(v int) error {
+	if v != Version {
+		return fmt.Errorf("wire: %w: request envelope %d (want %d)", ErrVersion, v, Version)
+	}
+	return nil
 }
 
-// loopMemoValid reports whether r.decoded still corresponds to r.Loop.
-func (r *CompileRequest) loopMemoValid() bool {
-	return r.decoded != nil && sameBytes(r.Loop, r.memoLoop)
+// Decoded is a compile request decoded once: a loop of the caller's own,
+// ready for the compiler (which mutates it), the library options, and
+// the canonical encoding with its artifact hash.
+type Decoded struct {
+	Loop      *ir.Loop
+	Options   ltsp.Options
+	Canonical []byte
+	Hash      string
 }
 
-// canonMemoValid reports whether r.canonical still corresponds to
-// (r.Loop, r.Options).
-func (r *CompileRequest) canonMemoValid() bool {
-	return r.canonical != nil && r.Options == r.memoOpts && sameBytes(r.Loop, r.memoLoop)
-}
-
-// NewDecodedRequest builds a request directly from an already-decoded,
-// already-validated loop, memoizing it. The binary wire codec uses it so
-// a binary-fed request reaches the compiler without any JSON decode —
-// while Canonical()/Hash() still produce exactly the canonical JSON
-// bytes a JSON-fed request produces, keeping binary and JSON peers in
-// one content-addressed ring.
+// NewDecodedRequest builds a request around a loop a binary frame
+// carried, already decoded and validated, so the serving path never
+// parses JSON for it. Its Canonical and Hash are exactly those of the
+// equivalent JSON request, keeping binary and JSON peers in one
+// content-addressed ring.
 func NewDecodedRequest(l *ir.Loop, opts Options) (*CompileRequest, error) {
 	canonOpts, err := opts.canonical()
 	if err != nil {
 		return nil, err
 	}
-	return &CompileRequest{Version: Version, Options: canonOpts, decoded: l}, nil
+	return &CompileRequest{Version: Version, Options: canonOpts, frame: l}, nil
 }
 
 // NewCompileRequest builds a request from an in-memory loop and options.
@@ -259,84 +248,61 @@ func NewCompileRequest(l *ir.Loop, o ltsp.Options) (*CompileRequest, error) {
 	return &CompileRequest{Version: Version, Loop: data, Options: OptionsFrom(o)}, nil
 }
 
-// DecodeLoop parses the embedded loop. When a decoder memoized the loop
-// (binary requests, or a prior Canonical call), the memo is returned
-// directly and consumed: the caller is about to hand the loop to the
-// compiler, which mutates it, so the memo can be used at most once.
-// Before releasing a memoized loop the canonical bytes are pinned, so a
-// later Canonical/Hash can never observe compiler mutations.
-func (r *CompileRequest) DecodeLoop() (*ir.Loop, error) {
-	if r.loopMemoValid() {
-		l := r.decoded
-		if len(r.Loop) == 0 && !r.canonMemoValid() {
-			// The memoized loop is the only loop representation this
-			// request has (binary decode): pin the canonical bytes before
-			// releasing it to the (mutating) compiler.
-			if _, err := r.Canonical(); err != nil {
-				return nil, err
-			}
-		}
-		r.decoded = nil
-		return l, nil
+// Decode checks the envelope version, decodes and validates the loop,
+// parses the options and builds the canonical encoding — version
+// pinned, loop re-encoded through the ir codec, options normalized —
+// and its hash. Every call returns a loop of its own, so decoding a
+// request again yields the same canonical bytes and hash even after the
+// first loop was compiled. Version errors wrap ErrVersion; semantic loop
+// failures are *ir.InvalidLoopError.
+func (r *CompileRequest) Decode() (*Decoded, error) {
+	if err := CheckVersion(r.Version); err != nil {
+		return nil, err
 	}
-	if len(r.Loop) == 0 {
-		return nil, fmt.Errorf("wire: compile request has no loop")
-	}
-	return ir.DecodeLoop(r.Loop)
-}
-
-// Canonical returns the canonical encoding of the request: version pinned,
-// loop re-encoded through the ir codec, options normalized. The result is
-// memoized, as is the decoded loop when this call had to parse it — the
-// serving path calls Canonical (for the artifact key) and then
-// DecodeLoop (to compile), and the pair now costs one loop decode, not
-// two.
-func (r *CompileRequest) Canonical() ([]byte, error) {
-	if r.canonMemoValid() {
-		return r.canonical, nil
-	}
-	if r.Version != Version {
-		return nil, fmt.Errorf("wire: unsupported request version %d (want %d)", r.Version, Version)
-	}
-	l := r.decoded
-	if !r.loopMemoValid() {
-		if len(r.Loop) == 0 {
-			return nil, fmt.Errorf("wire: compile request has no loop")
-		}
+	var l *ir.Loop
+	switch {
+	case len(r.Loop) > 0:
 		var err error
 		if l, err = ir.DecodeLoop(r.Loop); err != nil {
 			return nil, err
 		}
-		r.decoded = l
-		r.memoLoop = r.Loop
+	case r.frame != nil:
+		l = r.frame.Clone()
+	default:
+		return nil, fmt.Errorf("wire: compile request has no loop")
+	}
+	opts, err := r.Options.ToOptions()
+	if err != nil {
+		return nil, err
 	}
 	loopData, err := ir.EncodeLoop(l)
 	if err != nil {
 		return nil, err
 	}
-	opts, err := r.Options.canonical()
+	canon, err := json.Marshal(CompileRequest{Version: Version, Loop: loopData, Options: OptionsFrom(opts)})
 	if err != nil {
 		return nil, err
 	}
-	canon, err := json.Marshal(CompileRequest{Version: Version, Loop: loopData, Options: opts})
+	return &Decoded{Loop: l, Options: opts, Canonical: canon, Hash: hashOf(canon)}, nil
+}
+
+// Canonical returns the canonical encoding of the request (see Decode).
+func (r *CompileRequest) Canonical() ([]byte, error) {
+	d, err := r.Decode()
 	if err != nil {
 		return nil, err
 	}
-	r.canonical = canon
-	r.memoOpts = r.Options
-	r.memoLoop = r.Loop
-	return canon, nil
+	return d.Canonical, nil
 }
 
 // Hash returns the content-addressed artifact key of the request: the hex
-// sha256 of its canonical encoding.
+// sha256 of its canonical encoding (see Decode).
 func (r *CompileRequest) Hash() (string, error) {
-	data, err := r.Canonical()
+	d, err := r.Decode()
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return d.Hash, nil
 }
 
 // CompileItem is one loop of a batch compile: an independent
@@ -345,19 +311,18 @@ type CompileItem struct {
 	Loop    json.RawMessage `json:"loop"`
 	Options Options         `json:"options,omitempty"`
 
-	// decoded memoizes a loop an alternate decoder already produced;
-	// Item forwards it into the standalone CompileRequest.
-	decoded *ir.Loop
+	// frame is the loop a binary frame carried; Item forwards it.
+	frame *ir.Loop
 }
 
-// NewDecodedItem builds a batch item from an already-decoded loop,
-// memoizing it exactly as NewDecodedRequest does for a single request.
+// NewDecodedItem builds a batch item around a loop a binary frame
+// carried, exactly as NewDecodedRequest does for a single request.
 func NewDecodedItem(l *ir.Loop, opts Options) (CompileItem, error) {
 	canonOpts, err := opts.canonical()
 	if err != nil {
 		return CompileItem{}, err
 	}
-	return CompileItem{Options: canonOpts, decoded: l}, nil
+	return CompileItem{Options: canonOpts, frame: l}, nil
 }
 
 // CompileBatchRequest is the body of POST /v2/compile-batch: a list of
@@ -371,13 +336,13 @@ type CompileBatchRequest struct {
 }
 
 // Item returns the i-th element as a standalone CompileRequest,
-// forwarding any memoized decode the batch decoder already did.
+// forwarding the loop a binary frame carried.
 func (r *CompileBatchRequest) Item(i int) *CompileRequest {
 	return &CompileRequest{
 		Version: r.Version,
 		Loop:    r.Items[i].Loop,
 		Options: r.Items[i].Options,
-		decoded: r.Items[i].decoded,
+		frame:   r.Items[i].frame,
 	}
 }
 

@@ -240,16 +240,11 @@ func (c *Client) Stats() Stats {
 // second identical request is hedged after the delay and the first
 // answer wins; the loser's attempt is canceled.
 func (c *Client) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.CompileResponse, error) {
-	targets := []string{c.base}
-	if c.ring != nil {
-		if hash, herr := req.Hash(); herr == nil {
-			targets = c.targetsFor(hash)
-		}
-	}
-	body, bin, err := c.encodeCompile(req)
+	body, bin, hash, err := c.encodeCompile(req)
 	if err != nil {
 		return nil, err
 	}
+	targets := c.targetsFor(hash)
 	out := new(wire.CompileResponse)
 	if c.cfg.HedgeDelay > 0 {
 		err = c.hedge(ctx, "/v2/compile", body, out, targets, bin)
@@ -262,20 +257,33 @@ func (c *Client) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.C
 	return out, nil
 }
 
-// encodeCompile renders the request in the client's wire encoding. Any
-// hiccup on the binary side (an undecodable loop, an opcode with no wire
-// name) silently degrades to JSON — the server gives such a request the
-// same verdict either way.
-func (c *Client) encodeCompile(req *wire.CompileRequest) (body []byte, bin bool, err error) {
-	if c.useBinary() {
-		if l, lerr := req.DecodeLoop(); lerr == nil {
-			if frame, berr := binary.EncodeCompileRequest(nil, l, req.Options); berr == nil {
-				return frame, true, nil
+// encodeCompile renders the request in the client's wire encoding and,
+// in fleet-aware mode, returns its artifact hash for routing; both come
+// from one decode. Any hiccup on the binary side (a request that does
+// not decode, an opcode with no wire name) silently degrades to JSON —
+// the server gives such a request the same verdict either way.
+func (c *Client) encodeCompile(req *wire.CompileRequest) (body []byte, bin bool, hash string, err error) {
+	if d := c.decode(req); d != nil {
+		hash = d.Hash
+		if c.useBinary() {
+			if frame, berr := binary.EncodeCompileRequest(nil, d.Loop, wire.OptionsFrom(d.Options)); berr == nil {
+				return frame, true, hash, nil
 			}
 		}
 	}
 	body, err = json.Marshal(req)
-	return body, false, err
+	return body, false, hash, err
+}
+
+// decode decodes req when the client needs its hash (fleet routing) or
+// its loop (binary encoding); nil when it needs neither or req does not
+// decode.
+func (c *Client) decode(req *wire.CompileRequest) *wire.Decoded {
+	if c.ring == nil && !c.useBinary() {
+		return nil
+	}
+	d, _ := req.Decode() // nil on error
+	return d
 }
 
 // CompileLoop builds the wire request for (loop, options) and submits it
@@ -297,9 +305,14 @@ func (c *Client) CompileLoop(ctx context.Context, l *ltsp.Loop, opts ltsp.Option
 // sub-batch whose call fails outright yields per-item errors rather than
 // failing the whole batch.
 func (c *Client) CompileBatch(ctx context.Context, items []wire.CompileItem) (*wire.CompileBatchResponse, error) {
+	batch := &wire.CompileBatchRequest{Version: wire.Version, Items: items}
+	decoded := make([]*wire.Decoded, len(items))
+	for i := range items {
+		decoded[i] = c.decode(batch.Item(i))
+	}
 	if c.ring == nil {
 		out := new(wire.CompileBatchResponse)
-		if err := c.postBatch(ctx, items, []string{c.base}, out); err != nil {
+		if err := c.postBatch(ctx, items, decoded, []string{c.base}, out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -309,15 +322,16 @@ func (c *Client) CompileBatch(ctx context.Context, items []wire.CompileItem) (*w
 		targets []string
 		idx     []int
 		items   []wire.CompileItem
+		decoded []*wire.Decoded
 	}
 	shards := make(map[string]*shard)
 	var order []string
 	for i, it := range items {
-		creq := &wire.CompileRequest{Version: wire.Version, Loop: it.Loop, Options: it.Options}
-		targets := []string{c.base}
-		if h, err := creq.Hash(); err == nil {
-			targets = c.targetsFor(h)
+		var hash string
+		if decoded[i] != nil {
+			hash = decoded[i].Hash
 		}
+		targets := c.targetsFor(hash)
 		key := targets[0]
 		sh := shards[key]
 		if sh == nil {
@@ -327,6 +341,7 @@ func (c *Client) CompileBatch(ctx context.Context, items []wire.CompileItem) (*w
 		}
 		sh.idx = append(sh.idx, i)
 		sh.items = append(sh.items, it)
+		sh.decoded = append(sh.decoded, decoded[i])
 	}
 
 	results := make([]wire.BatchItemResult, len(items))
@@ -337,7 +352,7 @@ func (c *Client) CompileBatch(ctx context.Context, items []wire.CompileItem) (*w
 		go func() {
 			defer wg.Done()
 			var out wire.CompileBatchResponse
-			err := c.postBatch(ctx, sh.items, sh.targets, &out)
+			err := c.postBatch(ctx, sh.items, sh.decoded, sh.targets, &out)
 			for k, i := range sh.idx {
 				switch {
 				case err != nil:
@@ -360,31 +375,30 @@ func (c *Client) CompileBatch(ctx context.Context, items []wire.CompileItem) (*w
 
 // postBatch sends one batch (the whole batch, or one fleet shard) to its
 // target list in the client's wire encoding.
-func (c *Client) postBatch(ctx context.Context, items []wire.CompileItem, targets []string, out *wire.CompileBatchResponse) error {
-	body, bin, err := c.encodeBatch(items)
+func (c *Client) postBatch(ctx context.Context, items []wire.CompileItem, decoded []*wire.Decoded, targets []string, out *wire.CompileBatchResponse) error {
+	body, bin, err := c.encodeBatch(items, decoded)
 	if err != nil {
 		return err
 	}
 	return c.doOn(ctx, http.MethodPost, "/v2/compile-batch", body, c.cfg.BatchTimeout, out, targets, bin)
 }
 
-// encodeBatch renders a batch request in the client's wire encoding,
-// degrading to JSON if any item resists binary encoding (the server
-// judges such items identically in either form).
-func (c *Client) encodeBatch(items []wire.CompileItem) (body []byte, bin bool, err error) {
+// encodeBatch renders a batch request in the client's wire encoding from
+// the items' decodes, degrading to JSON if any item did not decode or
+// resists binary encoding (the server judges such items identically in
+// either form).
+func (c *Client) encodeBatch(items []wire.CompileItem, decoded []*wire.Decoded) (body []byte, bin bool, err error) {
 	if c.useBinary() {
 		loops := make([]*ir.Loop, 0, len(items))
 		opts := make([]wire.Options, 0, len(items))
 		ok := true
-		for _, it := range items {
-			creq := &wire.CompileRequest{Version: wire.Version, Loop: it.Loop, Options: it.Options}
-			l, lerr := creq.DecodeLoop()
-			if lerr != nil {
+		for _, d := range decoded {
+			if d == nil {
 				ok = false
 				break
 			}
-			loops = append(loops, l)
-			opts = append(opts, it.Options)
+			loops = append(loops, d.Loop)
+			opts = append(opts, wire.OptionsFrom(d.Options))
 		}
 		if ok {
 			if frame, berr := binary.EncodeCompileBatch(nil, loops, opts); berr == nil {
