@@ -2,10 +2,9 @@ package ir
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -21,7 +20,9 @@ const WireVersion = 1
 // struct order), compact separators, zero-valued fields omitted, and
 // registers rendered in their assembly spelling ("r32", "vf3", "-").
 // Canonicality is what makes the content hash stable: for any loop,
-// Encode(Decode(Encode(l))) == Encode(l) byte for byte.
+// Encode(Decode(Encode(l))) == Encode(l) byte for byte. The structs below
+// are what DecodeLoop parses; AppendLoop writes the same bytes that
+// encoding/json would render from them, without reflection.
 
 type loopWire struct {
 	Version int           `json:"v"`
@@ -103,13 +104,6 @@ var hintByName = map[string]Hint{
 	"none": HintNone, "L2": HintL2, "L3": HintL3,
 }
 
-func encodeReg(r Reg) string {
-	if r.IsNone() {
-		return ""
-	}
-	return r.String()
-}
-
 func decodeReg(s string) (Reg, error) {
 	if s == "" || s == "-" {
 		return None, nil
@@ -140,24 +134,6 @@ func decodeReg(s string) (Reg, error) {
 	return Reg{Class: class, N: n, Virtual: virt}, nil
 }
 
-func encodeRegs(rs []Reg) []string {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		// Inside operand lists None must stay positionally visible
-		// (e.g. the unused arm of a two-destination compare), so it is
-		// spelled "-" rather than omitted.
-		if r.IsNone() {
-			out[i] = "-"
-		} else {
-			out[i] = r.String()
-		}
-	}
-	return out
-}
-
 func decodeRegs(ss []string) ([]Reg, error) {
 	if len(ss) == 0 {
 		return nil, nil
@@ -171,34 +147,6 @@ func decodeRegs(ss []string) ([]Reg, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-func encodeMem(m *MemRef) *memWire {
-	if m == nil {
-		return nil
-	}
-	w := &memWire{
-		Size:             m.Size,
-		PostInc:          m.PostInc,
-		StrideBytes:      m.StrideBytes,
-		Delinquent:       m.Delinquent,
-		Prefetched:       m.Prefetched,
-		PrefetchDistance: m.PrefetchDistance,
-		Group:            m.Group,
-		LineLeader:       m.LineLeader,
-		IndexInit:        m.IndexInit,
-		IndexStride:      m.IndexStride,
-		IndexSize:        m.IndexSize,
-		ScaleShift:       m.ScaleShift,
-		ArrayBase:        encodeReg(m.ArrayBase),
-	}
-	if m.Stride != StrideUnknown {
-		w.Stride = m.Stride.String()
-	}
-	if m.Hint != HintNone {
-		w.Hint = m.Hint.String()
-	}
-	return w
 }
 
 func decodeMem(w *memWire) (*MemRef, error) {
@@ -243,43 +191,243 @@ func decodeMem(w *memWire) (*MemRef, error) {
 
 // EncodeLoop renders the loop in the canonical versioned JSON wire format.
 func EncodeLoop(l *Loop) ([]byte, error) {
-	w := loopWire{
-		Version: WireVersion,
-		Name:    l.Name,
-		Body:    make([]instrWire, len(l.Body)),
+	return AppendLoop(make([]byte, 0, 64+96*len(l.Body)), l)
+}
+
+// AppendLoop appends the loop's canonical wire encoding (see EncodeLoop)
+// to dst. It writes exactly what encoding/json renders from loopWire —
+// field order, omitempty rules (-0 omitted like 0), register spellings,
+// float format and HTML-escaped strings — and, like it, fails on a NaN or
+// infinite float and on an opcode with no wire name.
+func AppendLoop(dst []byte, l *Loop) ([]byte, error) {
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, WireVersion, 10)
+	if l.Name != "" {
+		dst = append(dst, `,"name":`...)
+		dst = AppendJSONString(dst, l.Name)
 	}
+	dst = append(dst, `,"body":[`...)
 	for i, in := range l.Body {
-		iw := instrWire{
-			Op:      in.Op.String(),
-			Pred:    encodeReg(in.Pred),
-			Dsts:    encodeRegs(in.Dsts),
-			Srcs:    encodeRegs(in.Srcs),
-			Imm:     in.Imm,
-			FImm:    in.FImm,
-			Mem:     encodeMem(in.Mem),
-			Comment: in.Comment,
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		if _, ok := opByName[iw.Op]; !ok {
-			return nil, fmt.Errorf("ir: body[%d]: opcode %v has no wire name", i, in.Op)
+		var err error
+		if dst, err = appendInstr(dst, i, in); err != nil {
+			return nil, err
 		}
-		w.Body[i] = iw
 	}
-	for _, s := range l.Setup {
-		w.Setup = append(w.Setup, regInitWire{Reg: s.Reg.String(), Val: s.Val, FVal: s.FVal})
+	dst = append(dst, ']')
+	if len(l.Setup) > 0 {
+		dst = append(dst, `,"setup":[`...)
+		for i, s := range l.Setup {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"reg":`...)
+			dst = appendReg(dst, s.Reg)
+			if s.Val != 0 {
+				dst = append(dst, `,"val":`...)
+				dst = strconv.AppendInt(dst, s.Val, 10)
+			}
+			if s.FVal != 0 {
+				var err error
+				dst = append(dst, `,"fval":`...)
+				if dst, err = AppendJSONFloat(dst, s.FVal); err != nil {
+					return nil, err
+				}
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	}
-	for _, r := range l.LiveOut {
-		w.LiveOut = append(w.LiveOut, r.String())
+	if len(l.LiveOut) > 0 {
+		dst = appendRegList(dst, `,"liveOut":`, l.LiveOut)
 	}
-	for _, d := range l.MemDeps {
-		w.MemDeps = append(w.MemDeps, memDepWire{
-			From: d.From, To: d.To, Distance: d.Distance,
-			Latency: d.Latency, MayAlias: d.MayAlias,
-		})
+	if len(l.MemDeps) > 0 {
+		dst = append(dst, `,"memDeps":[`...)
+		for i, d := range l.MemDeps {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '{')
+			obj := len(dst)
+			dst = appendIntField(dst, obj, "from", int64(d.From))
+			dst = appendIntField(dst, obj, "to", int64(d.To))
+			dst = appendIntField(dst, obj, "distance", int64(d.Distance))
+			dst = appendIntField(dst, obj, "latency", int64(d.Latency))
+			dst = appendBoolField(dst, obj, "mayAlias", d.MayAlias)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	}
 	if l.While != nil {
-		w.While = &whileWire{Cond: l.While.Cond.String()}
+		dst = append(dst, `,"while":{"cond":`...)
+		dst = appendReg(dst, l.While.Cond)
+		dst = append(dst, '}')
 	}
-	return json.Marshal(w)
+	return append(dst, '}'), nil
+}
+
+// appendInstr appends body[i]'s instrWire object.
+func appendInstr(dst []byte, i int, in *Instr) ([]byte, error) {
+	name := in.Op.String()
+	if _, ok := opByName[name]; !ok {
+		return nil, fmt.Errorf("ir: body[%d]: opcode %v has no wire name", i, in.Op)
+	}
+	dst = append(dst, `{"op":`...)
+	dst = AppendJSONString(dst, name)
+	if !in.Pred.IsNone() {
+		dst = append(dst, `,"pred":`...)
+		dst = appendReg(dst, in.Pred)
+	}
+	if len(in.Dsts) > 0 {
+		dst = appendRegList(dst, `,"dsts":`, in.Dsts)
+	}
+	if len(in.Srcs) > 0 {
+		dst = appendRegList(dst, `,"srcs":`, in.Srcs)
+	}
+	if in.Imm != 0 {
+		dst = append(dst, `,"imm":`...)
+		dst = strconv.AppendInt(dst, in.Imm, 10)
+	}
+	if in.FImm != 0 {
+		var err error
+		dst = append(dst, `,"fimm":`...)
+		if dst, err = AppendJSONFloat(dst, in.FImm); err != nil {
+			return nil, err
+		}
+	}
+	if m := in.Mem; m != nil {
+		dst = append(dst, `,"mem":{`...)
+		obj := len(dst)
+		dst = appendIntField(dst, obj, "size", int64(m.Size))
+		dst = appendIntField(dst, obj, "postInc", m.PostInc)
+		if m.Stride != StrideUnknown {
+			dst = appendKey(dst, obj, "stride")
+			dst = AppendJSONString(dst, m.Stride.String())
+		}
+		dst = appendIntField(dst, obj, "strideBytes", m.StrideBytes)
+		if m.Hint != HintNone {
+			dst = appendKey(dst, obj, "hint")
+			dst = AppendJSONString(dst, m.Hint.String())
+		}
+		dst = appendBoolField(dst, obj, "delinquent", m.Delinquent)
+		dst = appendBoolField(dst, obj, "prefetched", m.Prefetched)
+		dst = appendIntField(dst, obj, "prefetchDistance", int64(m.PrefetchDistance))
+		dst = appendIntField(dst, obj, "group", int64(m.Group))
+		dst = appendBoolField(dst, obj, "lineLeader", m.LineLeader)
+		dst = appendIntField(dst, obj, "indexInit", m.IndexInit)
+		dst = appendIntField(dst, obj, "indexStride", m.IndexStride)
+		dst = appendIntField(dst, obj, "indexSize", int64(m.IndexSize))
+		dst = appendIntField(dst, obj, "scaleShift", m.ScaleShift)
+		if !m.ArrayBase.IsNone() {
+			dst = appendKey(dst, obj, "arrayBase")
+			dst = appendReg(dst, m.ArrayBase)
+		}
+		dst = append(dst, '}')
+	}
+	if in.Comment != "" {
+		dst = append(dst, `,"comment":`...)
+		dst = AppendJSONString(dst, in.Comment)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendReg appends r's quoted assembly spelling (Reg.String, so None is
+// "-").
+func appendReg(dst []byte, r Reg) []byte {
+	dst = append(dst, '"')
+	if r.IsNone() {
+		dst = append(dst, '-')
+	} else {
+		if r.Virtual {
+			dst = append(dst, 'v')
+		}
+		dst = append(dst, r.Class.String()...)
+		dst = strconv.AppendInt(dst, int64(r.N), 10)
+	}
+	return append(dst, '"')
+}
+
+// appendRegList appends key and a register array. Inside operand lists
+// None must stay positionally visible (e.g. the unused arm of a
+// two-destination compare), so it is spelled "-" rather than omitted.
+func appendRegList(dst []byte, key string, rs []Reg) []byte {
+	dst = append(dst, key...)
+	dst = append(dst, '[')
+	for i, r := range rs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendReg(dst, r)
+	}
+	return append(dst, ']')
+}
+
+// appendKey appends an object member's "name": prefix, comma-separated
+// from any member already written since the object began at obj.
+func appendKey(dst []byte, obj int, name string) []byte {
+	if len(dst) > obj {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, '"')
+	dst = append(dst, name...)
+	return append(dst, '"', ':')
+}
+
+// appendIntField appends an omitempty integer member.
+func appendIntField(dst []byte, obj int, name string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(appendKey(dst, obj, name), v, 10)
+}
+
+// appendBoolField appends an omitempty boolean member.
+func appendBoolField(dst []byte, obj int, name string, v bool) []byte {
+	if !v {
+		return dst
+	}
+	return append(appendKey(dst, obj, name), "true"...)
+}
+
+// AppendJSONString appends s as encoding/json quotes it: HTML-escaped,
+// with invalid UTF-8 replaced. Strings of plain printable ASCII (every
+// register, opcode and option spelling) are copied as they are; any
+// other string takes encoding/json's own path.
+func AppendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// AppendJSONFloat appends f as encoding/json renders a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 up with a
+// two-digit negative exponent shortened (1e-07 is 1e-7). NaN and the
+// infinities fail with encoding/json's own error.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return nil, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 // DecodeLoop parses a wire-format loop. The loop builder's virtual register
@@ -420,18 +568,4 @@ func FinishDecodedLoop(l *Loop) error {
 		return &InvalidLoopError{Err: err}
 	}
 	return nil
-}
-
-// LoopHash returns the content hash of the loop: the hex sha256 of its
-// canonical wire encoding. Two loops hash equal iff their canonical
-// encodings are byte-identical; the artifact cache of the ltspd service
-// keys compiled schedules by this value (combined with the compile
-// options, see internal/wire).
-func LoopHash(l *Loop) (string, error) {
-	data, err := EncodeLoop(l)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
 }

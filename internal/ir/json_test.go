@@ -35,8 +35,8 @@ func archetypeLoops() map[string]func() *ir.Loop {
 }
 
 // TestLoopRoundTripArchetypes: encode → decode → re-encode must be
-// byte-identical, hashes must agree, and the decoded loop must compile to
-// the same II/stage structure as the original.
+// byte-identical (so the content hash agrees), and the decoded loop must
+// compile to the same II/stage structure as the original.
 func TestLoopRoundTripArchetypes(t *testing.T) {
 	opts := ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, LatencyTolerant: true, TripEstimate: 100}
 	for name, gen := range archetypeLoops() {
@@ -57,18 +57,6 @@ func TestLoopRoundTripArchetypes(t *testing.T) {
 			if !bytes.Equal(enc, enc2) {
 				t.Fatalf("re-encode differs:\n  first:  %s\n  second: %s", enc, enc2)
 			}
-			h1, err := ir.LoopHash(orig)
-			if err != nil {
-				t.Fatalf("hash: %v", err)
-			}
-			h2, err := ir.LoopHash(dec)
-			if err != nil {
-				t.Fatalf("hash decoded: %v", err)
-			}
-			if h1 != h2 {
-				t.Fatalf("content hash changed across round trip: %s vs %s", h1, h2)
-			}
-
 			// The decoded loop must be the same compilation input: HLO +
 			// pipeliner must reach the identical II/stage structure. Compile
 			// mutates its input, so each side gets its own copy.
