@@ -107,7 +107,10 @@ func (b *Bundle) Minimize(maxAttempts int) {
 	if err != nil {
 		return
 	}
-	fails := func(cand *ir.Loop) bool { return compileOnce(cand, d.Options) != nil }
+	// Compile rewrites its loop (HLO inserts prefetches), so every
+	// candidate is compiled as a copy: the cuts are made from the
+	// request's own loop and d.Loop keeps its length.
+	fails := func(cand *ir.Loop) bool { return compileOnce(cand.Clone(), d.Options) != nil }
 	min, shrunk := MinimizeLoop(d.Loop, fails, maxAttempts)
 	if !shrunk {
 		return

@@ -68,6 +68,71 @@ func TestMinimizeLoopNoFalseShrink(t *testing.T) {
 	}
 }
 
+// spillLoop has a unit-stride load (which HLO prefetches) and 48
+// independent adds, each of its own loop invariant. The invariants
+// overflow the static register file (r1-r31), so a compile that forces
+// pipelining fails offline, after HLO has already inserted its
+// prefetches; the minimizer can cut adds until 31 statics are left.
+func spillLoop() *ir.Loop {
+	l := ir.NewLoop("spill")
+	bs, v := l.NewGR(), l.NewGR()
+	ld := ir.Ld(v, bs, 4, 4)
+	ld.Mem.Stride, ld.Mem.StrideBytes = ir.StrideUnit, 4
+	l.Append(ld)
+	for i := 0; i < 48; i++ {
+		k, sum := l.NewGR(), l.NewGR()
+		l.Init(k, int64(i+1))
+		l.Append(ir.AddI(sum, k, 1))
+	}
+	l.Init(bs, 0x100000)
+	l.LiveOut = []ir.Reg{bs}
+	return l
+}
+
+// TestMinimizeCutsTheSourceLoop: Bundle.Minimize compiles copies, so the
+// prefetches HLO inserts never reach the candidates or the bundle, and
+// OrigBodyLen is the request's own body length.
+func TestMinimizeCutsTheSourceLoop(t *testing.T) {
+	on := true
+	l := spillLoop()
+	orig := len(l.Body)
+	req, err := wire.NewCompileRequest(l, ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, TripEstimate: 1000, Pipeline: &on})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := req.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := repro.Capture(repro.KindPanic, canon, "boom", nil, nil)
+	b.Minimize(48)
+	if !b.Minimized {
+		t.Fatal("the failing loop was not minimized")
+	}
+	if b.OrigBodyLen != orig {
+		t.Errorf("OrigBodyLen = %d, want the request's %d instructions", b.OrigBodyLen, orig)
+	}
+	var min wire.CompileRequest
+	if err := json.Unmarshal(b.Request, &min); err != nil {
+		t.Fatal(err)
+	}
+	d, err := min.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Loop.Body) != b.MinBodyLen || b.MinBodyLen >= orig {
+		t.Errorf("minimized body has %d instructions, MinBodyLen %d, original %d", len(d.Loop.Body), b.MinBodyLen, orig)
+	}
+	for _, in := range d.Loop.Body {
+		if in.Op == ir.OpLfetch {
+			t.Fatalf("minimized loop carries HLO's prefetch %v: candidates were cut from a compiled loop", in)
+		}
+	}
+	if res, err := b.Replay(); err != nil || !res.Reproduced {
+		t.Fatalf("minimized bundle does not reproduce: %+v, %v", res, err)
+	}
+}
+
 // validRequest is the canonical encoding of a request that compiles and
 // verifies clean.
 func validRequest(t *testing.T) json.RawMessage {
