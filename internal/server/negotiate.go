@@ -224,9 +224,7 @@ func (s *Server) storeHot(key [sha256.Size]byte, resp *wire.CompileResponse) {
 	r := *resp
 	r.Cached = true
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if enc.Encode(&r) != nil || buf.Len() > hotMaxRendered {
+	if renderJSON(&buf, &r) != nil || buf.Len() > hotMaxRendered {
 		return
 	}
 	s.hot.put(key, &hotEntry{

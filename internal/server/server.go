@@ -573,14 +573,19 @@ func (s *Server) stopBackground() {
 // path does not allocate a fresh encode buffer per request.
 var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeJSON renders v as the indented JSON response body and returns the
-// number of body bytes written (transfer byte accounting wants the true
+// renderJSON appends v's JSON response body to buf: compact, one line.
+// writeJSON and the hot map both render through it, so a hot serve is
+// byte-identical to the response it replays.
+func renderJSON(buf *bytes.Buffer, v any) error {
+	return json.NewEncoder(buf).Encode(v)
+}
+
+// writeJSON renders v as the JSON response body and returns the number
+// of body bytes written (transfer byte accounting wants the true
 // on-the-wire size).
 func writeJSON(w http.ResponseWriter, status int, v any) int {
 	buf := encBufPool.Get().(*bytes.Buffer)
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = renderJSON(buf, v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	n, _ := w.Write(buf.Bytes())
