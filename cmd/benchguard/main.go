@@ -285,7 +285,7 @@ func measureDiskHit(reps, iters int) float64 {
 		fatal(err)
 	}
 	hash := d.Hash
-	if err := st.Put(&store.Entry{
+	if _, err := st.Put(&store.Entry{
 		Hash:     hash,
 		Request:  d.Canonical,
 		Response: json.RawMessage(`{"hash":"` + hash + `","outcome":"pipelined"}`),
@@ -297,7 +297,7 @@ func measureDiskHit(reps, iters int) float64 {
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := st.Get(hash); err != nil {
+			if _, _, err := st.Get(hash); err != nil {
 				fatal(fmt.Errorf("disk hit: %w", err))
 			}
 		}

@@ -186,8 +186,8 @@ func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int
 				}
 				continue
 			}
-			s.persist(e, store.SourceAntiEntropy)
-			if a, aerr := newArtifact(e, nil); aerr == nil {
+			size := s.persist(e, store.SourceAntiEntropy)
+			if a, aerr := newArtifact(e, nil, size); aerr == nil {
 				s.cache.Add(k.Hash, a)
 			}
 			pulled++
@@ -338,7 +338,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if s.store != nil {
-		switch _, err := s.storeGet(hash); {
+		switch _, _, err := s.storeGet(hash); {
 		case err == nil:
 			resp.Present, resp.Consistent = true, true
 		case errors.Is(err, store.ErrCorrupt):

@@ -35,15 +35,29 @@ type Artifact struct {
 }
 
 // newArtifact builds the cache artifact for e. resp is e.Response
-// decoded; nil decodes it here.
-func newArtifact(e *store.Entry, resp *wire.CompileResponse) (*Artifact, error) {
+// decoded; nil decodes it here. size is the entry's byte count as the
+// store just wrote or read it; 0 (the entry never reached the disk)
+// weighs it with store.EncodedSize.
+func newArtifact(e *store.Entry, resp *wire.CompileResponse, size int64) (*Artifact, error) {
 	if resp == nil {
-		resp = new(wire.CompileResponse)
-		if err := json.Unmarshal(e.Response, resp); err != nil {
-			return nil, fmt.Errorf("stored response undecodable: %v", err)
+		var err error
+		if resp, err = decodeResponse(e); err != nil {
+			return nil, err
 		}
 	}
-	return &Artifact{Entry: e, Response: resp, Size: store.EncodedSize(e)}, nil
+	if size <= 0 {
+		size = store.EncodedSize(e)
+	}
+	return &Artifact{Entry: e, Response: resp, Size: size}, nil
+}
+
+// decodeResponse decodes the entry's stored compile response.
+func decodeResponse(e *store.Entry) (*wire.CompileResponse, error) {
+	resp := new(wire.CompileResponse)
+	if err := json.Unmarshal(e.Response, resp); err != nil {
+		return nil, fmt.Errorf("stored response undecodable: %v", err)
+	}
+	return resp, nil
 }
 
 // ArtifactCache is a content-addressed, LRU-evicting cache of compiled

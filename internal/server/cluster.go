@@ -238,18 +238,21 @@ func wireFromEntry(e *store.Entry) *wire.ArtifactResponse {
 // names how the entry came to exist (store.SourceCompile, peer fill,
 // anti-entropy); every successful write is recorded in the provenance
 // chain under it, pinning the entry's checksum. Owners that lack the
-// entry pull it from the store on their next anti-entropy round.
-func (s *Server) persist(e *store.Entry, source string) {
+// entry pull it from the store on their next anti-entropy round. It
+// returns the bytes written, 0 when nothing was.
+func (s *Server) persist(e *store.Entry, source string) int64 {
 	if s.store == nil {
-		return
+		return 0
 	}
-	if err := s.store.Put(e); err != nil {
+	size, err := s.store.Put(e)
+	if err != nil {
 		s.metrics.DiskWriteErrors.Add(1)
 		s.logger.Warn("artifact persist failed", "hash", e.Hash[:12], "err", err)
-		return
+		return 0
 	}
 	// Put stamped e.Checksum; the provenance record pins it.
 	s.prov.Append(e.Hash, source, e.Checksum)
+	return size
 }
 
 // handleArtifact serves the artifact-transfer envelope for a hash: the
@@ -264,7 +267,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.store != nil {
-		if e, err := s.storeGet(hash); err == nil {
+		if e, _, err := s.storeGet(hash); err == nil {
 			s.writeArtifact(w, r, wireFromEntry(e))
 			return
 		}

@@ -491,7 +491,7 @@ func TestPeerFillWritesThrough(t *testing.T) {
 	if !stores[1].Contains(hash) {
 		t.Fatal("peer fill was not written through to the non-owner's store")
 	}
-	if e, err := stores[1].Get(hash); err != nil {
+	if e, _, err := stores[1].Get(hash); err != nil {
 		t.Fatalf("written-through entry unreadable: %v", err)
 	} else if e.Hash != hash {
 		t.Fatalf("written-through entry hash %q, want %q", e.Hash, hash)

@@ -308,7 +308,7 @@ func TestProvenanceQuarantineTamperedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(st2.Close)
-	if _, err := st2.Get(original.Hash); err != nil {
+	if _, _, err := st2.Get(original.Hash); err != nil {
 		t.Fatalf("consistently restamped entry must pass the store's own check, got %v", err)
 	}
 	prov2, err := store.OpenLog(provDir, store.LogOptions{})

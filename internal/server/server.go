@@ -427,10 +427,10 @@ func (s *Server) MetricsSnapshot() any {
 // original): it is quarantined — deleted, counted in
 // provenance_failures — and reported corrupt so the caller refills or
 // recompiles instead of serving it.
-func (s *Server) storeGet(hash string) (*store.Entry, error) {
-	e, err := s.store.Get(hash)
+func (s *Server) storeGet(hash string) (*store.Entry, int64, error) {
+	e, size, err := s.store.Get(hash)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if want, ok := s.prov.Latest(hash); ok && want != e.Checksum {
 		s.store.Delete(hash)
@@ -438,9 +438,9 @@ func (s *Server) storeGet(hash string) (*store.Entry, error) {
 		s.logger.Warn("provenance mismatch: store entry quarantined",
 			"hash", hash[:min(12, len(hash))], "recorded", want[:min(12, len(want))],
 			"found", e.Checksum[:min(12, len(e.Checksum))])
-		return nil, fmt.Errorf("%w: entry diverges from its provenance record", store.ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: entry diverges from its provenance record", store.ErrCorrupt)
 	}
-	return e, nil
+	return e, size, nil
 }
 
 // Cache exposes the artifact cache (tests and embedders).
@@ -908,11 +908,11 @@ func (s *Server) diskTier(ctx context.Context, hash string) (art *Artifact) {
 		return nil
 	}
 	s.stage(ctx, stageDiskRead, func(context.Context) string {
-		e, err := s.storeGet(hash)
+		e, size, err := s.storeGet(hash)
 		if err != nil {
 			return outcomeMiss
 		}
-		if art, err = newArtifact(e, nil); err != nil {
+		if art, err = newArtifact(e, nil, size); err != nil {
 			s.logger.Warn("disk artifact unusable", "hash", hash[:min(12, len(hash))], "err", err)
 			return outcomeMiss
 		}
@@ -942,20 +942,22 @@ func (s *Server) peerTier(ctx context.Context, hash string) (art *Artifact) {
 		return nil
 	}
 	var e *store.Entry
+	var resp *wire.CompileResponse
 	s.stage(ctx, stagePeerFill, func(ctx context.Context) string {
 		if e = s.peerFill(ctx, ring, hash); e == nil {
 			return outcomeMiss
 		}
 		var err error
-		if art, err = newArtifact(e, nil); err != nil {
+		if resp, err = decodeResponse(e); err != nil {
 			s.logger.Warn("peer artifact unusable", "hash", hash[:12], "err", err)
 			return outcomeMiss
 		}
 		return outcomeHit
 	})
-	if art != nil {
-		s.writeThrough(ctx, e, store.SourcePeerFill)
+	if resp == nil {
+		return nil
 	}
+	art, _ = newArtifact(e, resp, s.writeThrough(ctx, e, store.SourcePeerFill))
 	return art
 }
 
@@ -980,8 +982,7 @@ func (s *Server) compileTier(ctx context.Context, d *wire.Decoded) (*Artifact, e
 	}
 	e := &store.Entry{Hash: d.Hash, Request: d.Canonical, Response: respJSON, Trace: traceJSON,
 		Verify: verify, CreatedUnix: time.Now().Unix()}
-	s.writeThrough(ctx, e, store.SourceCompile)
-	a, _ := newArtifact(e, resp)
+	a, _ := newArtifact(e, resp, s.writeThrough(ctx, e, store.SourceCompile))
 	a.Compiled = c
 	return a, nil
 }
@@ -1041,12 +1042,13 @@ func (s *Server) compileStep(ctx context.Context, d *wire.Decoded, verify bool) 
 }
 
 // writeThrough is the write_through stage: persist e to the disk store
-// (a no-op without one).
-func (s *Server) writeThrough(ctx context.Context, e *store.Entry, source string) {
+// (a no-op without one). It returns persist's byte count.
+func (s *Server) writeThrough(ctx context.Context, e *store.Entry, source string) (size int64) {
 	s.stage(ctx, stageWriteThrough, func(context.Context) string {
-		s.persist(e, source)
+		size = s.persist(e, source)
 		return ""
 	})
+	return size
 }
 
 // decodeErr pins the envelope code of a request decode failure, JSON or

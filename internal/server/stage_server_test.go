@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ltsp/internal/server"
@@ -168,5 +170,47 @@ func TestDiskReadsCountedAlike(t *testing.T) {
 				t.Errorf("disk_read stage count = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestArtifactSizeIsFileSize: an artifact weighs what its store entry
+// occupies on disk, whether it was just compiled and written through or
+// read back by a restarted process, and that is what store.EncodedSize
+// computes for the fresh entry.
+func TestArtifactSizeIsFileSize(t *testing.T) {
+	dir := t.TempDir()
+	req := compileRequest(t, copyAddLoop(703))
+	sizeOf := func(srv *server.Server, base string) (*server.Artifact, int64) {
+		t.Helper()
+		resp, body := post(t, base+"/v2/compile", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compile: %s: %s", resp.Status, body)
+		}
+		var cr wire.CompileResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		art, ok := srv.Cache().Peek(cr.Hash)
+		if !ok {
+			t.Fatal("compiled artifact not in the memory cache")
+		}
+		fi, err := os.Stat(filepath.Join(dir, cr.Hash[:2], cr.Hash+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art, fi.Size()
+	}
+	srv, ts := newStoreServer(t, dir, server.Config{})
+	art, file := sizeOf(srv, ts.URL)
+	if art.Size != file || store.EncodedSize(art.Entry) != file {
+		t.Fatalf("compiled artifact weighs %d, EncodedSize %d; file is %d bytes", art.Size, store.EncodedSize(art.Entry), file)
+	}
+	srv2, ts2 := newStoreServer(t, dir, server.Config{})
+	art2, file2 := sizeOf(srv2, ts2.URL)
+	if art2.Compiled != nil {
+		t.Fatal("restarted server recompiled instead of reading the disk entry")
+	}
+	if art2.Size != file2 {
+		t.Fatalf("disk-read artifact weighs %d; file is %d bytes", art2.Size, file2)
 	}
 }

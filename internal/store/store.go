@@ -229,53 +229,54 @@ func (s *Store) path(hash string) string {
 // Put persists an entry, atomically replacing any existing one, and
 // enforces the byte budget. The entry's Hash must be the content hash of
 // its canonical Request; Put recomputes and checks it, and stamps the
-// section checksum.
-func (s *Store) Put(e *Entry) error {
+// section checksum. It returns the number of bytes written: the entry's
+// EncodedSize.
+func (s *Store) Put(e *Entry) (int64, error) {
 	if !validHash(e.Hash) {
-		return fmt.Errorf("store: malformed hash %q", e.Hash)
+		return 0, fmt.Errorf("store: malformed hash %q", e.Hash)
 	}
 	sum := sha256.Sum256(e.Request)
 	if got := hex.EncodeToString(sum[:]); got != e.Hash {
-		return fmt.Errorf("store: request content hash %s does not match entry hash %s", got, e.Hash)
+		return 0, fmt.Errorf("store: request content hash %s does not match entry hash %s", got, e.Hash)
 	}
 	e.Version = EntryVersion
 	e.Checksum = e.checksum()
 	data, err := json.Marshal(e)
 	if err != nil {
-		return fmt.Errorf("store: encoding entry: %w", err)
+		return 0, fmt.Errorf("store: encoding entry: %w", err)
 	}
 	path := s.path(e.Hash)
 	shard := filepath.Dir(path)
 	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	// Atomic publish: temp file in the destination directory (same
 	// filesystem, so rename is atomic), then rename over the final name.
 	tmp, err := os.CreateTemp(shard, e.Hash+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { _ = os.Remove(tmpName) }
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		cleanup()
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	if s.opts.Fsync {
 		if err := tmp.Sync(); err != nil {
 			tmp.Close()
 			cleanup()
-			return fmt.Errorf("store: %w", err)
+			return 0, fmt.Errorf("store: %w", err)
 		}
 	}
 	if err := tmp.Close(); err != nil {
 		cleanup()
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		cleanup()
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	if s.opts.Fsync {
 		if d, err := os.Open(shard); err == nil {
@@ -298,14 +299,16 @@ func (s *Store) Put(e *Entry) error {
 	}
 	s.enforceLocked()
 	s.mu.Unlock()
-	return nil
+	return size, nil
 }
 
-// EncodedSize returns the number of bytes the entry occupies (or would
-// occupy) on disk: the length of exactly the encoding Put writes. It is
-// the shared byte-accounting unit — the server's in-memory cache weighs
-// artifacts with it, so the memory and disk layers report commensurable
-// size metrics.
+// EncodedSize returns the number of bytes the entry would occupy on
+// disk: the length of exactly the encoding Put writes (and Put and Get
+// return). It is the shared byte-accounting unit — the server's
+// in-memory cache weighs artifacts with it, so the memory and disk layers
+// report commensurable size metrics. It encodes the entry to learn the
+// length, so callers that just wrote or read the entry use the count Put
+// or Get returned instead.
 func EncodedSize(e *Entry) int64 {
 	c := *e
 	c.Version = EntryVersion
@@ -317,13 +320,14 @@ func EncodedSize(e *Entry) int64 {
 	return int64(len(data))
 }
 
-// Get reads the entry for a hash, marking it recently used. A missing
-// entry returns ErrNotFound; an entry that fails its integrity checks is
+// Get reads the entry for a hash, marking it recently used, and returns
+// it with the number of bytes it occupies on disk. A missing entry
+// returns ErrNotFound; an entry that fails its integrity checks is
 // deleted and returns ErrCorrupt.
-func (s *Store) Get(hash string) (*Entry, error) {
+func (s *Store) Get(hash string) (*Entry, int64, error) {
 	if !validHash(hash) {
 		s.misses.Add(1)
-		return nil, fmt.Errorf("%w: malformed hash %q", ErrNotFound, hash)
+		return nil, 0, fmt.Errorf("%w: malformed hash %q", ErrNotFound, hash)
 	}
 	s.mu.Lock()
 	el, ok := s.entries[hash]
@@ -333,24 +337,24 @@ func (s *Store) Get(hash string) (*Entry, error) {
 	s.mu.Unlock()
 	if !ok {
 		s.misses.Add(1)
-		return nil, ErrNotFound
+		return nil, 0, ErrNotFound
 	}
 	data, err := os.ReadFile(s.path(hash))
 	if err != nil {
 		// Evicted or externally removed between index lookup and read.
 		s.drop(hash, false)
 		s.misses.Add(1)
-		return nil, ErrNotFound
+		return nil, 0, ErrNotFound
 	}
 	e, err := decodeEntry(hash, data)
 	if err != nil {
 		// Corrupt on disk: remove so the slot can be refilled cleanly.
 		s.drop(hash, true)
 		s.corrupt.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	s.hits.Add(1)
-	return e, nil
+	return e, int64(len(data)), nil
 }
 
 // decodeEntry parses and integrity-checks one stored entry.

@@ -41,10 +41,10 @@ func open(t *testing.T, dir string, opts Options) *Store {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	e := mkEntry(1)
-	if err := s.Put(e); err != nil {
+	if _, err := s.Put(e); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, err := s.Get(e.Hash)
+	got, _, err := s.Get(e.Hash)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -62,13 +62,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissAndBadHash(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
-	if _, err := s.Get(strings.Repeat("ab", 32)); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Get(strings.Repeat("ab", 32)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("miss: got %v, want ErrNotFound", err)
 	}
 	// Malformed hashes (including traversal attempts) must fail without
 	// touching the filesystem.
 	for _, h := range []string{"", "short", "../../etc/passwd", strings.Repeat("Z", 64)} {
-		if _, err := s.Get(h); !errors.Is(err, ErrNotFound) {
+		if _, _, err := s.Get(h); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Get(%q): got %v, want ErrNotFound", h, err)
 		}
 	}
@@ -81,11 +81,11 @@ func TestPutRejectsWrongHash(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	e := mkEntry(1)
 	e.Hash = strings.Repeat("00", 32)
-	if err := s.Put(e); err == nil {
+	if _, err := s.Put(e); err == nil {
 		t.Fatal("Put accepted an entry whose hash does not match its request")
 	}
 	e.Hash = "nothex"
-	if err := s.Put(e); err == nil {
+	if _, err := s.Put(e); err == nil {
 		t.Fatal("Put accepted a malformed hash")
 	}
 }
@@ -115,7 +115,7 @@ func TestCorruptionDetected(t *testing.T) {
 			dir := t.TempDir()
 			s := open(t, dir, Options{})
 			e := mkEntry(1)
-			if err := s.Put(e); err != nil {
+			if _, err := s.Put(e); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
 			path := filepath.Join(dir, e.Hash[:2], e.Hash+".json")
@@ -126,7 +126,7 @@ func TestCorruptionDetected(t *testing.T) {
 			if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
 				t.Fatalf("mangle: %v", err)
 			}
-			if _, err := s.Get(e.Hash); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := s.Get(e.Hash); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Get on %s entry: got %v, want ErrCorrupt", tc.name, err)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -150,7 +150,7 @@ func TestLRUEviction(t *testing.T) {
 	// most; 2.5x one entry is comfortably "two but not three").
 	s := open(t, dir, Options{MaxBytes: one*2 + one/2})
 	for _, e := range []*Entry{e1, e2, e3} {
-		if err := s.Put(e); err != nil {
+		if _, err := s.Put(e); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -164,10 +164,10 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("stats after eviction: %+v", st)
 	}
 	// A Get refreshes recency: touch e2, add e4, and e3 must go instead.
-	if _, err := s.Get(e2.Hash); err != nil {
+	if _, _, err := s.Get(e2.Hash); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if err := s.Put(mkEntry(4)); err != nil {
+	if _, err := s.Put(mkEntry(4)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if !s.Contains(e2.Hash) {
@@ -184,7 +184,7 @@ func TestWarmReopen(t *testing.T) {
 	var hashes []string
 	for i := 0; i < 5; i++ {
 		e := mkEntry(i)
-		if err := s.Put(e); err != nil {
+		if _, err := s.Put(e); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 		hashes = append(hashes, e.Hash)
@@ -198,9 +198,32 @@ func TestWarmReopen(t *testing.T) {
 		t.Fatalf("reopen: %d entries / %d bytes, want 5 / %d", s2.Len(), s2.Bytes(), wantBytes)
 	}
 	for _, h := range hashes {
-		if _, err := s2.Get(h); err != nil {
+		if _, _, err := s2.Get(h); err != nil {
 			t.Fatalf("Get(%s) after reopen: %v", h[:8], err)
 		}
+	}
+}
+
+// TestPutGetReportSize: Put and Get hand back the entry's file size,
+// which is what EncodedSize computes for the entry before it is stored.
+func TestPutGetReportSize(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	e := mkEntry(3)
+	want := EncodedSize(e)
+	put, err := s.Put(e)
+	if err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	fi, err := os.Stat(s.path(e.Hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := s.Get(e.Hash)
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if put != fi.Size() || got != fi.Size() || want != fi.Size() || s.Bytes() != fi.Size() {
+		t.Fatalf("Put %d, Get %d, EncodedSize %d, index %d bytes; file is %d bytes", put, got, want, s.Bytes(), fi.Size())
 	}
 }
 
@@ -208,7 +231,7 @@ func TestReopenCleansTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
 	e := mkEntry(1)
-	if err := s.Put(e); err != nil {
+	if _, err := s.Put(e); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	// Simulate a crash mid-write: a temp file next to a valid entry.
@@ -257,7 +280,7 @@ func TestScanReconcilesExternalChanges(t *testing.T) {
 	s := open(t, dir, Options{})
 	e1, e2 := mkEntry(1), mkEntry(2)
 	for _, e := range []*Entry{e1, e2} {
-		if err := s.Put(e); err != nil {
+		if _, err := s.Put(e); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -279,7 +302,7 @@ func TestBackgroundScannerEnforcesBudget(t *testing.T) {
 	one := int64(len(mustMarshal(t, mkEntry(1))))
 	s := open(t, dir, Options{MaxBytes: one * 10, ScanInterval: 5 * time.Millisecond})
 	for i := 0; i < 5; i++ {
-		if err := s.Put(mkEntry(i)); err != nil {
+		if _, err := s.Put(mkEntry(i)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -311,10 +334,10 @@ func TestBackgroundScannerEnforcesBudget(t *testing.T) {
 func TestFsyncOption(t *testing.T) {
 	s := open(t, t.TempDir(), Options{Fsync: true})
 	e := mkEntry(1)
-	if err := s.Put(e); err != nil {
+	if _, err := s.Put(e); err != nil {
 		t.Fatalf("Put with fsync: %v", err)
 	}
-	if _, err := s.Get(e.Hash); err != nil {
+	if _, _, err := s.Get(e.Hash); err != nil {
 		t.Fatalf("Get after fsynced put: %v", err)
 	}
 }
@@ -328,11 +351,11 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				e := mkEntry(g*100 + i%7)
-				if err := s.Put(e); err != nil {
+				if _, err := s.Put(e); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				if _, err := s.Get(e.Hash); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, _, err := s.Get(e.Hash); err != nil && !errors.Is(err, ErrNotFound) {
 					t.Errorf("Get: %v", err)
 					return
 				}
