@@ -204,7 +204,7 @@ func AppendLoop(dst []byte, l *Loop) ([]byte, error) {
 	dst = strconv.AppendInt(dst, WireVersion, 10)
 	if l.Name != "" {
 		dst = append(dst, `,"name":`...)
-		dst = AppendJSONString(dst, l.Name)
+		dst = appendString(dst, l.Name)
 	}
 	dst = append(dst, `,"body":[`...)
 	for i, in := range l.Body {
@@ -232,7 +232,7 @@ func AppendLoop(dst []byte, l *Loop) ([]byte, error) {
 			if s.FVal != 0 {
 				var err error
 				dst = append(dst, `,"fval":`...)
-				if dst, err = AppendJSONFloat(dst, s.FVal); err != nil {
+				if dst, err = appendFloat(dst, s.FVal); err != nil {
 					return nil, err
 				}
 			}
@@ -275,7 +275,7 @@ func appendInstr(dst []byte, i int, in *Instr) ([]byte, error) {
 		return nil, fmt.Errorf("ir: body[%d]: opcode %v has no wire name", i, in.Op)
 	}
 	dst = append(dst, `{"op":`...)
-	dst = AppendJSONString(dst, name)
+	dst = appendString(dst, name)
 	if !in.Pred.IsNone() {
 		dst = append(dst, `,"pred":`...)
 		dst = appendReg(dst, in.Pred)
@@ -293,7 +293,7 @@ func appendInstr(dst []byte, i int, in *Instr) ([]byte, error) {
 	if in.FImm != 0 {
 		var err error
 		dst = append(dst, `,"fimm":`...)
-		if dst, err = AppendJSONFloat(dst, in.FImm); err != nil {
+		if dst, err = appendFloat(dst, in.FImm); err != nil {
 			return nil, err
 		}
 	}
@@ -304,12 +304,12 @@ func appendInstr(dst []byte, i int, in *Instr) ([]byte, error) {
 		dst = appendIntField(dst, obj, "postInc", m.PostInc)
 		if m.Stride != StrideUnknown {
 			dst = appendKey(dst, obj, "stride")
-			dst = AppendJSONString(dst, m.Stride.String())
+			dst = appendString(dst, m.Stride.String())
 		}
 		dst = appendIntField(dst, obj, "strideBytes", m.StrideBytes)
 		if m.Hint != HintNone {
 			dst = appendKey(dst, obj, "hint")
-			dst = AppendJSONString(dst, m.Hint.String())
+			dst = appendString(dst, m.Hint.String())
 		}
 		dst = appendBoolField(dst, obj, "delinquent", m.Delinquent)
 		dst = appendBoolField(dst, obj, "prefetched", m.Prefetched)
@@ -328,7 +328,7 @@ func appendInstr(dst []byte, i int, in *Instr) ([]byte, error) {
 	}
 	if in.Comment != "" {
 		dst = append(dst, `,"comment":`...)
-		dst = AppendJSONString(dst, in.Comment)
+		dst = appendString(dst, in.Comment)
 	}
 	return append(dst, '}'), nil
 }
@@ -391,11 +391,11 @@ func appendBoolField(dst []byte, obj int, name string, v bool) []byte {
 	return append(appendKey(dst, obj, name), "true"...)
 }
 
-// AppendJSONString appends s as encoding/json quotes it: HTML-escaped,
+// appendString appends s as encoding/json quotes it: HTML-escaped,
 // with invalid UTF-8 replaced. Strings of plain printable ASCII (every
-// register, opcode and option spelling) are copied as they are; any
-// other string takes encoding/json's own path.
-func AppendJSONString(dst []byte, s string) []byte {
+// opcode, stride and hint spelling, and most names) are copied as they
+// are; any other string takes encoding/json's own path.
+func appendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals
@@ -407,11 +407,11 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendJSONFloat appends f as encoding/json renders a float64: the
+// appendFloat appends f as encoding/json renders a float64: the
 // shortest 'f' form, or 'e' below 1e-6 and from 1e21 up with a
 // two-digit negative exponent shortened (1e-07 is 1e-7). NaN and the
 // infinities fail with encoding/json's own error.
-func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		_, err := json.Marshal(f)
 		return nil, err

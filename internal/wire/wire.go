@@ -276,66 +276,23 @@ func (r *CompileRequest) Decode() (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	canon, err := appendCanonical(make([]byte, 0, len(r.Loop)+64+96*len(l.Body)), l, OptionsFrom(opts))
+	// The canonical envelope is what encoding/json renders from a
+	// CompileRequest holding the loop's canonical bytes; it is written
+	// around them instead, so they are not re-validated and re-compacted.
+	optsJSON, err := json.Marshal(OptionsFrom(opts))
 	if err != nil {
 		return nil, err
 	}
+	canon := make([]byte, 0, len(r.Loop)+len(optsJSON)+96*len(l.Body)+32)
+	canon = append(canon, `{"v":`...)
+	canon = strconv.AppendInt(canon, Version, 10)
+	canon = append(canon, `,"loop":`...)
+	if canon, err = ir.AppendLoop(canon, l); err != nil {
+		return nil, err
+	}
+	canon = append(canon, `,"options":`...)
+	canon = append(append(canon, optsJSON...), '}')
 	return &Decoded{Loop: l, Options: opts, Canonical: canon, Hash: hashOf(canon)}, nil
-}
-
-// appendCanonical appends the canonical envelope
-// {"v":1,"loop":…,"options":…}: exactly what encoding/json renders from a
-// CompileRequest holding the loop's canonical bytes, written around them
-// instead of re-validating and re-compacting them.
-func appendCanonical(dst []byte, l *ir.Loop, o Options) ([]byte, error) {
-	dst = append(dst, `{"v":`...)
-	dst = strconv.AppendInt(dst, Version, 10)
-	dst = append(dst, `,"loop":`...)
-	dst, err := ir.AppendLoop(dst, l)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, `,"options":{`...)
-	obj := len(dst)
-	key := func(name string) {
-		if len(dst) > obj {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '"')
-		dst = append(dst, name...)
-		dst = append(dst, '"', ':')
-	}
-	if o.Mode != "" {
-		key("mode")
-		dst = ir.AppendJSONString(dst, o.Mode)
-	}
-	if o.Prefetch {
-		key("prefetch")
-		dst = append(dst, "true"...)
-	}
-	if o.LatencyTolerant {
-		key("latencyTolerant")
-		dst = append(dst, "true"...)
-	}
-	if o.BoostDelinquent {
-		key("boostDelinquent")
-		dst = append(dst, "true"...)
-	}
-	if o.TripEstimate != 0 {
-		key("tripEstimate")
-		if dst, err = ir.AppendJSONFloat(dst, o.TripEstimate); err != nil {
-			return nil, err
-		}
-	}
-	if o.Pipeline != nil {
-		key("pipeline")
-		dst = strconv.AppendBool(dst, *o.Pipeline)
-	}
-	if o.Backend != "" {
-		key("backend")
-		dst = ir.AppendJSONString(dst, o.Backend)
-	}
-	return append(dst, "}}"...), nil
 }
 
 // Canonical returns the canonical encoding of the request (see Decode).
