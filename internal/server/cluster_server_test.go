@@ -206,7 +206,7 @@ func TestInlineSimulateAfterWarmRestart(t *testing.T) {
 }
 
 // TestCacheStatsMatchDisk: the in-memory cache and the disk store weigh
-// entries with the same accounting (store.EncodedSize), so after N
+// entries with the same accounting (the entry's bytes on disk), so after N
 // compiles /metrics reports the same entries and bytes for both layers.
 func TestCacheStatsMatchDisk(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir(), server.Config{})

@@ -162,8 +162,9 @@ type Metrics struct {
 	// report the true size of whatever encoding actually crossed the wire
 	// (binary frames are counted as binary bytes, never re-expressed as
 	// their JSON equivalent); storage-layer accounting, by contrast, is
-	// always JSON-based (store.EncodedSize) so memory and disk weights
-	// stay comparable across mixed-encoding fleets.
+	// always the JSON store entry's size (as the store wrote or read it,
+	// or store.EncodedSize) so memory and disk weights stay comparable
+	// across mixed-encoding fleets.
 	ArtifactBytesJSON   atomic.Int64
 	ArtifactBytesBinary atomic.Int64
 	PeerBytesJSON       atomic.Int64
