@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ltsp"
@@ -197,6 +199,57 @@ func TestBatchRoundTrip(t *testing.T) {
 
 	if _, err := binary.EncodeCompileBatch(nil, loops, opts[:1]); err == nil {
 		t.Fatal("mismatched loops/options lengths not rejected")
+	}
+}
+
+// TestBatchKeyBounded: a batch item's grouping key names each interned
+// string by its table index, so a long comment referred back to by
+// every instruction of several copies costs one copy of its text, not
+// one per reference. The copies still group together.
+func TestBatchKeyBounded(t *testing.T) {
+	var l *ir.Loop
+	for _, c := range allLoops() {
+		if l == nil || len(c.Body) > len(l.Body) {
+			l = c
+		}
+	}
+	comment := strings.Repeat("c", 256<<10)
+	for _, in := range l.Body {
+		in.Comment = comment
+	}
+	const copies = 4
+	loops := make([]*ir.Loop, copies)
+	opts := make([]wire.Options, copies)
+	for i := range loops {
+		loops[i] = l
+	}
+	frame, err := binary.EncodeCompileBatch(nil, loops, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(frame, []byte(comment)); n != 1 {
+		t.Fatalf("comment appears %d times in the frame, want 1", n)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	req, err := binary.DecodeCompileBatch(frame)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decode copies the comment out of the frame once and sizes the
+	// key buffer from the frame; the loops themselves are small.
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(4*len(frame) + 1<<20); alloc > limit {
+		t.Fatalf("decoding a %d-byte frame (%d instructions × %d copies referring to one %d-byte comment) allocated %d bytes, want at most %d",
+			len(frame), len(l.Body), copies, len(comment), alloc, limit)
+	}
+	for i, f := range req.Distinct() {
+		if f != 0 {
+			t.Fatalf("item %d grouped with %d, want 0", i, f)
+		}
 	}
 }
 
