@@ -11,6 +11,7 @@
 package ddg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -56,6 +57,10 @@ type Edge struct {
 	// LoadData marks edges carrying a load's data result.
 	LoadData bool
 }
+
+// ErrUndefinedRead is wrapped by Build's error when the body reads a
+// virtual register that nothing defines or initializes.
+var ErrUndefinedRead = errors.New("never defined or initialized")
 
 // LatencyFn returns the scheduling latency of a load's data result.
 // Package core supplies functions that answer per the critical/non-critical
@@ -215,8 +220,8 @@ func Build(l *ir.Loop) (*Graph, error) {
 			if d < 0 {
 				if r := nums.Regs[u]; r.Virtual && !inits[u] {
 					g.Release()
-					return nil, fmt.Errorf("ddg: %s: body[%d] reads %s which is never defined or initialized",
-						l.Name, i, r)
+					return nil, fmt.Errorf("ddg: %s: body[%d] reads %s which is %w",
+						l.Name, i, r, ErrUndefinedRead)
 				}
 				continue
 			}

@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,8 +94,8 @@ func TestBuildRejectsUndefinedVirtual(t *testing.T) {
 	l := ir.NewLoop("ud")
 	a, b := l.NewGR(), l.NewGR()
 	l.Append(ir.Mov(a, b)) // b never defined, never initialized
-	if _, err := Build(l); err == nil {
-		t.Error("undefined virtual accepted")
+	if _, err := Build(l); !errors.Is(err, ErrUndefinedRead) {
+		t.Errorf("undefined virtual: err = %v, want ErrUndefinedRead", err)
 	}
 }
 
