@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"ltsp/internal/compiler"
 	"ltsp/internal/core"
 	"ltsp/internal/hlo"
 	"ltsp/internal/stats"
@@ -163,15 +165,16 @@ func RunRotVsUnroll() ([]RotVsUnrollRow, error) {
 			row := RotVsUnrollRow{Loop: name + "/" + spec.Name}
 
 			compile := func(noRotation bool) (*core.Compiled, error) {
-				l := spec.Gen()
-				if _, err := hlo.Apply(l, hlo.Options{
-					Mode: hlo.ModeHLO, Prefetch: true, TripEstimate: spec.Ref.Avg(),
-				}); err != nil {
+				pipeline := true
+				r, err := compiler.Compile(context.Background(), spec.Gen(), compiler.Options{
+					HLO:      hlo.Options{Mode: hlo.ModeHLO, Prefetch: true, TripEstimate: spec.Ref.Avg()},
+					Pipeline: &pipeline,
+					Core:     core.Options{LatencyTolerant: true, BoostDelinquent: true, NoRotation: noRotation},
+				})
+				if err != nil {
 					return nil, err
 				}
-				return core.Pipeline(l, core.Options{
-					LatencyTolerant: true, BoostDelinquent: true, NoRotation: noRotation,
-				})
+				return r.Kernel, nil
 			}
 			rot, err := compile(false)
 			if err != nil {

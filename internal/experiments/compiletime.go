@@ -30,9 +30,10 @@ type CompileTimeResult struct {
 // compiler time when projecting attempt increases onto compile time.
 const pipelinerCompileShare = 0.05
 
-// RunCompileTime measures scheduling-attempt inflation. Benchmarks are
-// evaluated on the Workers()-wide pool and their attempt counts summed
-// in suite order, identical to the sequential loop at any width.
+// RunCompileTime measures scheduling-attempt inflation. It compiles
+// every loop and simulates none. Benchmarks are compiled on the
+// Workers()-wide pool and their attempt counts summed in suite order,
+// identical to the sequential loop at any width.
 func RunCompileTime() (*CompileTimeResult, error) {
 	base := Baseline(false)
 	variant := WithHints(hlo.ModeHLO, false, 32)
@@ -43,16 +44,16 @@ func RunCompileTime() (*CompileTimeResult, error) {
 		var a attempts
 		for j := range benches[i].Loops {
 			spec := &benches[i].Loops[j]
-			eb, err := EvalLoop(spec, base)
+			cb, err := compileLoop(spec, base)
 			if err != nil {
 				return a, err
 			}
-			ev, err := EvalLoop(spec, variant)
+			cv, err := compileLoop(spec, variant)
 			if err != nil {
 				return a, err
 			}
-			a.base += int64(eb.Attempts)
-			a.variant += int64(ev.Attempts)
+			a.base += int64(cb.ev.Attempts)
+			a.variant += int64(cv.ev.Attempts)
 		}
 		return a, nil
 	})

@@ -179,64 +179,88 @@ func (c Config) compileOptions(est profile.Estimate) ltsp.Options {
 	return opts
 }
 
-// EvalLoop compiles the loop under cfg and simulates it over its reference
-// trip-count distribution.
-func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
+// loopCompile is EvalLoop's compile half for one loop under one
+// configuration: the options under the loop's trip-count estimate, the
+// sampled hints that replace HLO's under HintSampling, and the primary
+// compilation's facts (ev, without cycles) and program.
+type loopCompile struct {
+	spec  *workload.LoopSpec
+	opts  ltsp.Options
+	hints map[int]sampledHint
+	ev    *LoopEval
+	prog  *interp.Program
+}
+
+// compileLoop runs EvalLoop's compile half alone: the trip-count
+// estimate, the sampled hints, the trip-threshold gate on latency
+// tolerance and the primary compilation. It simulates only when
+// cfg.HintSampling needs a sampling run.
+func compileLoop(spec *workload.LoopSpec, cfg Config) (loopCompile, error) {
 	var est profile.Estimate
 	if cfg.PGO {
 		est = profile.PGO(spec.Train)
 	} else {
 		est = profile.Static(spec.Facts)
 	}
-	opts := cfg.compileOptions(est)
-
-	var hints map[int]sampledHint
+	lc := loopCompile{spec: spec, opts: cfg.compileOptions(est)}
 	if cfg.HintSampling {
 		h, err := sampleLoopHints(spec, cfg, est)
 		if err != nil {
-			return nil, err
+			return loopCompile{}, err
 		}
-		hints = h
+		lc.hints = h
 		// Sampled hints replace the heuristics. HLO in ModeNone sets no
 		// hints and only appends code, so the hints can be placed on the
 		// source loop by body ID before compiling.
-		opts.Mode = hlo.ModeNone
-	}
-
-	// compile builds and compiles a fresh copy of the loop; tolerant
-	// selects the latency policy.
-	compile := func(tolerant bool) (*ltsp.Compiled, error) {
-		l := spec.Gen()
-		for id, h := range hints {
-			l.Body[id].Mem.Hint = h.hint
-			l.Body[id].Mem.Delinquent = h.delinquent
-		}
-		o := opts
-		o.LatencyTolerant = tolerant
-		c, err := ltsp.Compile(l, o)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Name, err)
-		}
-		return c, nil
+		lc.opts.Mode = hlo.ModeNone
 	}
 
 	tolerant := cfg.LatencyTolerant && (cfg.Versioned || est.Avg >= cfg.TripThreshold)
-	c, err := compile(tolerant)
+	c, err := lc.compile(tolerant)
 	if err != nil {
-		return nil, err
+		return loopCompile{}, err
 	}
 	// The primary compilation fills the evaluation metadata.
-	ev := &LoopEval{Name: spec.Name, Estimate: est, Pipelined: c.Pipelined, II: c.II, Stages: c.Stages,
+	lc.ev = &LoopEval{Name: spec.Name, Estimate: est, Pipelined: c.Pipelined, II: c.II, Stages: c.Stages,
 		Reg: c.Reg, Attempts: c.Attempts, LatencyReduced: c.LatencyReduced}
 	for _, lr := range c.Loads {
 		if lr.SchedLat > lr.BaseLat {
-			ev.Boosted++
+			lc.ev.Boosted++
 		}
 	}
+	lc.prog = c.Program
+	return lc, nil
+}
+
+// compile builds and compiles a fresh copy of the loop; tolerant selects
+// the latency policy.
+func (lc *loopCompile) compile(tolerant bool) (*ltsp.Compiled, error) {
+	l := lc.spec.Gen()
+	for id, h := range lc.hints {
+		l.Body[id].Mem.Hint = h.hint
+		l.Body[id].Mem.Delinquent = h.delinquent
+	}
+	o := lc.opts
+	o.LatencyTolerant = tolerant
+	c, err := ltsp.Compile(l, o)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", lc.spec.Name, err)
+	}
+	return c, nil
+}
+
+// EvalLoop compiles the loop under cfg and simulates it over its reference
+// trip-count distribution.
+func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
+	lc, err := compileLoop(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ev := lc.ev
 	simCfg := sim.DefaultConfig()
-	simCfg.Model = opts.Model
+	simCfg.Model = lc.opts.Model
 	simCfg.RSECyclesPerExec = int64(cfg.RSEPerReg * float64(ev.Reg.TotalGR()))
-	prog := c.Program
+	prog := lc.prog
 
 	// Trip-count versioning: a second, conservative kernel for short
 	// executions, dispatched on the actual trip count.
@@ -246,7 +270,7 @@ func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
 		versionGate = 32
 	}
 	if cfg.Versioned && cfg.LatencyTolerant {
-		c, err := compile(false)
+		c, err := lc.compile(false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"ltsp/internal/core"
+	"ltsp/internal/compiler"
 	"ltsp/internal/interp"
 	"ltsp/internal/ir"
 	"ltsp/internal/sim"
@@ -109,13 +110,13 @@ func RunFig5Validation() ([]Fig5Validation, error) {
 // scheduled latency d (0 = baseline) and returns the steady-state EXE
 // stall cycles for one execution plus the achieved II.
 func fig5Measure(d int, trip int64, cold bool) (float64, int, error) {
-	l := fig5Loop(128)
-	opts := core.Options{}
+	pipeline := true
+	opts := compiler.Options{Pipeline: &pipeline}
 	if d > 0 {
-		opts.LatencyTolerant = true
-		opts.ForceLoadLatency = d + 1 // base integer load latency is 1
+		opts.Core.LatencyTolerant = true
+		opts.Core.ForceLoadLatency = d + 1 // base integer load latency is 1
 	}
-	c, err := core.Pipeline(l, opts)
+	c, err := compiler.Compile(context.Background(), fig5Loop(128), opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -132,5 +133,5 @@ func fig5Measure(d int, trip int64, cold bool) (float64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return float64(r.Acct.ExeBubble), c.FinalII, nil
+	return float64(r.Acct.ExeBubble), c.Kernel.FinalII, nil
 }

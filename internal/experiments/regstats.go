@@ -40,7 +40,8 @@ const spillFrameBudget = 36
 // contributor: +1.8%).
 const callerSpillBase = 2500
 
-// RunRegStats aggregates register allocation statistics.
+// RunRegStats aggregates register allocation statistics. It compiles
+// every loop and simulates none.
 func RunRegStats() (*RegStatsResult, error) {
 	base := Baseline(false)
 	variant := WithHints(hlo.ModeHLO, false, 32)
@@ -52,14 +53,15 @@ func RunRegStats() (*RegStatsResult, error) {
 	for _, b := range workload.CPU2006() {
 		for i := range b.Loops {
 			spec := &b.Loops[i]
-			eb, err := EvalLoop(spec, base)
+			cb, err := compileLoop(spec, base)
 			if err != nil {
 				return nil, err
 			}
-			ev, err := EvalLoop(spec, variant)
+			cv, err := compileLoop(spec, variant)
 			if err != nil {
 				return nil, err
 			}
+			eb, ev := cb.ev, cv.ev
 			if !eb.Pipelined || !ev.Pipelined {
 				continue
 			}

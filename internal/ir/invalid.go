@@ -25,13 +25,24 @@ func (e *InvalidLoopError) Unwrap() error { return e.Err }
 // produces and exist only to bound the damage adversarial wire input can
 // do before compilation starts.
 const (
-	// maxWireBody bounds the number of body instructions.
-	maxWireBody = 4096
+	// MaxWireBody bounds the number of body instructions. The JSON and
+	// binary decoders both enforce it through CheckBodyLen.
+	MaxWireBody = 4096
 	// maxVirtReg bounds virtual register ids (dense counters are rebuilt
 	// from the maximum, so a single absurd id would allocate nothing but
 	// would poison every later NewGR call).
 	maxVirtReg = 1 << 20
 )
+
+// CheckBodyLen rejects a body of n instructions above MaxWireBody. A
+// decoder that reads the count before the instructions calls it first,
+// so an oversized frame is refused before its body is allocated.
+func CheckBodyLen(n int) error {
+	if n > MaxWireBody {
+		return fmt.Errorf("body has %d instructions (limit %d)", n, MaxWireBody)
+	}
+	return nil
+}
 
 // physRegLimit is the size of the physical file for a class, mirroring
 // the interpreter's register arrays (128 GR, 128 FR, 64 PR).
@@ -50,8 +61,8 @@ func physRegLimit(c RegClass) int {
 // ids inside the physical files / a sane virtual range. DecodeLoop runs
 // it on every decoded loop and wraps failures in *InvalidLoopError.
 func ValidateSemantics(l *Loop) error {
-	if len(l.Body) > maxWireBody {
-		return fmt.Errorf("body has %d instructions (limit %d)", len(l.Body), maxWireBody)
+	if err := CheckBodyLen(len(l.Body)); err != nil {
+		return err
 	}
 	if err := l.Verify(); err != nil {
 		return err

@@ -41,10 +41,10 @@ type ArtifactResponse struct {
 
 // Normalize rewrites the envelope's JSON sections to their compact
 // forms. The content address is defined over the compact canonical
-// request encoding, but the transfer encoding is free to reformat
-// (ltspd pretty-prints every response body), so a receiver must
-// normalize before hashing — and before persisting, so its stored copy
-// is byte-identical to the sender's.
+// request encoding. ltspd sends every section compact, but the envelope
+// arrives from a peer, and JSON lets any sender, proxy or older node
+// reformat it, so a receiver must normalize before hashing — and before
+// persisting, so its stored copy is byte-identical to the sender's.
 func (a *ArtifactResponse) Normalize() error {
 	for _, s := range []*json.RawMessage{&a.Request, &a.Response, &a.Trace} {
 		if len(*s) == 0 {

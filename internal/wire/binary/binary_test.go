@@ -374,6 +374,44 @@ func TestFrameValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejectedEarly: a 1.4 MB frame declaring 200,000 add
+// instructions, far over ir.MaxWireBody, is refused from its count with
+// the same invalid-loop error the JSON encoding gets, and without
+// decoding the instructions: the refusal allocates a small multiple of
+// the frame, not the tens of megabytes the decoded body would take.
+func TestOversizedBodyRejectedEarly(t *testing.T) {
+	l := ir.NewLoop("huge")
+	a, b := l.NewGR(), l.NewGR()
+	for i := 0; i < 200_000; i++ {
+		l.Append(ir.Add(a, a, b))
+	}
+	frame, err := binary.EncodeCompileRequest(nil, l, wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jreq, err := wire.NewCompileRequest(l, ltsp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, jerr := jreq.Decode()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, berr := binary.DecodeCompileRequest(frame)
+	runtime.ReadMemStats(&after)
+
+	var inv *ir.InvalidLoopError
+	if !errors.As(berr, &inv) {
+		t.Fatalf("binary decode of %d instructions: got %v, want *ir.InvalidLoopError", len(l.Body), berr)
+	}
+	if jerr == nil || berr.Error() != jerr.Error() {
+		t.Fatalf("binary error %q, JSON error %v: want the same text", berr, jerr)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*len(frame)); got > bound {
+		t.Fatalf("rejecting a %d-byte frame allocated %d bytes (bound %d)", len(frame), got, bound)
+	}
+}
+
 // TestInternedStrings: repeated strings cost one table entry; a
 // back-reference beyond the table is rejected.
 func TestInternedStrings(t *testing.T) {

@@ -324,6 +324,9 @@ func decodeLoop(r *reader) (*ir.Loop, error) {
 	}
 	l := ir.NewLoop(r.str())
 	nBody := r.count()
+	if err := ir.CheckBodyLen(nBody); err != nil {
+		return nil, &ir.InvalidLoopError{Err: err}
+	}
 	for i := 0; i < nBody && r.err == nil; i++ {
 		op, ok := ir.OpByName(r.str())
 		if !ok && r.err == nil {

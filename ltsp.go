@@ -27,6 +27,7 @@ import (
 	"errors"
 
 	"ltsp/internal/cache"
+	"ltsp/internal/compiler"
 	"ltsp/internal/core"
 	"ltsp/internal/hlo"
 	"ltsp/internal/ifconv"
@@ -36,7 +37,6 @@ import (
 	"ltsp/internal/obs"
 	"ltsp/internal/regalloc"
 	"ltsp/internal/sim"
-	"ltsp/internal/verify"
 )
 
 // Core IR types, re-exported for library users.
@@ -272,27 +272,25 @@ type Compiled struct {
 	// lower bound, or the exact backend refuted every lower II.
 	ProvenII bool
 
-	core  *core.Compiled
-	loop  *ir.Loop // HLO-processed source loop, retained for verification
-	model *Machine
+	res compiler.Result // kernel and source loop for Outcome, Diagram and Verify
 }
 
 // Outcome names the compilation outcome: obs.OutcomePipelined,
 // obs.OutcomeReducedLatency, obs.OutcomeRaisedII, or obs.OutcomeSequential.
 func (c *Compiled) Outcome() string {
-	if !c.Pipelined || c.core == nil {
+	if !c.Pipelined || c.res.Kernel == nil {
 		return obs.OutcomeSequential
 	}
-	return c.core.Outcome()
+	return c.res.Kernel.Outcome()
 }
 
 // Diagram renders the conceptual pipeline view of the paper's Figs. 2/4
 // for n source iterations (pipelined compilations only).
 func (c *Compiled) Diagram(n int) string {
-	if c.core == nil {
+	if c.res.Kernel == nil {
 		return ""
 	}
-	return c.core.Diagram(n)
+	return c.res.Kernel.Diagram(n)
 }
 
 // Compile runs the HLO prefetcher and the (latency-tolerant) software
@@ -310,96 +308,32 @@ func Compile(l *Loop, opts Options) (*Compiled, error) {
 // result: a canceled compilation returns the error rather than falling
 // back to the sequential schedule.
 func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Validate the backend up front: an unknown name is a caller error,
-	// not "pipelining infeasible", so it must never degrade to the
-	// sequential-schedule fallback.
-	backend, err := core.Resolve(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	// HLO indexes the body by instruction ID, so a malformed loop must
-	// fail here as an error rather than panic inside the prefetcher.
-	if err := l.Verify(); err != nil {
-		return nil, err
-	}
-	m := opts.Model
-	if m == nil {
-		m = machine.Itanium2()
-	}
-	rep, err := hlo.Apply(l, hlo.Options{
-		Model:        m,
-		Mode:         opts.Mode,
-		Prefetch:     opts.Prefetch,
-		TripEstimate: opts.TripEstimate,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The backend is stamped on every result — including sequential
-	// fallbacks — so service telemetry can always attribute the outcome.
-	out := &Compiled{HLO: rep, loop: l, model: m, Backend: backend}
-	pipeline := opts.Pipeline == nil || *opts.Pipeline
-	var pipeErr error
-	if pipeline {
-		c, err := core.PipelineCtx(ctx, l, core.Options{
-			Model:           m,
+	r, err := compiler.Compile(ctx, l, compiler.Options{
+		HLO:      hlo.Options{Mode: opts.Mode, Prefetch: opts.Prefetch, TripEstimate: opts.TripEstimate},
+		Pipeline: opts.Pipeline,
+		Verify:   opts.Verify,
+		Core: core.Options{
+			Model:           opts.Model,
 			LatencyTolerant: opts.LatencyTolerant,
 			BoostDelinquent: opts.BoostDelinquent,
 			Backend:         opts.Backend,
 			Trace:           opts.Trace,
-		})
-		if err == nil {
-			out.Program = c.Program
-			out.Pipelined = true
-			out.II, out.Stages = c.FinalII, c.Stages
-			out.ResII, out.RecII = c.ResII, c.BaseRecII
-			out.Loads = c.Loads
-			out.Reg = c.Assignment.Stats
-			out.LatencyReduced = c.LatencyReduced
-			out.IIBumps = c.IIBumps
-			out.Attempts = c.Attempts
-			out.Backend = c.Backend
-			out.ProvenII = c.ProvenII
-			out.core = c
-			if opts.Verify {
-				if verr := out.Verify(); verr != nil {
-					return nil, verr
-				}
-			}
-			return out, nil
-		}
-		if opts.Pipeline != nil {
-			return nil, err
-		}
-		// A canceled search is not "pipelining infeasible": surface the
-		// cancellation instead of silently emitting a sequential schedule.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		pipeErr = err
-	}
-	p, err := core.GenSequential(m, l)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	out.Program = p
-	if opts.Trace.On() {
-		ev := obs.OutcomeEvent{Result: obs.OutcomeSequential}
-		if pipeErr != nil {
-			ev.Err = pipeErr.Error()
-		}
-		opts.Trace.Emit(ev)
-	}
-	if opts.Verify {
-		if verr := out.Verify(); verr != nil {
-			return nil, verr
-		}
+	out := &Compiled{Program: r.Program, HLO: r.HLO, Backend: r.Backend, res: r}
+	if c := r.Kernel; c != nil {
+		out.Pipelined = true
+		out.II, out.Stages = c.FinalII, c.Stages
+		out.ResII, out.RecII = c.ResII, c.BaseRecII
+		out.Loads = c.Loads
+		out.Reg = c.Assignment.Stats
+		out.LatencyReduced = c.LatencyReduced
+		out.IIBumps = c.IIBumps
+		out.Attempts = c.Attempts
+		out.ProvenII = c.ProvenII
 	}
 	return out, nil
 }
@@ -413,19 +347,10 @@ func CompileContext(ctx context.Context, l *Loop, opts Options) (*Compiled, erro
 // (including trips shorter than the pipeline's stage count) and compares
 // final memory and live-out values. It returns the first discrepancy.
 func (c *Compiled) Verify() error {
-	if c.loop == nil || c.Program == nil {
+	if c.res.Loop == nil || c.Program == nil {
 		return errors.New("ltsp: compilation retains no source loop to verify against")
 	}
-	m := c.model
-	if m == nil {
-		m = machine.Itanium2()
-	}
-	if c.core != nil && c.core.Schedule != nil {
-		if err := verify.Schedule(m, c.core.Loop(), c.core.Schedule, c.core.Assignment); err != nil {
-			return err
-		}
-	}
-	return verify.Kernel(c.loop, c.Program, verify.Config{Seed: 1})
+	return c.res.Verify()
 }
 
 // DefaultSimConfig returns the simulator configuration used throughout the
