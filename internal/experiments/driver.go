@@ -301,22 +301,39 @@ func EvalLoop(spec *workload.LoopSpec, cfg Config) (*LoopEval, error) {
 			n = s.Count
 		}
 		var acct sim.Accounting
-		var runs int64
-		for i := int64(0); i < n; i++ {
-			if spec.Cold {
-				runner.DropCaches()
-			}
-			r, err := runner.Run(pick(s.Trip), s.Trip, mem)
-			if err != nil {
-				return nil, fmt.Errorf("%s: sim: %w", spec.Name, err)
-			}
-			acct.Add(r.Acct)
-			runs++
+		err := runSample(runner, pick(s.Trip), s.Trip, n, mem, spec.Cold, func(r *sim.Result) { acct.Add(r.Acct) })
+		if err != nil {
+			return nil, fmt.Errorf("%s: sim: %w", spec.Name, err)
 		}
-		ev.Acct.add(acct, float64(s.Count)/float64(runs))
+		ev.Acct.add(acct, float64(s.Count)/float64(n))
 	}
 	ev.Cycles = ev.Acct.Total
 	return ev, nil
+}
+
+// runSample simulates n executions of one trip-count sample of p on
+// runner and mem and passes each result to add. A cold execution runs
+// through RunCold, and once one reports that the next would repeat it,
+// the remaining executions reuse its result instead of simulating.
+func runSample(runner *sim.Runner, p *interp.Program, trip, n int64, mem *interp.Memory, cold bool, add func(*sim.Result)) error {
+	for i := int64(0); i < n; i++ {
+		var r *sim.Result
+		var repeats bool
+		var err error
+		if cold {
+			r, repeats, err = runner.RunCold(p, trip, mem)
+		} else {
+			r, err = runner.Run(p, trip, mem)
+		}
+		if err != nil {
+			return err
+		}
+		add(r)
+		for ; repeats && i+1 < n; i++ {
+			add(r) // each remaining run would repeat r
+		}
+	}
+	return nil
 }
 
 // sampledHint is a hint derived from observed load-site latencies.
@@ -360,14 +377,7 @@ func sampleLoopHints(spec *workload.LoopSpec, cfg Config, est profile.Estimate) 
 		if s.Count <= 0 || s.Trip < 1 {
 			continue
 		}
-		for i := int64(0); i < 3 && i < s.Count; i++ {
-			if spec.Cold {
-				runner.DropCaches()
-			}
-			r, err := runner.Run(prog, s.Trip, mem)
-			if err != nil {
-				return nil, fmt.Errorf("%s: sampling: %w", spec.Name, err)
-			}
+		err := runSample(runner, prog, s.Trip, min(s.Count, 3), mem, spec.Cold, func(r *sim.Result) {
 			for id, levels := range r.LoadSiteLevels {
 				t := totals[id]
 				if t == nil {
@@ -381,6 +391,9 @@ func sampleLoopHints(spec *workload.LoopSpec, cfg Config, est profile.Estimate) 
 			for id, lat := range r.LoadSiteLatency {
 				latency[id] += lat
 			}
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: sampling: %w", spec.Name, err)
 		}
 	}
 

@@ -19,7 +19,6 @@ package interp
 
 import (
 	"encoding/binary"
-	"maps"
 	"math"
 
 	"ltsp/internal/ir"
@@ -39,33 +38,63 @@ const (
 // Memory is a sparse, little-endian, byte-addressed memory.
 //
 // A Memory can be forked copy-on-write over a read-only base (Fork): the
-// fork reads the base's pages until it first stores to one, and then
-// writes a private copy. One seeded data image can so back any number of
-// simulations at once without ever being written.
+// fork is an overlay that reads the base's pages until it first stores to
+// one, and then writes a private copy. One seeded data image can so back
+// any number of simulations at once without ever being written, and a
+// fork costs the same whatever the size of its base.
+//
+// A memory can also track runs (BeginRun, Replays): it then records the
+// pages each run's loads read and the pages its stores changed, so a
+// caller can tell whether a rerun of a deterministic program would read
+// exactly what the run read.
 type Memory struct {
-	pages  map[int64]pageRef
-	forked bool
-	// rp is the page the last load read (number rpn), wp the page m owns
-	// that the last store wrote (number wpn); nil is an empty entry.
-	// Successive accesses of a loop mostly stay on one page.
-	rpn, wpn int64
-	rp, wp   *[pageSize]byte
+	// pages holds m's pages; a fork's holds only those it has stored to
+	// and, while it tracks runs, those it has read.
+	pages map[int64]*page
+	base  *Memory
+	// cache is a direct-mapped cache of the pages loads read, by page
+	// number; wp is the page the last store wrote (number wpn, bytes wb),
+	// nil when empty. Successive accesses of a loop's streams mostly stay
+	// on their pages.
+	cache [pageCacheLines]cacheLine
+	wpn   int64
+	wp    *page
+	wb    *[pageSize]byte
+	// epoch numbers the tracked run since the last BeginRun (0: m does not
+	// track); conflict records that the run changed a page it read.
+	epoch    uint32
+	conflict bool
+	// slab holds page headers not yet handed out: they are allocated 64
+	// at a time, so a new page costs one allocation, its bytes.
+	slab []page
 	// Reads counts load accesses, Writes store accesses (for tests).
 	Reads, Writes int64
 }
 
-// pageRef is a page as one memory sees it: owner is the memory that may
-// write it in place. A fork's pages start out owned by its base.
-type pageRef struct {
-	p     *[pageSize]byte
-	owner *Memory
+// page is one page as a memory sees it. b is nil for a page that holds
+// only zeros because nothing was stored to it; own reports that b is the
+// memory's to write in place (a fork's page starts out sharing its base's
+// bytes). read and changed are the last tracked runs that read the page
+// and that changed a byte of it.
+type page struct {
+	b             *[pageSize]byte
+	own           bool
+	read, changed uint32
 }
 
-const pageSize = 4096
+type cacheLine struct {
+	pn int64
+	p  *page
+}
+
+const (
+	pageSize       = 4096
+	pageCacheLines = 16
+)
 
 // NewMemory returns an empty memory; all bytes read as zero.
 func NewMemory() *Memory {
-	return &Memory{pages: map[int64]pageRef{}}
+	return &Memory{pages: map[int64]*page{}}
 }
 
 // Fork returns a copy-on-write view of m: it reads as m does, and its
@@ -75,44 +104,139 @@ func NewMemory() *Memory {
 // panics on a memory that is itself a fork, whose pages it could not
 // keep apart from the fork's own later stores.
 func (m *Memory) Fork() *Memory {
-	if m.forked {
+	if m.base != nil {
 		panic("interp: Fork of a forked memory")
 	}
-	return &Memory{pages: maps.Clone(m.pages), forked: true}
+	return &Memory{pages: map[int64]*page{}, base: m}
 }
 
-// writable returns page pn for writing, allocating it or copying the
-// base's page on first write.
-func (m *Memory) writable(pn int64) *[pageSize]byte {
-	if pn == m.wpn && m.wp != nil {
-		return m.wp
+// BeginRun starts tracking a run: until the next BeginRun, m records the
+// pages loads read and the pages stores change a byte of. It empties the
+// page cache, so the run's first load of each page counts. Epochs skip 0
+// when they wrap; a stamp left from 2³² runs earlier can only make
+// Replays false. A forked base must not track runs: its tracked loads
+// add to the page table its forks read.
+func (m *Memory) BeginRun() {
+	if m.epoch++; m.epoch == 0 {
+		m.epoch = 1
 	}
-	r := m.pages[pn]
-	if r.owner != m {
-		p := new([pageSize]byte)
-		if r.p != nil {
-			*p = *r.p
-		}
-		r = pageRef{p: p, owner: m}
-		m.pages[pn] = r
-		if pn == m.rpn {
-			m.rp = nil // it may hold the base's page
-		}
-	}
-	m.wpn, m.wp = pn, r.p
-	return r.p
+	m.conflict = false
+	m.cache = [pageCacheLines]cacheLine{}
 }
 
-// page returns page pn for reading, or nil when it was never written.
-func (m *Memory) page(pn int64) *[pageSize]byte {
-	if pn == m.rpn && m.rp != nil {
-		return m.rp
+// Replays reports whether the run since BeginRun changed no page it
+// read. A rerun of the same deterministic program from the same
+// registers then loads exactly what the run loaded, stores exactly what
+// it stored, and leaves m as the run left it.
+func (m *Memory) Replays() bool { return m.epoch != 0 && !m.conflict }
+
+// lookup returns page pn's bytes for reading past the page cache, or nil
+// for a page of zeros. While m tracks runs, the page is marked read in
+// m's own table.
+func (m *Memory) lookup(pn int64) *[pageSize]byte {
+	p := m.pages[pn]
+	if m.epoch != 0 {
+		if p == nil {
+			p = m.newPage()
+			if m.base != nil {
+				if bp := m.base.pages[pn]; bp != nil {
+					p.b = bp.b
+				}
+			}
+			m.pages[pn] = p
+		}
+		p.read = m.epoch
+		m.conflict = m.conflict || p.changed == m.epoch
+	} else if p == nil && m.base != nil {
+		p = m.base.pages[pn]
 	}
-	p := m.pages[pn].p
-	if p != nil {
-		m.rpn, m.rp = pn, p
+	if p == nil {
+		return nil
 	}
+	*m.line(pn) = cacheLine{pn, p}
+	return p.b
+}
+
+// newPage returns a zero page header from m's slab.
+func (m *Memory) newPage() *page {
+	if len(m.slab) == 0 {
+		m.slab = make([]page, 64)
+	}
+	p := &m.slab[0]
+	m.slab = m.slab[1:]
 	return p
+}
+
+// line returns page pn's page cache line. The index folds every nibble
+// of pn, so streams at aligned bases take different lines, while 16
+// consecutive pages still take 16 different lines.
+func (m *Memory) line(pn int64) *cacheLine {
+	h := uint64(pn)
+	h ^= h >> 32
+	h ^= h >> 16
+	h ^= h >> 8
+	h ^= h >> 4
+	return &m.cache[h&(pageCacheLines-1)]
+}
+
+// bytes returns page pn's bytes for reading, or nil for a page of zeros.
+func (m *Memory) bytes(pn int64) *[pageSize]byte {
+	if l := m.line(pn); l.p != nil && l.pn == pn {
+		return l.p.b
+	}
+	return m.lookup(pn)
+}
+
+// writable returns page pn's bytes for writing and makes it the store
+// page.
+func (m *Memory) writable(pn int64) *[pageSize]byte {
+	if pn == m.wpn && m.wb != nil {
+		return m.wb
+	}
+	return m.own(pn)
+}
+
+// own makes page pn m's to write, allocating it or copying the base's
+// bytes on first write, and makes it the store page.
+func (m *Memory) own(pn int64) *[pageSize]byte {
+	p := m.pages[pn]
+	if p == nil {
+		p = m.newPage()
+		if m.base != nil {
+			if bp := m.base.pages[pn]; bp != nil {
+				p.b = bp.b
+			}
+		}
+		m.pages[pn] = p
+		if l := m.line(pn); l.p != nil && l.pn == pn {
+			l.p = p // it held the base's page
+		}
+	}
+	if !p.own {
+		b := new([pageSize]byte)
+		if p.b != nil {
+			*b = *p.b
+		}
+		p.b, p.own = b, true
+	}
+	m.wpn, m.wp, m.wb = pn, p, p.b
+	return p.b
+}
+
+// noteStore marks the store page changed, while m tracks a run, when
+// storing the low len(b) bytes of val over b changes one of them.
+func (m *Memory) noteStore(b []byte, val uint64) {
+	p := m.wp
+	if p.changed == m.epoch {
+		return
+	}
+	for i := range b {
+		if b[i] != byte(val>>(8*i)) {
+			p.changed = m.epoch
+			m.conflict = m.conflict || p.read == m.epoch
+			return
+		}
+	}
 }
 
 // Load reads size bytes (1, 2, 4 or 8) at addr, zero-extended.
@@ -120,7 +244,7 @@ func (m *Memory) Load(addr int64, size int) int64 {
 	m.Reads++
 	off := int(addr & (pageSize - 1))
 	if off+size <= pageSize {
-		p := m.page(addr >> 12)
+		p := m.bytes(addr >> 12)
 		if p == nil {
 			return 0
 		}
@@ -138,7 +262,7 @@ func (m *Memory) Load(addr int64, size int) int64 {
 	var v uint64
 	for i := 0; i < size; i++ {
 		a := addr + int64(i)
-		if p := m.page(a >> 12); p != nil {
+		if p := m.bytes(a >> 12); p != nil {
 			v |= uint64(p[a&(pageSize-1)]) << (8 * i)
 		}
 	}
@@ -148,25 +272,34 @@ func (m *Memory) Load(addr int64, size int) int64 {
 // Store writes the low size bytes of val at addr.
 func (m *Memory) Store(addr int64, size int, val int64) {
 	m.Writes++
-	switch off := int(addr & (pageSize - 1)); {
-	case off+size > pageSize:
-		// Crosses a page: the byte loop below.
-	case size == 8:
-		binary.LittleEndian.PutUint64(m.writable(addr >> 12)[off:], uint64(val))
-		return
-	case size == 4:
-		binary.LittleEndian.PutUint32(m.writable(addr >> 12)[off:], uint32(val))
-		return
-	case size == 2:
-		binary.LittleEndian.PutUint16(m.writable(addr >> 12)[off:], uint16(val))
-		return
-	case size == 1:
-		m.writable(addr >> 12)[off] = byte(val)
-		return
+	if off := int(addr & (pageSize - 1)); off+size <= pageSize {
+		b := m.writable(addr >> 12)[off:]
+		if m.epoch != 0 {
+			m.noteStore(b[:size], uint64(val))
+		}
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(b, uint64(val))
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(b, uint32(val))
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(b, uint16(val))
+			return
+		case 1:
+			b[0] = byte(val)
+			return
+		}
 	}
+	// Crosses a page, or an odd size: byte by byte.
 	for i := 0; i < size; i++ {
 		a := addr + int64(i)
-		m.writable(a >> 12)[a&(pageSize-1)] = byte(uint64(val) >> (8 * i))
+		b := m.writable(a >> 12)[a&(pageSize-1):]
+		if m.epoch != 0 {
+			m.noteStore(b[:1], uint64(val)>>(8*i))
+		}
+		b[0] = byte(uint64(val) >> (8 * i))
 	}
 }
 
@@ -184,9 +317,16 @@ func (m *Memory) StoreF(addr int64, v float64) {
 // to page contents, for state comparison in tests. A fork's snapshot is
 // its base's pages overlaid with its private ones.
 func (m *Memory) Snapshot() map[int64][pageSize]byte {
-	out := make(map[int64][pageSize]byte, len(m.pages))
-	for pn, r := range m.pages {
-		out[pn] = *r.p
+	out := map[int64][pageSize]byte{}
+	for _, mem := range []*Memory{m.base, m} {
+		if mem == nil {
+			continue
+		}
+		for pn, p := range mem.pages {
+			if p.b != nil {
+				out[pn] = *p.b
+			}
+		}
 	}
 	return out
 }

@@ -72,24 +72,7 @@ func TestSimGolden(t *testing.T) {
 // runs the trip sequence on one runner.
 func simRow(t *testing.T, key string, spec *workload.LoopSpec, gc goldenConfig) golden.Row {
 	t.Helper()
-	model := machine.Itanium2()
-	if gc.ozq > 0 {
-		model.OzQCapacity = gc.ozq
-	}
-	est := profile.PGO(spec.Train)
-	opts := ltsp.Options{Model: model, Mode: gc.mode, Prefetch: true,
-		LatencyTolerant: gc.tolerant, BoostDelinquent: gc.tolerant, TripEstimate: est.Avg}
-	if est.Avg < 2 {
-		off := false
-		opts.Pipeline = &off
-	}
-	c, err := ltsp.Compile(spec.Gen(), opts)
-	if err != nil {
-		t.Fatalf("%s %s: %v", key, gc.name, err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Model = model
-	cfg.RSECyclesPerExec = int64(0.5 * float64(c.Reg.TotalGR()))
+	prog, cfg := compileGolden(t, key, spec, gc)
 	runner := sim.NewRunner(cfg)
 	mem := spec.NewMemory()
 
@@ -101,7 +84,7 @@ func simRow(t *testing.T, key string, spec *workload.LoopSpec, gc goldenConfig) 
 			runner.DropCaches()
 			continue
 		}
-		r, err := runner.Run(c.Program, trip, mem)
+		r, err := runner.Run(prog, trip, mem)
 		if err != nil {
 			t.Fatalf("%s %s trip %d: %v", key, gc.name, trip, err)
 		}
@@ -125,6 +108,31 @@ func simRow(t *testing.T, key string, spec *workload.LoopSpec, gc goldenConfig) 
 		fields[i] = golden.F(name, strings.Join(cols[name], "/"))
 	}
 	return golden.Row{Key: key + "|" + gc.name, Fields: fields, Digest: fmt.Sprintf("%x", h.Sum(nil))}
+}
+
+// compileGolden compiles spec under gc the way the experiments do with
+// PGO and returns the program with its simulation config.
+func compileGolden(t *testing.T, key string, spec *workload.LoopSpec, gc goldenConfig) (*interp.Program, sim.Config) {
+	t.Helper()
+	model := machine.Itanium2()
+	if gc.ozq > 0 {
+		model.OzQCapacity = gc.ozq
+	}
+	est := profile.PGO(spec.Train)
+	opts := ltsp.Options{Model: model, Mode: gc.mode, Prefetch: true,
+		LatencyTolerant: gc.tolerant, BoostDelinquent: gc.tolerant, TripEstimate: est.Avg}
+	if est.Avg < 2 {
+		off := false
+		opts.Pipeline = &off
+	}
+	c, err := ltsp.Compile(spec.Gen(), opts)
+	if err != nil {
+		t.Fatalf("%s %s: %v", key, gc.name, err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Model = model
+	cfg.RSECyclesPerExec = int64(0.5 * float64(c.Reg.TotalGR()))
+	return c.Program, cfg
 }
 
 // digestRun hashes what the readable fields leave out: the cache stats,
@@ -201,21 +209,7 @@ func sortedKeys[K int | int64, V any](m map[K]V) []K {
 func exampleTraceRows(t *testing.T) []golden.Row {
 	t.Helper()
 	const src, dst = 0x10000, 0x20000
-	l := ir.NewLoop("copyadd")
-	v, bs, bd, r, k := l.NewGR(), l.NewGR(), l.NewGR(), l.NewGR(), l.NewGR()
-	ld := ir.Ld(v, bs, 4, 4)
-	ld.Mem.Stride, ld.Mem.StrideBytes = ir.StrideUnit, 4
-	ld.Mem.Hint = ir.HintL2
-	l.Append(ld)
-	l.Append(ir.Add(r, v, k))
-	st := ir.St(bd, r, 4, 4)
-	st.Mem.Stride, st.Mem.StrideBytes = ir.StrideUnit, 4
-	l.Append(st)
-	l.Init(bs, src)
-	l.Init(bd, dst)
-	l.Init(k, 5)
-	l.LiveOut = []ir.Reg{bs, bd}
-	c, err := ltsp.Compile(l, ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, LatencyTolerant: true})
+	c, err := ltsp.Compile(copyAddLoop(src, dst, 5), ltsp.Options{Mode: ltsp.ModeHLO, Prefetch: true, LatencyTolerant: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,4 +232,24 @@ func exampleTraceRows(t *testing.T) []golden.Row {
 			Digest: fmt.Sprintf("%x", sha256.Sum256(b))}
 	}
 	return []golden.Row{row("example|trace", trace.Bytes()), row("example|timeline", timeline.Bytes())}
+}
+
+// copyAddLoop is the paper's running example: dst[i] = src[i] + k over
+// 4-byte elements, with the L2 hint on the load.
+func copyAddLoop(src, dst, k int64) *ir.Loop {
+	l := ir.NewLoop("copyadd")
+	v, bs, bd, r, kr := l.NewGR(), l.NewGR(), l.NewGR(), l.NewGR(), l.NewGR()
+	ld := ir.Ld(v, bs, 4, 4)
+	ld.Mem.Stride, ld.Mem.StrideBytes = ir.StrideUnit, 4
+	ld.Mem.Hint = ir.HintL2
+	l.Append(ld)
+	l.Append(ir.Add(r, v, kr))
+	st := ir.St(bd, r, 4, 4)
+	st.Mem.Stride, st.Mem.StrideBytes = ir.StrideUnit, 4
+	l.Append(st)
+	l.Init(bs, src)
+	l.Init(bd, dst)
+	l.Init(kr, k)
+	l.LiveOut = []ir.Reg{bs, bd}
+	return l
 }

@@ -233,6 +233,26 @@ func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 // rest of the program between two invocations.
 func (r *Runner) DropCaches() { r.hier.Reset() }
 
+// RunCold simulates one cold execution: it empties the caches, starts a
+// tracked run on mem and runs p. repeats reports that the next cold run
+// of p with the same trip count on mem would repeat this one exactly, so
+// a caller may reuse res instead of simulating it: the run changed no
+// page it read, and a cold run depends on nothing else a run leaves
+// behind. DropCaches empties the hierarchy, and Run starts the
+// scoreboard, OzQ, site tables and architectural registers afresh. What
+// outlives DropCaches is the clock, the hierarchy's LRU tick and its
+// cumulative Stats. Fill times are compared only with the clock and
+// LRU ticks only with each other, so a run's result does not depend on
+// where they start; only a Trace or Timeline shows the clock.
+func (r *Runner) RunCold(p *interp.Program, trip int64, mem *interp.Memory) (res *Result, repeats bool, err error) {
+	r.DropCaches()
+	mem.BeginRun()
+	if res, err = r.Run(p, trip, mem); err != nil {
+		return nil, false, err
+	}
+	return res, mem.Replays(), nil
+}
+
 // Run simulates one execution of the program with the given trip count
 // against mem (which may be shared across runs for warm data).
 func (r *Runner) Run(p *interp.Program, trip int64, mem *interp.Memory) (*Result, error) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,8 +80,9 @@ func TestNewMemoryLaysOutOnce(t *testing.T) {
 }
 
 // TestNewMemoryConcurrentForks stores into forks of one spec's image from
-// several goroutines at once (run under -race in CI): every fork sees the
-// image unchanged by its siblings' stores.
+// several goroutines at once (run under -race in CI), half of them
+// tracking a run: every fork sees the image unchanged by its siblings'
+// stores.
 func TestNewMemoryConcurrentForks(t *testing.T) {
 	spec := &ByName("401.bzip2").Loops[0]
 	const workers = 8
@@ -91,6 +93,9 @@ func TestNewMemoryConcurrentForks(t *testing.T) {
 		go func(w int64) {
 			defer wg.Done()
 			m := spec.NewMemory()
+			if w%2 == 0 {
+				m.BeginRun()
+			}
 			addr := int64(arenaA)
 			want := m.Load(addr, 8)
 			for i := int64(0); i < 64; i++ {
@@ -110,3 +115,35 @@ func TestNewMemoryConcurrentForks(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestNewMemoryForkCostIsFlat: a fork is an overlay on its spec's image,
+// so NewMemory allocates as many bytes for 429.mcf/refresh_potential's
+// image of thousands of pages as for an image of one page.
+func TestNewMemoryForkCostIsFlat(t *testing.T) {
+	var big *LoopSpec
+	for i, loops := 0, ByName("429.mcf").Loops; i < len(loops); i++ {
+		if loops[i].Name == "refresh_potential" {
+			big = &loops[i]
+		}
+	}
+	one := mkLoop("one", 0.1, nil, func(m *interp.Memory) { m.Store(0, 8, 1) }, uni(8, 1), uni(8, 1), profile.StaticFacts{})
+	if n := len(big.NewMemory().Snapshot()); n < 1000 {
+		t.Fatalf("refresh_potential's image has %d pages, want thousands", n)
+	}
+	bytesPerFork := func(s *LoopSpec) uint64 {
+		const forks = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < forks; i++ {
+			forkSink = s.NewMemory()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / forks
+	}
+	one.NewMemory() // lays the image out
+	if b, o := bytesPerFork(big), bytesPerFork(&one); b != o {
+		t.Errorf("NewMemory allocates %d bytes on refresh_potential's image, %d on a one-page image", b, o)
+	}
+}
+
+var forkSink *interp.Memory
