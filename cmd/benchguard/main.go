@@ -59,9 +59,6 @@ type Baseline struct {
 	// sweep of the full workload corpus of compile requests; gated at an
 	// absolute >= 5x floor, recorded here for trend tracking.
 	RequestDecodeRatio float64 `json:"request_decode_ratio,omitempty"`
-	// ArtifactDecodeRatio is the same ratio for the artifact transfer
-	// envelope (peer cache-fill payloads); floor 3x.
-	ArtifactDecodeRatio float64 `json:"artifact_decode_ratio,omitempty"`
 	// CacheHitAllocs is heap allocations per hot-path compile cache hit
 	// (testing.AllocsPerRun over the server's HTTP surface).
 	CacheHitAllocs float64 `json:"cache_hit_allocs,omitempty"`
@@ -515,67 +512,6 @@ func measureRequestDecodeRatio(reps int) float64 {
 	return median(ratios)
 }
 
-// measureArtifactDecodeRatio is the same ratio for the artifact transfer
-// envelope — the payload of peer cache-fills — with realistically sized
-// sections (canonical request, multi-KB listing, decision trace).
-func measureArtifactDecodeRatio(reps, iters int) float64 {
-	l := workload.All()[0].Loops[0].Gen()
-	req, err := wire.NewCompileRequest(l, ltsp.Options{LatencyTolerant: true})
-	if err != nil {
-		fatal(err)
-	}
-	canon, err := req.Canonical()
-	if err != nil {
-		fatal(err)
-	}
-	respJSON, err := json.Marshal(&wire.CompileResponse{
-		Hash: strings.Repeat("ab", 32), Pipelined: true, Outcome: "pipelined",
-		II: 4, Stages: 6, ResII: 4, RecII: 2,
-		Listing: strings.Repeat("  (p16) ld8 r32 = [r5], 8\n", 200),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	art := &wire.ArtifactResponse{
-		Hash:        strings.Repeat("ab", 32),
-		Request:     canon,
-		Response:    respJSON,
-		Trace:       json.RawMessage(`[{"stage":"classify","loads":4},{"stage":"ii_search","ii":4}]`),
-		Verify:      wire.ArtifactVerify{Sampled: true, Passed: true},
-		CreatedUnix: 1754700000,
-	}
-	jsonBody, err := json.Marshal(art)
-	if err != nil {
-		fatal(err)
-	}
-	binBody := binary.EncodeArtifact(nil, art)
-
-	jsonNs := make([]float64, 0, reps)
-	binNs := make([]float64, 0, reps)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			var ar wire.ArtifactResponse
-			if err := json.Unmarshal(jsonBody, &ar); err != nil {
-				fatal(err)
-			}
-			guardSink = &ar
-		}
-		jsonNs = append(jsonNs, float64(time.Since(start).Nanoseconds())/float64(iters))
-
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			ar, err := binary.DecodeArtifact(binBody)
-			if err != nil {
-				fatal(err)
-			}
-			guardSink = ar
-		}
-		binNs = append(binNs, float64(time.Since(start).Nanoseconds())/float64(iters))
-	}
-	return median(jsonNs) / median(binNs)
-}
-
 // reusableBody lets one request body be rewound and re-served without
 // allocating a fresh reader per request.
 type reusableBody struct{ *bytes.Reader }
@@ -664,14 +600,13 @@ func main() {
 	untracedNs := measureUntracedPath(*loopReps, 100000)
 	tracedNs := measureTracedPath(*loopReps, 10000)
 	reqRatio := measureRequestDecodeRatio(*loopReps * requestDecodeRepsPerLoopRep)
-	artRatio := measureArtifactDecodeRatio(*loopReps, 2000)
 	hitAllocs := measureCacheHitAllocs()
 	provNs := measureProvenanceAppend(*loopReps, 20000)
 	healthAllocs := measureHealthAllocs()
 	coldSimBytes := measureColdSimBytes(50)
 	warmSimAllocs := measureWarmSimAllocs()
-	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, artifact_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f, cold_sim %.0f B, warm_sim_allocs %.0f (workers %d, cores %d)\n",
-		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, artRatio, hitAllocs, provNs, healthAllocs, coldSimBytes, warmSimAllocs, experiments.Workers(), runtime.GOMAXPROCS(0))
+	fmt.Printf("measured: compile_loop %.0f ns/op, compile_time %.3f s, shed_admit %.1f ns/op, verify %.0f ns/op, cache_hit %.1f ns/op, disk_hit %.0f ns/op, untraced %.1f ns/op, traced %.0f ns/op, req_decode_ratio %.1fx, cache_hit_allocs %.0f, provenance_append %.1f ns/op, health_allocs %.0f, cold_sim %.0f B, warm_sim_allocs %.0f (workers %d, cores %d)\n",
+		loopNs, ctSec, shedNs, verifyNs, hitNs, diskNs, untracedNs, tracedNs, reqRatio, hitAllocs, provNs, healthAllocs, coldSimBytes, warmSimAllocs, experiments.Workers(), runtime.GOMAXPROCS(0))
 
 	ok := report(os.Stdout, "design bounds (this run)", []gate{
 		// The admission-control decision sits on every request's path, so
@@ -710,13 +645,11 @@ func main() {
 		// below any RPC) and a baseline-relative regression check below.
 		{name: "disk_hit", value: diskNs, bound: 1e6, basis: "1 ms sanity budget"},
 		// The binary wire format pays its way in decode speed, and the
-		// floors are absolute: requests must decode at least 5x faster
-		// than JSON over the full workload corpus, artifact transfer
-		// envelopes at least 3x. Falling below either means the codec (or
-		// the JSON path) changed in a way that voids the format's reason
-		// to exist.
+		// floor is absolute: requests must decode at least 5x faster than
+		// JSON over the full workload corpus. Falling below it means the
+		// codec (or the JSON path) changed in a way that voids the
+		// format's reason to exist.
 		{name: "request_decode_ratio", value: reqRatio, bound: 5, floor: true, basis: "JSON/binary floor"},
-		{name: "artifact_decode_ratio", value: artRatio, bound: 3, floor: true, basis: "JSON/binary floor"},
 		// The provenance chain records every artifact creation, so its
 		// append sits on every uncached compile's path. The durable
 		// chained write is asynchronous by design; the synchronous slice
@@ -752,7 +685,6 @@ func main() {
 			CompileTimeSec:       ctSec,
 			DiskHitNsOp:          diskNs,
 			RequestDecodeRatio:   reqRatio,
-			ArtifactDecodeRatio:  artRatio,
 			CacheHitAllocs:       hitAllocs,
 			ProvenanceAppendNsOp: provNs,
 			Cores:                runtime.GOMAXPROCS(0),

@@ -41,7 +41,7 @@ func TestReportBoundsAreInclusive(t *testing.T) {
 	var b strings.Builder
 	if !report(&b, "t", []gate{
 		{name: "health_allocs", value: 0, bound: 0},
-		{name: "artifact_decode_ratio", value: 3, bound: 3, floor: true},
+		{name: "request_decode_ratio", value: 5, bound: 5, floor: true},
 	}) {
 		t.Fatalf("gates at their bound failed:\n%s", b.String())
 	}

@@ -12,8 +12,12 @@
 // from disk without recompiling. With -peers (plus -self) the daemon
 // joins a cluster: loop hashes are owned by replica sets on a shared
 // consistent-hash ring, and a node asks the owners for an artifact —
-// GET /v2/artifacts/{hash} — before compiling locally. See the README
-// "Running a cluster" section for a 3-node quickstart.
+// GET /v2/artifacts/{hash} — before compiling locally. The artifact body
+// is the store entry's own encoding, the same bytes as the file on disk.
+// Entries an older ltspd wrote as JSON are quarantined and recompiled on
+// first read, and during a rolling upgrade peer fills between old and new
+// nodes fail and fall back to local compiles. See the README "Running a
+// cluster" section for a 3-node quickstart.
 //
 // The cluster self-heals: -peers-file or -peers-dns replace the static
 // list with a live membership source (atomic ring swaps, per-peer

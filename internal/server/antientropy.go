@@ -163,7 +163,7 @@ func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int
 			continue
 		}
 		for _, k := range keys.Keys {
-			if !wire.ValidHash(k.Hash) {
+			if !store.ValidHash(k.Hash) {
 				continue
 			}
 			if s.store.Contains(k.Hash) {

@@ -29,7 +29,6 @@ import (
 	"ltsp/internal/store"
 	"ltsp/internal/telemetry"
 	"ltsp/internal/wire"
-	"ltsp/internal/wire/binary"
 )
 
 // peerFill asks the replica set that owns hash for the finished
@@ -161,9 +160,6 @@ func (s *Server) fetchArtifact(ctx context.Context, p cluster.Peer, hash string)
 			req.Header.Set(wire.ParentSpanHeader, id)
 		}
 	}
-	// Ask for the binary transfer encoding. The Content-Type of the reply
-	// decides the decode, so a JSON reply stays fully supported.
-	req.Header.Set("Accept", binary.ContentType)
 	resp, err := s.peerHTTP.Do(req)
 	if err != nil {
 		return nil, err
@@ -180,57 +176,19 @@ func (s *Server) fetchArtifact(ctx context.Context, p cluster.Peer, hash string)
 	if err != nil {
 		return nil, err
 	}
-	var ar wire.ArtifactResponse
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), binary.ContentType) {
-		bar, err := binary.DecodeArtifact(data)
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: undecodable binary artifact: %v", p.ID, err)
-		}
-		ar = *bar
-		s.metrics.PeerBytesBinary.Add(int64(len(data)))
-	} else {
-		if err := json.Unmarshal(data, &ar); err != nil {
-			return nil, fmt.Errorf("peer %s: undecodable artifact: %v", p.ID, err)
-		}
-		s.metrics.PeerBytesJSON.Add(int64(len(data)))
+	// Trust but verify the transfer: the entry must pass every check a
+	// disk read does — lengths, the request hashing to the key we asked
+	// for, the section checksum — and carry valid JSON sections, or the
+	// fill is poisoning the cache.
+	e, err := store.DecodeEntry(hash, data)
+	if err == nil {
+		err = e.CheckJSON()
 	}
-	if ar.Hash != hash {
-		return nil, fmt.Errorf("peer %s: sent artifact %s for request %s", p.ID, ar.Hash, hash)
+	if err != nil {
+		return nil, fmt.Errorf("peer %s: artifact %s: %v", p.ID, hash[:12], err)
 	}
-	// Trust but verify the transfer: normalize away the transfer
-	// formatting, then the canonical request must really hash to the key
-	// we asked for, or the fill is poisoning the cache.
-	if err := ar.Normalize(); err != nil {
-		return nil, fmt.Errorf("peer %s: %v", p.ID, err)
-	}
-	if err := ar.CheckIntegrity(); err != nil {
-		return nil, fmt.Errorf("peer %s: %v", p.ID, err)
-	}
-	return entryFromWire(&ar), nil
-}
-
-// entryFromWire converts a received artifact envelope to a store entry.
-func entryFromWire(ar *wire.ArtifactResponse) *store.Entry {
-	return &store.Entry{
-		Hash:        ar.Hash,
-		Request:     ar.Request,
-		Response:    ar.Response,
-		Trace:       ar.Trace,
-		Verify:      store.VerifyMeta{Sampled: ar.Verify.Sampled, Passed: ar.Verify.Passed},
-		CreatedUnix: ar.CreatedUnix,
-	}
-}
-
-// wireFromEntry converts a store entry to the artifact envelope.
-func wireFromEntry(e *store.Entry) *wire.ArtifactResponse {
-	return &wire.ArtifactResponse{
-		Hash:        e.Hash,
-		Request:     e.Request,
-		Response:    e.Response,
-		Trace:       e.Trace,
-		Verify:      wire.ArtifactVerify{Sampled: e.Verify.Sampled, Passed: e.Verify.Passed},
-		CreatedUnix: e.CreatedUnix,
-	}
+	s.metrics.PeerFillBytes.Add(int64(len(data)))
+	return e, nil
 }
 
 // persist writes an entry through to the disk store, best-effort: a
@@ -255,7 +213,7 @@ func (s *Server) persist(e *store.Entry, source string) int64 {
 	return size
 }
 
-// handleArtifact serves the artifact-transfer envelope for a hash: the
+// handleArtifact serves the encoded store entry for a hash: the
 // peer cache-fill endpoint (and a useful introspection surface). Reads
 // go through Peek/store without perturbing LRU order of the compile
 // path's metrics.
@@ -263,31 +221,26 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	s.metrics.ArtifactRequests.Add(1)
 	if art, ok := s.cache.Peek(hash); ok {
-		s.writeArtifact(w, r, wireFromEntry(art.Entry))
+		s.writeArtifact(w, art.Entry)
 		return
 	}
 	if s.store != nil {
 		if e, _, err := s.storeGet(hash); err == nil {
-			s.writeArtifact(w, r, wireFromEntry(e))
+			s.writeArtifact(w, e)
 			return
 		}
 	}
 	writeError(w, http.StatusNotFound, wire.CodeNotFound, "artifact: %v", errUnknownArtifact)
 }
 
-// writeArtifact serves an artifact envelope in the negotiated encoding,
-// crediting the transfer byte counters with the true on-the-wire size
-// of whichever encoding was sent (store.EncodedSize deliberately stays
-// JSON-based — it weights storage layers, not transfers).
-func (s *Server) writeArtifact(w http.ResponseWriter, r *http.Request, ar *wire.ArtifactResponse) {
-	if wantsBinary(r) {
-		frame := binary.EncodeArtifact(nil, ar)
-		s.metrics.ArtifactBytesBinary.Add(int64(len(frame)))
-		writeBinary(w, frame)
-		return
-	}
-	n := writeJSON(w, http.StatusOK, ar)
-	s.metrics.ArtifactBytesJSON.Add(int64(n))
+// writeArtifact serves an entry's encoding, the one artifact body: a
+// disk hit's file bytes as read, whatever the request's Accept header.
+func (s *Server) writeArtifact(w http.ResponseWriter, e *store.Entry) {
+	body := e.Encode()
+	s.metrics.ArtifactBytes.Add(int64(len(body)))
+	w.Header().Set("Content-Type", store.ContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // materialize recompiles an artifact's canonical request so the

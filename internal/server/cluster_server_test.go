@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +22,6 @@ import (
 	"ltsp/internal/server"
 	"ltsp/internal/store"
 	"ltsp/internal/wire"
-	"ltsp/internal/wire/binary"
 )
 
 // clusterMetricsDoc picks the /metrics fields these tests assert on.
@@ -231,8 +232,8 @@ func TestCacheStatsMatchDisk(t *testing.T) {
 }
 
 // TestArtifactEndpoint: GET /v2/artifacts/{hash} serves the complete
-// transfer envelope with a verifiable content address, and unknown
-// hashes fail with the structured 404 envelope.
+// store entry, which passes the store's decode, and unknown hashes fail
+// with the structured 404 envelope.
 func TestArtifactEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(77)))
@@ -244,16 +245,9 @@ func TestArtifactEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var ar wire.ArtifactResponse
-	get(t, ts.URL+"/v2/artifacts/"+cr.Hash, &ar)
-	if ar.Hash != cr.Hash {
-		t.Fatalf("artifact hash %q, want %q", ar.Hash, cr.Hash)
-	}
-	if err := ar.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.CheckIntegrity(); err != nil {
-		t.Fatalf("artifact failed its own integrity check: %v", err)
+	ar, err := store.DecodeEntry(cr.Hash, getBody(t, ts.URL+"/v2/artifacts/"+cr.Hash, ""))
+	if err != nil {
+		t.Fatalf("artifact failed the store's decode: %v", err)
 	}
 	var inner wire.CompileResponse
 	if err := json.Unmarshal(ar.Response, &inner); err != nil {
@@ -498,44 +492,46 @@ func TestPeerFillWritesThrough(t *testing.T) {
 	}
 }
 
+// getBody GETs url with the given Accept header (none when empty) and
+// returns the 200 body.
+func getBody(t testing.TB, url, accept string) []byte {
+	t.Helper()
+	hreq, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		hreq.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s: %s", url, resp.Status, body)
+	}
+	return body
+}
+
 // tierBodies are the response bodies one hash serves, fetched from one
 // node in one tier state.
 type tierBodies struct {
-	trace, artifactJSON, artifactBinary, compile []byte
+	trace, artifact, compile []byte
 }
 
-// fetchTierBodies reads hash's trace, its artifact envelope in both
-// transfer encodings and a cached compile of req from base. The compile
-// is sent twice so the second body is a cache serve on every tier.
+// fetchTierBodies reads hash's trace, its artifact body and a cached
+// compile of req from base. The compile is sent twice so the second
+// body is a cache serve on every tier.
 func fetchTierBodies(t *testing.T, base, hash string, req *wire.CompileRequest) tierBodies {
 	t.Helper()
-	fetch := func(path, accept string) []byte {
-		t.Helper()
-		hreq, err := http.NewRequest(http.MethodGet, base+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if accept != "" {
-			hreq.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s: %s", path, resp.Status, body)
-		}
-		return body
-	}
 	var b tierBodies
-	b.artifactJSON = fetch("/v2/artifacts/"+hash, "")
-	b.artifactBinary = fetch("/v2/artifacts/"+hash, binary.ContentType)
-	b.trace = fetch("/v2/artifacts/"+hash+"/trace", "")
+	b.artifact = getBody(t, base+"/v2/artifacts/"+hash, "")
+	b.trace = getBody(t, base+"/v2/artifacts/"+hash+"/trace", "")
 	for range 2 {
 		resp, body := post(t, base+"/v2/compile", req)
 		if resp.StatusCode != http.StatusOK {
@@ -548,10 +544,10 @@ func fetchTierBodies(t *testing.T, base, hash string, req *wire.CompileRequest) 
 
 // TestArtifactBodiesIdenticalAcrossTiers: an artifact is a deterministic
 // compile of its content-addressed request, so every body a hash serves
-// — its trace, its artifact envelope as JSON and binary, a cached
-// compile — is byte-identical whether the artifact was compiled on this
-// node, read back from disk after a restart, materialized by a simulate,
-// or filled from a peer.
+// — its trace, its artifact body, a cached compile — is byte-identical
+// whether the artifact was compiled on this node, read back from disk
+// after a restart, materialized by a simulate, or filled from a peer. A
+// disk hit serves the entry file's own bytes.
 func TestArtifactBodiesIdenticalAcrossTiers(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
 	stores := make([]*store.Store, 2)
@@ -590,7 +586,15 @@ func TestArtifactBodiesIdenticalAcrossTiers(t *testing.T) {
 		}},
 		{"disk", func() tierBodies {
 			_, ts := newStoreServer(t, dirs[0], server.Config{})
-			return fetchTierBodies(t, ts.URL, hash, req)
+			b := fetchTierBodies(t, ts.URL, hash, req)
+			file, err := os.ReadFile(filepath.Join(dirs[0], hash[:2], hash+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b.artifact, file) {
+				t.Errorf("disk: artifact body differs from the entry file (%d vs %d bytes)", len(b.artifact), len(file))
+			}
+			return b
 		}},
 		{"materialized", func() tierBodies {
 			_, ts := newStoreServer(t, dirs[0], server.Config{})
@@ -620,8 +624,7 @@ func TestArtifactBodiesIdenticalAcrossTiers(t *testing.T) {
 			got, want []byte
 		}{
 			{"trace", got.trace, want.trace},
-			{"artifact json", got.artifactJSON, want.artifactJSON},
-			{"artifact binary", got.artifactBinary, want.artifactBinary},
+			{"artifact", got.artifact, want.artifact},
 			{"cached compile", got.compile, want.compile},
 		} {
 			if !bytes.Equal(c.got, c.want) {

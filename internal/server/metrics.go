@@ -156,19 +156,14 @@ type Metrics struct {
 	// path.
 	ArtifactRequests atomic.Int64
 	Materializations atomic.Int64
-	// Transfer byte accounting by negotiated wire encoding: bytes of
-	// artifact envelopes served by GET /v2/artifacts/{hash}, and bytes of
-	// artifact envelopes received by this node's peer cache-fills. These
-	// report the true size of whatever encoding actually crossed the wire
-	// (binary frames are counted as binary bytes, never re-expressed as
-	// their JSON equivalent); storage-layer accounting, by contrast, is
-	// always the JSON store entry's size (as the store wrote or read it,
-	// or store.EncodedSize) so memory and disk weights stay comparable
-	// across mixed-encoding fleets.
-	ArtifactBytesJSON   atomic.Int64
-	ArtifactBytesBinary atomic.Int64
-	PeerBytesJSON       atomic.Int64
-	PeerBytesBinary     atomic.Int64
+	// Transfer byte accounting: bytes of encoded entries served by GET
+	// /v2/artifacts/{hash}, and bytes received by this node's peer
+	// cache-fills. Both count the store's entry encoding, the one
+	// artifact body, so they are commensurable with the storage-layer
+	// sizes (store.EncodedSize). The exported series keep their
+	// encoding="binary" label.
+	ArtifactBytes atomic.Int64
+	PeerFillBytes atomic.Int64
 
 	// VerifyRuns counts compilations put through sampled independent
 	// verification; VerifyFailures counts the ones the verifier rejected
@@ -309,18 +304,10 @@ func (s *Server) metricSet() metricSet {
 	ms.counter("disk_write_errors", "ltspd_disk_write_errors_total", "Failed artifact write-throughs.", m.DiskWriteErrors.Load())
 	ms.counter("artifact_requests", "ltspd_artifact_requests_total", "GET /v2/artifacts serves (peer cache-fill traffic).", m.ArtifactRequests.Load())
 	ms.counter("materializations", "ltspd_materializations_total", "Thin artifacts recompiled on demand.", m.Materializations.Load())
-	for _, b := range []struct {
-		path, family, help string
-		json, binary       *atomic.Int64
-	}{
-		{"artifact_bytes_", "ltspd_artifact_bytes_total", "Artifact envelope bytes served, by negotiated wire encoding.",
-			&m.ArtifactBytesJSON, &m.ArtifactBytesBinary},
-		{"peer_fill_bytes_", "ltspd_peer_fill_bytes_total", "Artifact envelope bytes received by peer cache-fills, by wire encoding.",
-			&m.PeerBytesJSON, &m.PeerBytesBinary},
-	} {
-		ms.add(metric{b.path + "json", b.family, `encoding="json"`, "counter", b.help, b.json.Load()})
-		ms.add(metric{b.path + "binary", b.family, `encoding="binary"`, "counter", b.help, b.binary.Load()})
-	}
+	ms.add(metric{"artifact_bytes_binary", "ltspd_artifact_bytes_total", `encoding="binary"`, "counter",
+		"Artifact envelope bytes served, by negotiated wire encoding.", m.ArtifactBytes.Load()})
+	ms.add(metric{"peer_fill_bytes_binary", "ltspd_peer_fill_bytes_total", `encoding="binary"`, "counter",
+		"Artifact envelope bytes received by peer cache-fills, by wire encoding.", m.PeerFillBytes.Load()})
 	ms.counter("verify_runs", "ltspd_verify_runs_total", "Compilations independently verified.", m.VerifyRuns.Load())
 	ms.counter("verify_failures", "ltspd_verify_failures_total", "Verifications that rejected a compilation.", m.VerifyFailures.Load())
 	ms.counter("panics_recovered", "ltspd_panics_recovered_total", "Panics contained at a recovery boundary.", m.PanicsRecovered.Load())

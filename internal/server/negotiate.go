@@ -9,7 +9,8 @@ package server
 // binary request may ask for a JSON response and vice versa. Error
 // responses are always the JSON envelope, regardless of Accept: a client
 // that cannot parse its own error is debugging blind, and every client
-// already speaks JSON.
+// already speaks JSON. The artifact endpoint is not negotiated at all:
+// it serves the store's entry encoding, the same bytes on every tier.
 //
 // The artifact content hash is defined over canonical JSON bytes no
 // matter how the request traveled (see wire.CompileRequest.Canonical),

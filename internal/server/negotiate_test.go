@@ -12,6 +12,7 @@ import (
 	"ltsp"
 	"ltsp/internal/ir"
 	"ltsp/internal/server"
+	"ltsp/internal/store"
 	"ltsp/internal/wire"
 	"ltsp/internal/wire/binary"
 	"ltsp/internal/workload"
@@ -260,9 +261,10 @@ func TestBinaryBatch(t *testing.T) {
 	}
 }
 
-// TestBinaryArtifact: GET /v2/artifacts/{hash} honors Accept and the
-// binary envelope carries the identical sections as the JSON one.
-func TestBinaryArtifact(t *testing.T) {
+// TestArtifactBodyIgnoresAccept: GET /v2/artifacts/{hash} serves one
+// body — the store's entry encoding — under one content type, whatever
+// the Accept header asks for, and the store's decoder accepts it.
+func TestArtifactBodyIgnoresAccept(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	req, err := wire.NewCompileRequest(testLoop(t), ltsp.Options{})
 	if err != nil {
@@ -277,58 +279,46 @@ func TestBinaryArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var jsonArt wire.ArtifactResponse
-	get(t, ts.URL+"/v2/artifacts/"+cr.Hash, &jsonArt)
-
-	areq, err := http.NewRequest(http.MethodGet, ts.URL+"/v2/artifacts/"+cr.Hash, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	areq.Header.Set("Accept", binary.ContentType)
-	aresp, err := http.DefaultClient.Do(areq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer aresp.Body.Close()
-	body, err := io.ReadAll(aresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aresp.StatusCode != http.StatusOK {
-		t.Fatalf("binary artifact GET: %d %s", aresp.StatusCode, body)
-	}
-	if ct := aresp.Header.Get("Content-Type"); ct != binary.ContentType {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	binArt, err := binary.DecodeArtifact(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binArt.Hash != jsonArt.Hash || binArt.Verify != jsonArt.Verify || binArt.CreatedUnix != jsonArt.CreatedUnix {
-		t.Fatalf("artifact metadata differs by transfer encoding:\njson %+v\nbin  %+v", &jsonArt, binArt)
-	}
-	// The JSON envelope is served pretty-printed (the encoder re-indents
-	// embedded sections); binary carries the stored compact bytes.
-	// Compare the sections whitespace-insensitively.
-	sections := []struct {
-		name        string
-		jsonB, binB json.RawMessage
-	}{
-		{"request", jsonArt.Request, binArt.Request},
-		{"response", jsonArt.Response, binArt.Response},
-		{"trace", jsonArt.Trace, binArt.Trace},
-	}
-	for _, s := range sections {
-		var a, b bytes.Buffer
-		if err := json.Compact(&a, s.jsonB); err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+	var first []byte
+	for _, accept := range []string{"", "application/json", binary.ContentType} {
+		areq, err := http.NewRequest(http.MethodGet, ts.URL+"/v2/artifacts/"+cr.Hash, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Compact(&b, s.binB); err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+		if accept != "" {
+			areq.Header.Set("Accept", accept)
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("artifact %s section differs by transfer encoding:\njson %s\nbin  %s", s.name, a.Bytes(), b.Bytes())
+		aresp, err := http.DefaultClient.Do(areq)
+		if err != nil {
+			t.Fatal(err)
 		}
+		body, err := io.ReadAll(aresp.Body)
+		aresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aresp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: %d %s", accept, aresp.StatusCode, body)
+		}
+		if ct := aresp.Header.Get("Content-Type"); ct != store.ContentType {
+			t.Fatalf("Accept %q: Content-Type = %q, want %q", accept, ct, store.ContentType)
+		}
+		if first == nil {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Fatalf("Accept %q changed the artifact body (%d vs %d bytes)", accept, len(body), len(first))
+		}
+	}
+	e, err := store.DecodeEntry(cr.Hash, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckJSON(); err != nil {
+		t.Fatal(err)
+	}
+	var inner wire.CompileResponse
+	if err := json.Unmarshal(e.Response, &inner); err != nil || inner.Listing != cr.Listing {
+		t.Fatalf("artifact response section does not match the compile response (%v)", err)
 	}
 }
 

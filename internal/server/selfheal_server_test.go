@@ -281,8 +281,8 @@ func TestProvenanceQuarantineTamperedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e store.Entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	e, err := store.DecodeEntry(original.Hash, data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	forged := original
@@ -291,13 +291,11 @@ func TestProvenanceQuarantineTamperedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Response = forgedJSON
-	e.Checksum = store.EntryChecksum(&e)
-	tampered, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+	// A decoded entry is read-only; the forgery is a new entry, which
+	// Encode stamps with a fresh, self-consistent checksum.
+	tampered := &store.Entry{Hash: e.Hash, Request: e.Request, Response: forgedJSON, Trace: e.Trace,
+		Verify: e.Verify, CreatedUnix: e.CreatedUnix}
+	if err := os.WriteFile(path, tampered.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,6 +15,9 @@
 //	                    artifact (by hash, or compiling inline through the
 //	                    same cache) for a trip count and returns cycles
 //	                    with full Fig.-10 stall accounting.
+//	GET  /v2/artifacts/{hash} — the artifact in the store's entry encoding
+//	                    (store.ContentType, whatever Accept says): the peer
+//	                    cache-fill and anti-entropy transfer body.
 //	GET  /v2/artifacts/{hash}/trace — the pipeliner's decision trace for a
 //	                    cached artifact: load classifications, II search,
 //	                    fallback rungs, register allocation, outcome.

@@ -122,11 +122,6 @@ func merkleRoot(sums []string) string {
 	return level[0]
 }
 
-// EntryChecksum computes an entry's section checksum without writing it
-// anywhere — the value a provenance record pins, and what tests use to
-// forge a consistently restamped (yet still detectable) entry.
-func EntryChecksum(e *Entry) string { return e.checksum() }
-
 // LogOptions parameterizes a provenance Log.
 type LogOptions struct {
 	// BatchSize is the Merkle batch width (default DefaultBatchSize).

@@ -1,5 +1,5 @@
 // Package store is the content-addressed persistent artifact store of
-// the ltspd service: one JSON entry per compiled loop, keyed by the
+// the ltspd service: one entry per compiled loop, keyed by the
 // canonical content hash of its compile request (wire.CompileRequest.
 // Hash) and holding everything a peer or a restarted process needs to
 // serve the compilation without redoing it — the canonical request, the
@@ -12,11 +12,12 @@
 //     mid-write never leaves a partial entry under a valid name. With
 //     Options.Fsync the file (and its directory) are fsynced before the
 //     rename is considered durable.
-//   - Reads are corruption-checked: the store recomputes the content
-//     hash of the stored canonical request (which must equal the entry's
-//     key) and an entry checksum over all sections. A corrupt or
-//     truncated entry is deleted and reported as ErrCorrupt — it can be
-//     refilled from a peer or recompiled, never served.
+//   - Reads are corruption-checked: DecodeEntry checks the declared
+//     section lengths, recomputes the content hash of the stored
+//     canonical request (which must equal the entry's key) and an entry
+//     checksum over all sections. A corrupt or truncated entry — and an
+//     entry in an older format — is deleted and reported as ErrCorrupt:
+//     it can be refilled from a peer or recompiled, never served.
 //   - Disk usage is LRU-bounded: an in-memory recency index (rebuilt
 //     from file mtimes on Open) evicts the least recently used entries
 //     when the store exceeds Options.MaxBytes, inline on writes and from
@@ -30,9 +31,7 @@ package store
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -44,53 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// EntryVersion tags the on-disk entry format.
-const EntryVersion = 1
-
-// VerifyMeta records what the trust-but-verify layer knew about the
-// artifact when it was stored, so a peer that fills its cache from this
-// entry can tell a sampled-and-verified artifact from an unverified one.
-type VerifyMeta struct {
-	// Sampled reports whether the compilation went through independent
-	// verification (the structural checker plus the differential oracle).
-	Sampled bool `json:"sampled,omitempty"`
-	// Passed reports the verdict; meaningful only when Sampled (a failed
-	// verification never produces an artifact, so stored entries always
-	// have Passed == Sampled — the field exists for forward compatibility
-	// with advisory verification modes).
-	Passed bool `json:"passed,omitempty"`
-}
-
-// Entry is one persisted artifact. Request is the canonical compile
-// request whose sha256 is the entry's hash; Response and Trace are the
-// service's wire-format compile response and decision trace.
-type Entry struct {
-	Version     int             `json:"v"`
-	Hash        string          `json:"hash"`
-	Request     json.RawMessage `json:"request"`
-	Response    json.RawMessage `json:"response"`
-	Trace       json.RawMessage `json:"trace,omitempty"`
-	Verify      VerifyMeta      `json:"verify"`
-	CreatedUnix int64           `json:"createdUnix"`
-	// Checksum is the hex sha256 over the length-prefixed request,
-	// response and trace sections; Get recomputes and compares it.
-	Checksum string `json:"checksum"`
-}
-
-// checksum computes the entry checksum: sha256 over the three variable
-// sections, each preceded by its length so section boundaries cannot be
-// confused.
-func (e *Entry) checksum() string {
-	h := sha256.New()
-	var n [8]byte
-	for _, sec := range [][]byte{e.Request, e.Response, e.Trace} {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(sec)))
-		h.Write(n[:])
-		h.Write(sec)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Sentinel errors. Match with errors.Is.
 var (
@@ -204,24 +156,11 @@ func (s *Store) Close() {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// validHash reports whether h is a well-formed content hash (64 lowercase
-// hex characters). Hashes arrive from URL paths, so this is also the
-// path-traversal guard: anything else never touches the filesystem.
-func validHash(h string) bool {
-	if len(h) != 64 {
-		return false
-	}
-	for i := 0; i < len(h); i++ {
-		c := h[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // path returns the entry file for a hash, sharded by its first two hex
-// characters to keep directory fan-out bounded.
+// characters to keep directory fan-out bounded. The name keeps the .json
+// suffix of the version-1 format, so an old entry is found under its
+// name, fails the magic check and is quarantined instead of lingering
+// unindexed.
 func (s *Store) path(hash string) string {
 	return filepath.Join(s.dir, hash[:2], hash+".json")
 }
@@ -229,22 +168,18 @@ func (s *Store) path(hash string) string {
 // Put persists an entry, atomically replacing any existing one, and
 // enforces the byte budget. The entry's Hash must be the content hash of
 // its canonical Request; Put recomputes and checks it, and stamps the
-// section checksum. It returns the number of bytes written: the entry's
-// EncodedSize.
+// section checksum. It writes the entry's encoding (see Entry.Encode)
+// and returns the number of bytes written: the entry's EncodedSize.
 func (s *Store) Put(e *Entry) (int64, error) {
-	if !validHash(e.Hash) {
+	if !ValidHash(e.Hash) {
 		return 0, fmt.Errorf("store: malformed hash %q", e.Hash)
 	}
-	sum := sha256.Sum256(e.Request)
-	if got := hex.EncodeToString(sum[:]); got != e.Hash {
-		return 0, fmt.Errorf("store: request content hash %s does not match entry hash %s", got, e.Hash)
+	if sum := sha256.Sum256(e.Request); hex.EncodeToString(sum[:]) != e.Hash {
+		return 0, fmt.Errorf("store: request content hash %x does not match entry hash %s", sum, e.Hash)
 	}
-	e.Version = EntryVersion
-	e.Checksum = e.checksum()
-	data, err := json.Marshal(e)
-	if err != nil {
-		return 0, fmt.Errorf("store: encoding entry: %w", err)
-	}
+	sum := e.sectionSum()
+	e.Version, e.Checksum = EntryVersion, hex.EncodeToString(sum[:])
+	data := e.encode(sum)
 	path := s.path(e.Hash)
 	shard := filepath.Dir(path)
 	if err := os.MkdirAll(shard, 0o755); err != nil {
@@ -302,30 +237,13 @@ func (s *Store) Put(e *Entry) (int64, error) {
 	return size, nil
 }
 
-// EncodedSize returns the number of bytes the entry would occupy on
-// disk: the length of exactly the encoding Put writes (and Put and Get
-// return). It is the shared byte-accounting unit — the server's
-// in-memory cache weighs artifacts with it, so the memory and disk layers
-// report commensurable size metrics. It encodes the entry to learn the
-// length, so callers that just wrote or read the entry use the count Put
-// or Get returned instead.
-func EncodedSize(e *Entry) int64 {
-	c := *e
-	c.Version = EntryVersion
-	c.Checksum = c.checksum()
-	data, err := json.Marshal(&c)
-	if err != nil {
-		return 0
-	}
-	return int64(len(data))
-}
-
 // Get reads the entry for a hash, marking it recently used, and returns
-// it with the number of bytes it occupies on disk. A missing entry
+// it with the number of bytes it occupies on disk; the entry's Encode
+// returns the file's bytes. A missing entry
 // returns ErrNotFound; an entry that fails its integrity checks is
 // deleted and returns ErrCorrupt.
 func (s *Store) Get(hash string) (*Entry, int64, error) {
-	if !validHash(hash) {
+	if !ValidHash(hash) {
 		s.misses.Add(1)
 		return nil, 0, fmt.Errorf("%w: malformed hash %q", ErrNotFound, hash)
 	}
@@ -346,7 +264,7 @@ func (s *Store) Get(hash string) (*Entry, int64, error) {
 		s.misses.Add(1)
 		return nil, 0, ErrNotFound
 	}
-	e, err := decodeEntry(hash, data)
+	e, err := DecodeEntry(hash, data)
 	if err != nil {
 		// Corrupt on disk: remove so the slot can be refilled cleanly.
 		s.drop(hash, true)
@@ -355,28 +273,6 @@ func (s *Store) Get(hash string) (*Entry, int64, error) {
 	}
 	s.hits.Add(1)
 	return e, int64(len(data)), nil
-}
-
-// decodeEntry parses and integrity-checks one stored entry.
-func decodeEntry(hash string, data []byte) (*Entry, error) {
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("undecodable entry: %v", err)
-	}
-	if e.Version != EntryVersion {
-		return nil, fmt.Errorf("unsupported entry version %d", e.Version)
-	}
-	if e.Hash != hash {
-		return nil, fmt.Errorf("entry names hash %s, stored under %s", e.Hash, hash)
-	}
-	sum := sha256.Sum256(e.Request)
-	if got := hex.EncodeToString(sum[:]); got != hash {
-		return nil, fmt.Errorf("request content hash %s does not match key %s", got, hash)
-	}
-	if got := e.checksum(); got != e.Checksum {
-		return nil, fmt.Errorf("section checksum mismatch")
-	}
-	return &e, nil
 }
 
 // Contains reports whether an entry is indexed (without reading or
@@ -390,7 +286,7 @@ func (s *Store) Contains(hash string) bool {
 
 // Delete removes an entry if present.
 func (s *Store) Delete(hash string) {
-	if !validHash(hash) {
+	if !ValidHash(hash) {
 		return
 	}
 	s.drop(hash, true)
@@ -494,7 +390,7 @@ func (s *Store) rebuild(removeTemps bool) error {
 			return nil
 		}
 		hash, ok := strings.CutSuffix(name, ".json")
-		if !ok || !validHash(hash) {
+		if !ok || !ValidHash(hash) {
 			return nil // not ours; leave it alone
 		}
 		info, err := d.Info()

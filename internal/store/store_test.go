@@ -99,7 +99,7 @@ func TestCorruptionDetected(t *testing.T) {
 		mangle func([]byte) []byte
 	}{
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"not json", func(b []byte) []byte { return []byte("}{") }},
+		{"not an entry", func(b []byte) []byte { return []byte("}{") }},
 		{"request flipped", func(b []byte) []byte {
 			return []byte(strings.Replace(string(b), `"name":"l1"`, `"name":"l2"`, 1))
 		}},
@@ -145,7 +145,7 @@ func TestCorruptionDetected(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	e1, e2, e3 := mkEntry(1), mkEntry(2), mkEntry(3)
-	one := int64(len(mustMarshal(t, e1)))
+	one := EncodedSize(e1)
 	// Budget for two entries (entry sizes differ by a byte or two at
 	// most; 2.5x one entry is comfortably "two but not three").
 	s := open(t, dir, Options{MaxBytes: one*2 + one/2})
@@ -261,7 +261,7 @@ func TestScanKeepsInFlightTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(shard, e.Hash+".tmp-123456")
-	if err := os.WriteFile(tmp, mustMarshal(t, e), 0o644); err != nil {
+	if err := os.WriteFile(tmp, e.Encode(), 0o644); err != nil {
 		t.Fatalf("plant temp file: %v", err)
 	}
 	if err := s.Scan(); err != nil {
@@ -299,7 +299,7 @@ func TestScanReconcilesExternalChanges(t *testing.T) {
 
 func TestBackgroundScannerEnforcesBudget(t *testing.T) {
 	dir := t.TempDir()
-	one := int64(len(mustMarshal(t, mkEntry(1))))
+	one := EncodedSize(mkEntry(1))
 	s := open(t, dir, Options{MaxBytes: one * 10, ScanInterval: 5 * time.Millisecond})
 	for i := 0; i < 5; i++ {
 		if _, err := s.Put(mkEntry(i)); err != nil {
@@ -310,7 +310,7 @@ func TestBackgroundScannerEnforcesBudget(t *testing.T) {
 	// externally so only the scanner can find them and push usage over.
 	for i := 10; i < 30; i++ {
 		e := mkEntry(i)
-		data := mustMarshal(t, e)
+		data := e.Encode()
 		shard := filepath.Join(dir, e.Hash[:2])
 		if err := os.MkdirAll(shard, 0o755); err != nil {
 			t.Fatal(err)
@@ -365,15 +365,4 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func mustMarshal(t *testing.T, e *Entry) []byte {
-	t.Helper()
-	e.Version = EntryVersion
-	e.Checksum = e.checksum()
-	data, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }

@@ -2,7 +2,6 @@ package binary_test
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"ltsp"
@@ -94,74 +93,6 @@ func BenchmarkDecodeBinary(b *testing.B) {
 }
 
 var benchSink any
-
-// benchArtifact fabricates a transfer envelope with realistically sized
-// sections: the canonical request of a workload loop, a compile
-// response with a multi-KB kernel listing, and a decision trace.
-func benchArtifact(tb testing.TB) *wire.ArtifactResponse {
-	l := workload.All()[0].Loops[0].Gen()
-	req, err := wire.NewCompileRequest(l, ltsp.Options{LatencyTolerant: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	canon, err := req.Canonical()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	resp, err := json.Marshal(&wire.CompileResponse{
-		Hash: strings.Repeat("ab", 32), Pipelined: true, Outcome: "pipelined",
-		II: 4, Stages: 6, ResII: 4, RecII: 2,
-		Listing: strings.Repeat("  (p16) ld8 r32 = [r5], 8\n", 200),
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	trace, err := json.Marshal([]map[string]any{
-		{"stage": "classify", "loads": 4}, {"stage": "ii_search", "ii": 4},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &wire.ArtifactResponse{
-		Hash:        strings.Repeat("ab", 32),
-		Request:     canon,
-		Response:    resp,
-		Trace:       trace,
-		Verify:      wire.ArtifactVerify{Sampled: true, Passed: true},
-		CreatedUnix: 1754700000,
-	}
-}
-
-func BenchmarkDecodeArtifactJSON(b *testing.B) {
-	body, err := json.Marshal(benchArtifact(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ar wire.ArtifactResponse
-		if err := json.Unmarshal(body, &ar); err != nil {
-			b.Fatal(err)
-		}
-		benchSink = &ar
-	}
-}
-
-func BenchmarkDecodeArtifactBinary(b *testing.B) {
-	body := binary.EncodeArtifact(nil, benchArtifact(b))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ar, err := binary.DecodeArtifact(body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = ar
-	}
-}
 
 func BenchmarkEncodeBinary(b *testing.B) {
 	c := buildCorpus(b)

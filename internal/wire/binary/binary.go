@@ -1,7 +1,8 @@
 // Package binary implements the compact binary wire format of the ltspd
 // service: a length-prefixed, versioned frame around varint-packed
-// encodings of the compile request/response and artifact-transfer
-// envelopes, negotiated on Content-Type/Accept "application/x-ltsp-bin".
+// encodings of the compile request and response envelopes, negotiated on
+// Content-Type/Accept "application/x-ltsp-bin". (Artifacts travel in the
+// store's own entry encoding, never in a frame.)
 //
 // JSON remains the default and the canonical encoding: the artifact
 // content hash is defined over compact canonical JSON bytes (see
@@ -57,7 +58,6 @@ const (
 	kindCompileBatchRequest
 	kindCompileResponse
 	kindCompileBatchResponse
-	kindArtifactResponse
 )
 
 // errTruncated covers every "the frame claims more than it carries"
@@ -109,12 +109,6 @@ func (w *writer) str(s string) {
 	w.u64(uint64(len(s)))
 	w.buf = append(w.buf, s...)
 	w.strs[s] = uint64(len(w.strs)) + 1
-}
-
-// bytes writes a length-prefixed opaque byte section.
-func (w *writer) bytes(b []byte) {
-	w.u64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
 }
 
 // frame appends the finished frame (header + payload) to dst.
@@ -254,26 +248,6 @@ func (r *reader) internedStr() (string, uint64) {
 	r.off += int(n)
 	r.strs = append(r.strs, s)
 	return s, uint64(len(r.strs))
-}
-
-// bytes reads a length-prefixed opaque section, copying it out of the
-// frame buffer (which may be pooled by the transport).
-func (r *reader) bytes() []byte {
-	n := r.u64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.rem()) {
-		r.err = errTruncated
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
-	r.off += int(n)
-	return out
 }
 
 // decodeFrame validates the frame header and returns a reader positioned

@@ -302,24 +302,6 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestArtifactRoundTrip(t *testing.T) {
-	a := &wire.ArtifactResponse{
-		Hash:        "deadbeef",
-		Request:     json.RawMessage(`{"v":1,"loop":{}}`),
-		Response:    json.RawMessage(`{"hash":"deadbeef"}`),
-		Trace:       json.RawMessage(`[]`),
-		Verify:      wire.ArtifactVerify{Sampled: true, Passed: true},
-		CreatedUnix: 1754700000,
-	}
-	got, err := binary.DecodeArtifact(binary.EncodeArtifact(nil, a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, got) {
-		t.Fatalf("artifact round trip mismatch:\n%+v\n%+v", a, got)
-	}
-}
-
 // TestFrameValidation: adversarial frames are rejected before any
 // payload-sized allocation — truncation, surplus bytes, bad magic,
 // unknown version, wrong kind, and absurd length prefixes.

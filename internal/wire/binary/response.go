@@ -19,12 +19,6 @@ const (
 	itemRetryable
 )
 
-// ArtifactVerify flags.
-const (
-	artSampled byte = 1 << iota
-	artPassed
-)
-
 func encodeCompileResponse(w *writer, resp *wire.CompileResponse) {
 	w.str(resp.Hash)
 	var flags byte
@@ -199,53 +193,4 @@ func DecodeCompileBatchResponse(data []byte) (*wire.CompileBatchResponse, error)
 		return nil, r.err
 	}
 	return resp, nil
-}
-
-// EncodeArtifact appends an artifact-transfer frame. The artifact's
-// request/response/trace sections stay exactly the JSON bytes the
-// compiling node persisted — the content hash is defined over the
-// compact canonical request encoding regardless of transfer encoding —
-// but they travel length-prefixed instead of being rescanned by a JSON
-// tokenizer, which is where the artifact decode speedup comes from.
-func EncodeArtifact(dst []byte, a *wire.ArtifactResponse) []byte {
-	w := getWriter()
-	defer putWriter(w)
-	w.str(a.Hash)
-	w.bytes(a.Request)
-	w.bytes(a.Response)
-	w.bytes(a.Trace)
-	var flags byte
-	if a.Verify.Sampled {
-		flags |= artSampled
-	}
-	if a.Verify.Passed {
-		flags |= artPassed
-	}
-	w.byte(flags)
-	w.i64(a.CreatedUnix)
-	return frame(dst, kindArtifactResponse, w.buf)
-}
-
-// DecodeArtifact parses an artifact-transfer frame. Sections are copied
-// out of the frame buffer, so the caller may recycle data.
-func DecodeArtifact(data []byte) (*wire.ArtifactResponse, error) {
-	r, err := decodeFrame(data, kindArtifactResponse)
-	if err != nil {
-		return nil, err
-	}
-	a := &wire.ArtifactResponse{Hash: r.str()}
-	a.Request = r.bytes()
-	a.Response = r.bytes()
-	a.Trace = r.bytes()
-	flags := r.byte()
-	a.Verify.Sampled = flags&artSampled != 0
-	a.Verify.Passed = flags&artPassed != 0
-	a.CreatedUnix = r.i64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmtErr("%d trailing bytes after artifact payload", len(r.b)-r.off)
-	}
-	return a, nil
 }

@@ -46,6 +46,7 @@ import (
 	"ltsp"
 	"ltsp/internal/cluster"
 	"ltsp/internal/ir"
+	"ltsp/internal/store"
 	"ltsp/internal/telemetry"
 	"ltsp/internal/wire"
 	"ltsp/internal/wire/binary"
@@ -101,10 +102,11 @@ type Config struct {
 	Seed int64
 	// Wire selects the transfer encoding on the v2 endpoints: "json"
 	// (the default) or "binary" (application/x-ltsp-bin). In binary mode
-	// compile, batch, and artifact calls send binary frames and ask for
-	// binary responses; content hashes — and therefore routing, caching,
-	// and dedup — are identical in both modes. Every ltspd speaks both;
-	// a 415 answer is returned as an *APIError, not retried as JSON.
+	// compile and batch calls send binary frames and ask for binary
+	// responses (artifacts have one encoding); content hashes — and
+	// therefore routing, caching, and dedup — are identical in both
+	// modes. Every ltspd speaks both; a 415 answer is returned as an
+	// *APIError, not retried as JSON.
 	Wire string
 }
 
@@ -459,27 +461,23 @@ func (c *Client) Trace(ctx context.Context, hash string) (*wire.TraceResponse, e
 	return out, nil
 }
 
-// Artifact fetches the complete transfer envelope of a cached artifact —
-// canonical request, compile response, trace and verification metadata —
-// verifying its content-address integrity before returning it. It is the
-// same endpoint peers use for cache-fill.
-func (c *Client) Artifact(ctx context.Context, hash string) (*wire.ArtifactResponse, error) {
-	out := new(wire.ArtifactResponse)
-	// decodeBody follows the response's Content-Type, so a binary Accept
-	// is safe even where a server answers JSON.
-	if err := c.doOn(ctx, http.MethodGet, "/v2/artifacts/"+hash, nil, c.cfg.RequestTimeout, out, c.targetsFor(hash), c.useBinary()); err != nil {
+// Artifact fetches the stored entry of a cached artifact — canonical
+// request, compile response, trace and verification metadata — and checks
+// it with the store's decoder before returning it: the same endpoint and
+// the same checks a peer's cache-fill uses.
+func (c *Client) Artifact(ctx context.Context, hash string) (*store.Entry, error) {
+	var data []byte
+	if err := c.doOn(ctx, http.MethodGet, "/v2/artifacts/"+hash, nil, c.cfg.RequestTimeout, &data, c.targetsFor(hash), false); err != nil {
 		return nil, err
 	}
-	if out.Hash != hash {
-		return nil, fmt.Errorf("ltspclient: server returned artifact %s for request %s", out.Hash, hash)
+	e, err := store.DecodeEntry(hash, data)
+	if err == nil {
+		err = e.CheckJSON()
 	}
-	if err := out.Normalize(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("ltspclient: artifact %s: %w", hash, err)
 	}
-	if err := out.CheckIntegrity(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e, nil
 }
 
 // Provenance fetches an artifact's tamper-evidence document: its recent
@@ -645,9 +643,14 @@ func (c *Client) once(ctx context.Context, method, base, path string, body []byt
 
 // decodeBody unpacks a 2xx body into out by the server's declared
 // Content-Type: a binary frame through the wire codec for the response
-// types that have one, everything else as JSON. (Error envelopes are
-// always JSON and never reach here.)
+// types that have one, everything else as JSON. A *[]byte out takes the
+// body as it came. (Error envelopes are always JSON and never reach
+// here.)
 func decodeBody(path, contentType string, data []byte, out any) error {
+	if raw, ok := out.(*[]byte); ok {
+		*raw = data
+		return nil
+	}
 	if strings.HasPrefix(contentType, binary.ContentType) {
 		var err error
 		switch v := out.(type) {
@@ -659,11 +662,6 @@ func decodeBody(path, contentType string, data []byte, out any) error {
 		case *wire.CompileBatchResponse:
 			var r *wire.CompileBatchResponse
 			if r, err = binary.DecodeCompileBatchResponse(data); err == nil {
-				*v = *r
-			}
-		case *wire.ArtifactResponse:
-			var r *wire.ArtifactResponse
-			if r, err = binary.DecodeArtifact(data); err == nil {
 				*v = *r
 			}
 		default:
