@@ -9,7 +9,10 @@
 // computes exactly the same result as its source loop.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // RegClass identifies the register file a Reg belongs to.
 type RegClass uint8
@@ -469,28 +472,29 @@ func (in *Instr) baseReg() Reg {
 // None for non-memory instructions.
 func (in *Instr) BaseReg() Reg { return in.baseReg() }
 
-// String renders the instruction in a compact assembly-like syntax.
+// String renders the instruction in a compact assembly-like syntax, in
+// one buffer: a decoded wire instruction may carry thousands of operands.
 func (in *Instr) String() string {
-	s := ""
+	var s strings.Builder
 	if !in.Pred.IsNone() {
-		s += "(" + in.Pred.String() + ") "
+		s.WriteString("(" + in.Pred.String() + ") ")
 	}
-	s += in.Op.String()
+	s.WriteString(in.Op.String())
 	switch {
 	case in.Op.IsLoad():
-		s += fmt.Sprintf("%d %s = [%s]", in.Mem.Size, in.Dsts[0], in.baseReg())
+		fmt.Fprintf(&s, "%d %s = [%s]", in.Mem.Size, in.Dsts[0], in.baseReg())
 		if in.Mem.PostInc != 0 {
-			s += fmt.Sprintf(",%d", in.Mem.PostInc)
+			fmt.Fprintf(&s, ",%d", in.Mem.PostInc)
 		}
 	case in.Op.IsStore():
-		s += fmt.Sprintf("%d [%s] = %s", in.Mem.Size, in.baseReg(), in.Srcs[0])
+		fmt.Fprintf(&s, "%d [%s] = %s", in.Mem.Size, in.baseReg(), in.Srcs[0])
 		if in.Mem.PostInc != 0 {
-			s += fmt.Sprintf(",%d", in.Mem.PostInc)
+			fmt.Fprintf(&s, ",%d", in.Mem.PostInc)
 		}
 	case in.Op == OpLfetch:
-		s += fmt.Sprintf(" [%s]", in.baseReg())
+		fmt.Fprintf(&s, " [%s]", in.baseReg())
 		if in.Mem.PostInc != 0 {
-			s += fmt.Sprintf(",%d", in.Mem.PostInc)
+			fmt.Fprintf(&s, ",%d", in.Mem.PostInc)
 		}
 	case in.Op.IsBranch():
 		// no operands
@@ -498,31 +502,31 @@ func (in *Instr) String() string {
 		first := true
 		for _, d := range in.Dsts {
 			if !first {
-				s += ","
+				s.WriteString(",")
 			} else {
-				s += " "
+				s.WriteString(" ")
 			}
-			s += d.String()
+			s.WriteString(d.String())
 			first = false
 		}
 		if len(in.Dsts) > 0 {
-			s += " ="
+			s.WriteString(" =")
 		}
 		for i, src := range in.Srcs {
 			if i > 0 {
-				s += ","
+				s.WriteString(",")
 			}
-			s += " " + src.String()
+			s.WriteString(" " + src.String())
 		}
 		switch in.Op {
 		case OpMovI, OpAddI, OpShlI, OpShrI, OpShladd, OpCmpEqI, OpCmpLtI:
-			s += fmt.Sprintf(", %d", in.Imm)
+			fmt.Fprintf(&s, ", %d", in.Imm)
 		case OpFMovI:
-			s += fmt.Sprintf(", %g", in.FImm)
+			fmt.Fprintf(&s, ", %g", in.FImm)
 		}
 	}
 	if in.Comment != "" {
-		s += "  // " + in.Comment
+		s.WriteString("  // " + in.Comment)
 	}
-	return s
+	return s.String()
 }

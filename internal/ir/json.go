@@ -430,11 +430,75 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
+// bodyLen counts the instructions of the body in a wire-format loop
+// without decoding them, so DecodeLoop refuses an oversized body before
+// allocating a single instruction. It walks the bytes once, skipping
+// strings, and counts the separators of every array that is the value
+// of a top-level key encoding/json would match to "body" (any case,
+// escapes resolved); it reports the largest. On well-formed JSON that
+// is the body's length whenever it is above one; on malformed JSON the
+// count is meaningless, and the decoder refuses the input anyway.
+func bodyLen(data []byte) int {
+	n, commas, depth := 0, 0, 0
+	inBody := false
+	var key []byte // the last string seen in the top-level object
+	for i := 0; i < len(data); i++ {
+		switch data[i] {
+		case '"':
+			j := i + 1
+			for ; j < len(data) && data[j] != '"'; j++ {
+				if data[j] == '\\' {
+					j++
+				}
+			}
+			if depth == 1 {
+				key = data[i:min(j+1, len(data))]
+			}
+			i = j
+		case '{':
+			depth++
+		case '[':
+			if depth == 0 {
+				return 0 // not an object: the decoder refuses it
+			}
+			if depth == 1 && isBodyKey(key) {
+				inBody, commas = true, 0
+			}
+			depth++
+		case '}', ']':
+			depth--
+			if depth == 1 && inBody {
+				inBody, n = false, max(n, commas+1)
+			}
+			if depth == 0 {
+				return n // the decoder reads no further
+			}
+		case ',':
+			if inBody && depth == 2 {
+				commas++
+			}
+		}
+	}
+	return n
+}
+
+// isBodyKey reports whether the quoted key names loopWire.Body.
+func isBodyKey(quoted []byte) bool {
+	if bytes.IndexByte(quoted, '\\') < 0 {
+		return len(quoted) == 6 && bytes.EqualFold(quoted[1:5], []byte("body"))
+	}
+	var k string
+	return json.Unmarshal(quoted, &k) == nil && strings.EqualFold(k, "body")
+}
+
 // DecodeLoop parses a wire-format loop. The loop builder's virtual register
 // counters are rebuilt from the highest virtual id in use, so passes that
 // allocate fresh registers on the decoded loop (the HLO prefetcher, the
 // if-converter) never collide with existing operands.
 func DecodeLoop(data []byte) (*Loop, error) {
+	if err := CheckBodyLen(bodyLen(data)); err != nil {
+		return nil, &InvalidLoopError{Err: err}
+	}
 	var w loopWire
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -2,6 +2,8 @@ package ir_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"testing"
 
 	"ltsp"
@@ -172,6 +174,71 @@ func TestDecodeRestoresVirtualCounters(t *testing.T) {
 			if r == fresh {
 				t.Fatalf("fresh register %v collides with body operand", fresh)
 			}
+		}
+	}
+}
+
+// TestDecodeLoopBodyLimit: DecodeLoop counts the body before decoding
+// it. An indented archetype and a body of exactly MaxWireBody
+// instructions whose comments hold separators, brackets and escaped
+// quotes decode to the same loop; one instruction more is refused with
+// the body-length *InvalidLoopError under every spelling of the key
+// that encoding/json matches to the body, before a single instruction
+// is decoded.
+func TestDecodeLoopBodyLimit(t *testing.T) {
+	long := func(n int) *ir.Loop {
+		l := ir.NewLoop("long")
+		v, b := l.NewGR(), l.NewGR()
+		l.Init(v, 0)
+		l.Init(b, 1)
+		for i := 0; i < n; i++ {
+			w := l.NewGR()
+			in := ir.Add(w, v, b)
+			in.Comment = `a, "b" ], [ {c}`
+			l.Append(in)
+			v = w
+		}
+		return l
+	}
+	enc, err := ir.EncodeLoop(archetypeLoops()["MultiStreamXor"]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, enc, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	maxBody, err := ir.EncodeLoop(long(ir.MaxWireBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"indented": indented.Bytes(), "max body": maxBody} {
+		dec, err := ir.DecodeLoop(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, data); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ir.EncodeLoop(dec); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: re-encode differs (err %v)", name, err)
+		}
+	}
+
+	over, err := ir.EncodeLoop(long(ir.MaxWireBody + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"body"`, `"BODY"`, `"bod\u0079"`} {
+		data := bytes.Replace(over, []byte(`"body"`), []byte(key), 1)
+		_, err = ir.DecodeLoop(data)
+		var inv *ir.InvalidLoopError
+		if !errors.As(err, &inv) || err.Error() != "ir: invalid loop: body has 4097 instructions (limit 4096)" {
+			t.Fatalf("decode of MaxWireBody+1 instructions under %s: %v, want the body-length *InvalidLoopError", key, err)
+		}
+		if n := testing.AllocsPerRun(1, func() { ir.DecodeLoop(data) }); n > 10 {
+			t.Errorf("refusing MaxWireBody+1 instructions under %s took %v allocations, want the body counted before it is decoded", key, n)
 		}
 	}
 }

@@ -103,31 +103,31 @@ func (s *Server) SyncOnce(ctx context.Context) SyncReport {
 	s.metrics.SyncRuns.Add(1)
 	tr := telemetry.New("")
 	root := tr.Start("anti_entropy", nil)
+	ctx = telemetry.WithSpan(ctx, tr, root)
 	local := s.syncBuckets(ring, s.cfg.Self)
 	for _, p := range ring.Peers() {
 		if p.ID == s.cfg.Self || !s.health.Eligible(p.ID) {
 			continue
 		}
 		rep.Peers++
-		pspan := tr.Start("sync_peer", root)
-		pspan.SetAttr("peer", p.ID)
-		pulled, mism, err := s.syncWithPeer(ctx, p, local, tr, pspan)
-		rep.Pulled += pulled
-		rep.Mismatches += mism
-		if err != nil {
-			rep.Errors++
-			s.metrics.SyncErrors.Add(1)
-			if ctx.Err() == nil {
-				s.health.ReportFailure(p.ID)
+		s.stage(ctx, stageSyncPeer, func(pctx context.Context) string {
+			_, pspan := telemetry.FromContext(pctx)
+			pspan.SetAttr("peer", p.ID)
+			pulled, mism, err := s.syncWithPeer(pctx, p, local)
+			pspan.SetAttr("pulled", strconv.Itoa(pulled))
+			rep.Pulled += pulled
+			rep.Mismatches += mism
+			if err != nil {
+				rep.Errors++
+				if ctx.Err() == nil {
+					s.health.ReportFailure(p.ID)
+				}
+				s.logger.Debug("anti-entropy exchange failed", "peer", p.ID, "err", err)
+				return outcomeError
 			}
-			pspan.SetAttr("outcome", "error")
-			s.logger.Debug("anti-entropy exchange failed", "peer", p.ID, "err", err)
-		} else {
 			s.health.ReportSuccess(p.ID)
-			pspan.SetAttr("outcome", "ok")
-		}
-		pspan.SetAttr("pulled", strconv.Itoa(pulled))
-		pspan.End()
+			return "ok"
+		})
 	}
 	root.SetAttr("pulled", strconv.Itoa(rep.Pulled))
 	root.End()
@@ -141,9 +141,11 @@ func (s *Server) SyncOnce(ctx context.Context) SyncReport {
 }
 
 // syncWithPeer compares digests with one peer and pulls what is missing.
-func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int]wire.SyncBucket, tr *telemetry.Trace, parent *telemetry.Span) (pulled, mismatches int, err error) {
-	remote, err := s.fetchSyncDigest(ctx, p, s.cfg.Self)
-	if err != nil {
+// ctx carries the sync_peer span, which the pulls' requests forward.
+func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int]wire.SyncBucket) (pulled, mismatches int, err error) {
+	base := strings.TrimRight(p.Addr, "/") + "/v2/sync/"
+	var remote wire.SyncDigestResponse
+	if err := s.getJSON(ctx, p, base+"digest?owner="+s.cfg.Self, &remote); err != nil {
 		return 0, 0, err
 	}
 	if remote.Replication != 0 && remote.Replication != s.cfg.Replication {
@@ -155,8 +157,8 @@ func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int
 		if lb, ok := local[rb.Bucket]; ok && lb.Digest == rb.Digest {
 			continue
 		}
-		keys, kerr := s.fetchSyncKeys(ctx, p, s.cfg.Self, rb.Bucket)
-		if kerr != nil {
+		var keys wire.SyncKeysResponse
+		if kerr := s.getJSON(ctx, p, base+"keys?owner="+s.cfg.Self+"&bucket="+strconv.Itoa(rb.Bucket), &keys); kerr != nil {
 			if firstErr == nil {
 				firstErr = kerr
 			}
@@ -179,7 +181,7 @@ func (s *Server) syncWithPeer(ctx context.Context, p cluster.Peer, local map[int
 				}
 				continue
 			}
-			e, ferr := s.fetchArtifact(telemetry.WithSpan(ctx, tr, parent), p, k.Hash)
+			e, ferr := s.fetchArtifact(ctx, p, k.Hash)
 			if ferr != nil || e == nil {
 				if ferr != nil && firstErr == nil {
 					firstErr = ferr
@@ -350,26 +352,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	resp.HeadSeq, resp.HeadSum = s.prov.Head()
 	resp.Root, resp.RootsLen = s.prov.LatestRoot()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// fetchSyncDigest asks one peer for its digest of the owner's keys.
-func (s *Server) fetchSyncDigest(ctx context.Context, p cluster.Peer, owner string) (*wire.SyncDigestResponse, error) {
-	url := strings.TrimRight(p.Addr, "/") + "/v2/sync/digest?owner=" + owner
-	var resp wire.SyncDigestResponse
-	if err := s.getJSON(ctx, p, url, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// fetchSyncKeys asks one peer for the keys behind one digest bucket.
-func (s *Server) fetchSyncKeys(ctx context.Context, p cluster.Peer, owner string, bucket int) (*wire.SyncKeysResponse, error) {
-	url := strings.TrimRight(p.Addr, "/") + "/v2/sync/keys?owner=" + owner + "&bucket=" + strconv.Itoa(bucket)
-	var resp wire.SyncKeysResponse
-	if err := s.getJSON(ctx, p, url, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // getJSON performs one peer GET and decodes the JSON document.

@@ -37,11 +37,9 @@ func batchItemError(err error) wire.BatchItemResult {
 // cooperatively — unless an identical compile is still wanted by another
 // request, in which case the flight continues for them.
 func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
-	s.metrics.BatchRequests.Add(1)
-	start := time.Now()
 	enc := requestEncoding(r)
 	if enc == encUnknown {
-		rejectMedia(w, r)
+		rejectMedia(w, r, bothEncodings)
 		return
 	}
 	body, ok := s.readBody(w, r)
@@ -100,14 +98,14 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// The item stage covers the item's whole life — waiting for a
-			// worker slot included — and its span parents the cache, peer
-			// and compile stages recorded underneath it.
+			// The item stage covers the item's whole life, and its span
+			// parents the queue_wait, cache, peer and compile stages
+			// recorded underneath it.
 			s.stage(ctx, stageBatchItem, func(ictx context.Context) string {
 				if tr, ispan := telemetry.FromContext(ictx); tr.On() {
 					ispan.SetAttr("index", strconv.Itoa(i))
 				}
-				done[i] = s.batchItem(ctx, ictx, reqID, i, req.Item(i), &results[i])
+				done[i] = s.batchItem(ictx, reqID, i, req.Item(i), &results[i])
 				return done[i].outcome
 			})
 		}(i)
@@ -124,7 +122,6 @@ func (s *Server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		writeJSON(w, http.StatusOK, resp)
 	}
-	s.metrics.BatchLatency.Observe(time.Since(start))
 }
 
 // itemDone is how a distinct batch item ended; its copies repeat it.
@@ -135,22 +132,13 @@ type itemDone struct {
 }
 
 // batchItem runs one batch item on a worker slot, writing its result to
-// *res, and returns how the item ended. ctx is the batch's context and
-// ictx the item's, which parents the item's stages. The item's wait for
-// a slot counts in the shedder's queue depth, so single requests behind
-// a queued batch are shed on a truthful estimate; the item itself is
-// never shed and waits out the batch deadline, not QueueTimeout, so a
-// long batch's later items are not rejected for being late in line.
-func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item *wire.CompileRequest, res *wire.BatchItemResult) itemDone {
-	s.shed.Enqueue()
-	acquired := false
-	select {
-	case s.sem <- struct{}{}:
-		acquired = true
-	case <-ctx.Done():
-	}
-	s.shed.Dequeue()
-	if !acquired {
+// *res, and returns how the item ended. ctx is the item's context: the
+// batch's deadline, with the item's span as the parent of its stages.
+// The item waits for its slot through waitSlot, like a single request,
+// but is never shed and waits out the batch deadline, not QueueTimeout,
+// so a long batch's later items are not rejected for being late in line.
+func (s *Server) batchItem(ctx context.Context, reqID string, i int, item *wire.CompileRequest, res *wire.BatchItemResult) itemDone {
+	if !s.waitSlot(ctx) {
 		s.metrics.Timeouts.Add(1)
 		s.metrics.BatchItemErrors.Add(1)
 		*res = wire.BatchItemResult{
@@ -161,7 +149,7 @@ func (s *Server) batchItem(ctx, ictx context.Context, reqID string, i int, item 
 		s.logBatchItem(ctx, reqID, i, "", false, ctx.Err())
 		return itemDone{outcome: "timeout", err: ctx.Err()}
 	}
-	art, hash, cached, err := s.batchCompile(ictx, item, s.holdSlot())
+	art, hash, cached, err := s.batchCompile(ctx, item, s.holdSlot())
 	if err != nil {
 		s.metrics.BatchItemErrors.Add(1)
 		*res = batchItemError(err)

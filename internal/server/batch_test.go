@@ -89,10 +89,12 @@ func TestCompileBatch(t *testing.T) {
 			cr.Cached, cr.Hash, br.Items[0].Hash)
 	}
 
-	m := srv.Metrics()
-	if got := m.BatchRequests.Load(); got != 1 {
-		t.Errorf("batch_requests = %d, want 1", got)
+	var doc metricsDoc
+	get(t, ts.URL+"/metrics", &doc)
+	if doc.BatchRequests != 1 {
+		t.Errorf("batch_requests = %d, want 1", doc.BatchRequests)
 	}
+	m := srv.Metrics()
 	if got := m.BatchItems.Load(); got != int64(len(batch.Items)) {
 		t.Errorf("batch_items = %d, want %d", got, len(batch.Items))
 	}

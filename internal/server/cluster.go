@@ -81,13 +81,14 @@ func (s *Server) peerFill(ctx context.Context, ring *cluster.Ring, hash string) 
 				r.e, r.err = s.fetchArtifact(lctx, p, hash)
 				// Health accounting: a completed exchange (hit or clean
 				// miss) is a success; a transport/status failure counts
-				// toward ejection — unless the flight context ended, which
-				// says nothing about the peer.
+				// toward ejection, and in peer_errors — unless the fill
+				// context ended, which says nothing about the peer.
 				if r.err != nil {
-					if ctx.Err() == nil {
-						s.health.ReportFailure(p.ID)
+					if ctx.Err() != nil {
+						return "canceled"
 					}
-					return "error"
+					s.health.ReportFailure(p.ID)
+					return outcomeError
 				}
 				s.health.ReportSuccess(p.ID)
 				if r.e == nil {
@@ -118,7 +119,6 @@ func (s *Server) peerFill(ctx context.Context, ring *cluster.Ring, hash string) 
 				return r.e
 			}
 			if r.err != nil {
-				s.metrics.PeerErrors.Add(1)
 				s.logger.Debug("peer artifact fetch failed", "hash", hash[:12], "err", r.err)
 			}
 			// A definitive miss or error fails over immediately — no

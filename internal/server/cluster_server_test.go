@@ -490,6 +490,14 @@ func TestPeerFillWritesThrough(t *testing.T) {
 	} else if e.Hash != hash {
 		t.Fatalf("written-through entry hash %q, want %q", e.Hash, hash)
 	}
+	// The fill wrote the body the owner serves, byte for byte.
+	file, err := os.ReadFile(filepath.Join(dirs[1], hash[:2], hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent := getBody(t, tss[0].URL+"/v2/artifacts/"+hash, ""); !bytes.Equal(file, sent) {
+		t.Errorf("peer-filled entry file differs from the artifact body (%d vs %d bytes)", len(file), len(sent))
+	}
 }
 
 // getBody GETs url with the given Accept header (none when empty) and

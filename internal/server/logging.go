@@ -12,11 +12,13 @@ import (
 )
 
 // statusWriter records the status code and body size a handler wrote so
-// the request log can report them.
+// the request log can report them, and the instruments of the endpoint
+// that served the request (nil when it was not an instrumented one).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	ep     *endpointMetrics
 }
 
 func (w *statusWriter) WriteHeader(status int) {

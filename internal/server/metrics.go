@@ -78,10 +78,13 @@ func (h *Histogram) snapshot() histSnapshot {
 	return out
 }
 
+// count is how many durations the snapshot holds.
+func (h histSnapshot) count() int64 { return h.cum[numBounds] }
+
 // jsonValue is the snapshot's /metrics JSON object. Every histogram
 // shares the bucket bounds, documented once in latency_bounds_ms.
 func (h histSnapshot) jsonValue() map[string]any {
-	count := h.cum[numBounds]
+	count := h.count()
 	buckets := make(map[string]int64, len(h.cum))
 	for i, n := range h.cum {
 		buckets["le_"+boundLabels[i]] = n
@@ -94,17 +97,12 @@ func (h histSnapshot) jsonValue() map[string]any {
 }
 
 // Metrics aggregates the service counters exposed at GET /metrics. Each
-// is bumped by one atomic add on its field; Server.metricSet declares
-// how it renders.
+// counter no one endpoint or stage records is bumped by one atomic add
+// on its field; Server.metricSet declares how each renders.
 type Metrics struct {
-	CompileRequests  atomic.Int64
-	CompileErrors    atomic.Int64
-	SimulateRequests atomic.Int64
-	SimulateErrors   atomic.Int64
-	// BatchRequests counts POST /v2/compile-batch calls; BatchItems the
-	// loops submitted through them; BatchItemErrors the items that failed
-	// (the batch itself still returns 200 with per-item errors).
-	BatchRequests   atomic.Int64
+	// BatchItems counts the loops submitted through compile batches;
+	// BatchItemErrors the items that failed (the batch itself still
+	// returns 200 with per-item errors).
 	BatchItems      atomic.Int64
 	BatchItemErrors atomic.Int64
 	// Rejected counts requests turned away before doing work: queue-full,
@@ -130,19 +128,13 @@ type Metrics struct {
 	CacheEvictions atomic.Int64
 
 	// DiskWriteErrors are failed write-throughs (the artifact stayed
-	// memory-only). The disk and peer tiers' hits and misses are counted
-	// by their stages (see stageMetrics).
+	// memory-only).
 	DiskWriteErrors atomic.Int64
-	// PeerErrors counts individual failed peer fetches (several can
-	// contribute to one peer_fill miss).
-	PeerErrors atomic.Int64
 	// Anti-entropy layer: SyncRuns counts sync rounds (whole-membership
 	// digest exchanges); SyncPulls counts artifacts pulled because a
-	// replica peer held an owned key this node lacked; SyncErrors counts
-	// failed digest/key/pull requests.
-	SyncRuns   atomic.Int64
-	SyncPulls  atomic.Int64
-	SyncErrors atomic.Int64
+	// replica peer held an owned key this node lacked.
+	SyncRuns  atomic.Int64
+	SyncPulls atomic.Int64
 	// Provenance layer: ProvenanceFailures counts store entries that no
 	// longer matched their provenance record and were quarantined (deleted,
 	// never served); ProvenanceMismatches counts sync keys whose remote
@@ -156,21 +148,14 @@ type Metrics struct {
 	// path.
 	ArtifactRequests atomic.Int64
 	Materializations atomic.Int64
-	// Transfer byte accounting: bytes of encoded entries served by GET
-	// /v2/artifacts/{hash}, and bytes received by this node's peer
+	// Transfer byte accounting: bytes of encoded store entries served by
+	// GET /v2/artifacts/{hash}, and bytes received by this node's peer
 	// cache-fills. Both count the store's entry encoding, the one
 	// artifact body, so they are commensurable with the storage-layer
-	// sizes (store.EncodedSize). The exported series keep their
-	// encoding="binary" label.
+	// sizes (store.EncodedSize).
 	ArtifactBytes atomic.Int64
 	PeerFillBytes atomic.Int64
 
-	// VerifyRuns counts compilations put through sampled independent
-	// verification; VerifyFailures counts the ones the verifier rejected
-	// (each also fails the request with code "internal" and, when a repro
-	// directory is configured, leaves a bundle on disk).
-	VerifyRuns     atomic.Int64
-	VerifyFailures atomic.Int64
 	// PanicsRecovered counts panics caught at the containment boundaries
 	// (compile flight, worker goroutines, batch items) and converted into
 	// error envelopes instead of crashing the process.
@@ -182,25 +167,33 @@ type Metrics struct {
 	// use so a newly registered backend needs no metrics change.
 	outcomes sync.Map
 
-	CompileLatency  Histogram
-	SimulateLatency Histogram
-	BatchLatency    Histogram
 	// PeerFillLatency observes successful peer cache-fills, first request
 	// byte to verified artifact.
 	PeerFillLatency Histogram
 
+	// compile, simulate and batch are the work endpoints' instruments,
+	// recorded only by ServeHTTP's epilogue (see Server.handleEndpoint).
+	compile, simulate, batch endpointMetrics
 	// stages are the per-stage instruments, indexed by stageID, recorded
 	// on every request (traced or not), only by Server.stage.
 	stages [numStages]stageMetrics
 }
 
-// stageMetrics is one serving stage's instruments: where a request's
-// wall clock goes, and — for the artifact tiers below memory — the hits
-// and misses its outcomes name (the memory tier's are the cache
-// counters).
-type stageMetrics struct {
-	latency      Histogram
-	hits, misses atomic.Int64
+// endpointMetrics is one endpoint's instruments: its requests, the
+// non-2xx responses among them, and their latency.
+type endpointMetrics struct {
+	requests atomic.Int64
+	errors   atomic.Int64
+	latency  Histogram
+}
+
+// record counts one finished request with its status and duration.
+func (e *endpointMetrics) record(status int, d time.Duration) {
+	e.requests.Add(1)
+	if status < 200 || status > 299 {
+		e.errors.Add(1)
+	}
+	e.latency.Observe(d)
 }
 
 // outcomeNames are the obs.Outcome* results in /metrics order. Their
@@ -278,11 +271,11 @@ func (s *Server) metricSet() metricSet {
 		labels: fmt.Sprintf("version=%q,go=%q", buildinfo.Version, buildinfo.GoVersion())})
 	ms.jsonOnly("latency_bounds_ms", latencyBucketsMs[:])
 
-	ms.counter("compile_requests", "ltspd_compile_requests_total", "Compile requests received.", m.CompileRequests.Load())
-	ms.counter("compile_errors", "ltspd_compile_errors_total", "Compile requests that failed.", m.CompileErrors.Load())
-	ms.counter("simulate_requests", "ltspd_simulate_requests_total", "Simulate requests received.", m.SimulateRequests.Load())
-	ms.counter("simulate_errors", "ltspd_simulate_errors_total", "Simulate requests that failed.", m.SimulateErrors.Load())
-	ms.counter("batch_requests", "ltspd_batch_requests_total", "Compile-batch requests received.", m.BatchRequests.Load())
+	ms.counter("compile_requests", "ltspd_compile_requests_total", "Compile requests received.", m.compile.requests.Load())
+	ms.counter("compile_errors", "ltspd_compile_errors_total", "Compile requests that failed.", m.compile.errors.Load())
+	ms.counter("simulate_requests", "ltspd_simulate_requests_total", "Simulate requests received.", m.simulate.requests.Load())
+	ms.counter("simulate_errors", "ltspd_simulate_errors_total", "Simulate requests that failed.", m.simulate.errors.Load())
+	ms.counter("batch_requests", "ltspd_batch_requests_total", "Compile-batch requests received.", m.batch.requests.Load())
 	ms.counter("batch_items", "ltspd_batch_items_total", "Loops submitted through compile batches.", m.BatchItems.Load())
 	ms.counter("batch_item_errors", "ltspd_batch_item_errors_total", "Batch items that failed.", m.BatchItemErrors.Load())
 	ms.counter("rejected", "ltspd_rejected_total", "Requests rejected before doing work.", m.Rejected.Load())
@@ -298,35 +291,31 @@ func (s *Server) metricSet() metricSet {
 	ms.gauge("cache_entries", "ltspd_cache_entries", "Artifacts in the memory cache.", float64(cache.Entries))
 	ms.gauge("cache_bytes", "ltspd_cache_bytes", "Serialized bytes in the memory cache.", float64(cache.Bytes))
 	ms.jsonOnly("cache_capacity", cache.Capacity)
-	disk := &m.stages[stageDiskRead]
-	ms.counter("disk_hits", "ltspd_disk_hits_total", "Artifacts served from the persistent store.", disk.hits.Load())
-	ms.counter("disk_misses", "ltspd_disk_misses_total", "Persistent-store lookups that missed.", disk.misses.Load())
+	ms.counter("disk_hits", "ltspd_disk_hits_total", "Artifacts served from the persistent store.", m.stageOutcome(stageDiskRead, outcomeHit))
+	ms.counter("disk_misses", "ltspd_disk_misses_total", "Persistent-store lookups that missed.", m.stageOutcome(stageDiskRead, outcomeMiss))
 	ms.counter("disk_write_errors", "ltspd_disk_write_errors_total", "Failed artifact write-throughs.", m.DiskWriteErrors.Load())
 	ms.counter("artifact_requests", "ltspd_artifact_requests_total", "GET /v2/artifacts serves (peer cache-fill traffic).", m.ArtifactRequests.Load())
 	ms.counter("materializations", "ltspd_materializations_total", "Thin artifacts recompiled on demand.", m.Materializations.Load())
-	ms.add(metric{"artifact_bytes_binary", "ltspd_artifact_bytes_total", `encoding="binary"`, "counter",
-		"Artifact envelope bytes served, by negotiated wire encoding.", m.ArtifactBytes.Load()})
-	ms.add(metric{"peer_fill_bytes_binary", "ltspd_peer_fill_bytes_total", `encoding="binary"`, "counter",
-		"Artifact envelope bytes received by peer cache-fills, by wire encoding.", m.PeerFillBytes.Load()})
-	ms.counter("verify_runs", "ltspd_verify_runs_total", "Compilations independently verified.", m.VerifyRuns.Load())
-	ms.counter("verify_failures", "ltspd_verify_failures_total", "Verifications that rejected a compilation.", m.VerifyFailures.Load())
+	ms.counter("artifact_bytes", "ltspd_artifact_bytes_total", "Encoded store-entry bytes served by GET /v2/artifacts.", m.ArtifactBytes.Load())
+	ms.counter("peer_fill_bytes", "ltspd_peer_fill_bytes_total", "Encoded store-entry bytes received by peer cache-fills.", m.PeerFillBytes.Load())
+	ms.counter("verify_runs", "ltspd_verify_runs_total", "Compilations independently verified.", m.stages[stageVerify].latency.snapshot().count())
+	ms.counter("verify_failures", "ltspd_verify_failures_total", "Verifications that rejected a compilation.", m.stageOutcome(stageVerify, outcomeFailed))
 	ms.counter("panics_recovered", "ltspd_panics_recovered_total", "Panics contained at a recovery boundary.", m.PanicsRecovered.Load())
 
 	ms.outcomes(m)
 
-	ms.histogram("compile_latency", "ltspd_compile_latency_ms", "", "Compile request latency (milliseconds).", &m.CompileLatency)
-	ms.histogram("simulate_latency", "ltspd_simulate_latency_ms", "", "Simulate request latency (milliseconds).", &m.SimulateLatency)
-	ms.histogram("batch_latency", "ltspd_batch_latency_ms", "", "Compile-batch request latency (milliseconds).", &m.BatchLatency)
+	ms.histogram("compile_latency", "ltspd_compile_latency_ms", "", "Compile request latency (milliseconds).", &m.compile.latency)
+	ms.histogram("simulate_latency", "ltspd_simulate_latency_ms", "", "Simulate request latency (milliseconds).", &m.simulate.latency)
+	ms.histogram("batch_latency", "ltspd_batch_latency_ms", "", "Compile-batch request latency (milliseconds).", &m.batch.latency)
 	for id, d := range stageDescs {
 		ms.histogram("stage_latency."+d.name, "ltspd_stage_latency_ms", fmt.Sprintf("stage=%q", d.name),
 			"Per-stage request latency (milliseconds), by pipeline stage.", &m.stages[id].latency)
 	}
 
 	if ring := s.ring(); ring != nil {
-		peer := &m.stages[stagePeerFill]
-		ms.counter("cluster.peer_hits", "ltspd_peer_hits_total", "Artifacts obtained from a cluster peer.", peer.hits.Load())
-		ms.counter("cluster.peer_misses", "ltspd_peer_misses_total", "Peer cache-fills that came back empty.", peer.misses.Load())
-		ms.counter("cluster.peer_errors", "ltspd_peer_errors_total", "Individual failed peer fetches.", m.PeerErrors.Load())
+		ms.counter("cluster.peer_hits", "ltspd_peer_hits_total", "Artifacts obtained from a cluster peer.", m.stageOutcome(stagePeerFill, outcomeHit))
+		ms.counter("cluster.peer_misses", "ltspd_peer_misses_total", "Peer cache-fills that came back empty.", m.stageOutcome(stagePeerFill, outcomeMiss))
+		ms.counter("cluster.peer_errors", "ltspd_peer_errors_total", "Individual failed peer fetches.", m.stageOutcome(stagePeerLeg, outcomeError))
 		ms.histogram("cluster.fill_latency", "ltspd_peer_fill_latency_ms", "", "Successful peer cache-fill latency (milliseconds).", &m.PeerFillLatency)
 		ms.jsonOnly("cluster.self", s.cfg.Self)
 		ms.jsonOnly("cluster.replication", s.cfg.Replication)
@@ -338,7 +327,7 @@ func (s *Server) metricSet() metricSet {
 		ms.counter("cluster.resolve_errors", "ltspd_cluster_resolve_errors_total", "Membership source resolutions that failed.", int64(s.member.ResolveErrors()))
 		ms.counter("cluster.sync_runs", "ltspd_cluster_sync_runs_total", "Anti-entropy rounds run.", m.SyncRuns.Load())
 		ms.counter("cluster.sync_pulls", "ltspd_cluster_sync_pulls_total", "Artifacts pulled by anti-entropy.", m.SyncPulls.Load())
-		ms.counter("cluster.sync_errors", "ltspd_cluster_sync_errors_total", "Failed anti-entropy exchanges.", m.SyncErrors.Load())
+		ms.counter("cluster.sync_errors", "ltspd_cluster_sync_errors_total", "Failed anti-entropy exchanges.", m.stageOutcome(stageSyncPeer, outcomeError))
 	}
 	if s.prov != nil {
 		st := s.prov.Stats()
@@ -465,7 +454,7 @@ func (ms metricSet) writeProm(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", m.family, labelSet(m.labels, `le="`+boundLabels[i]+`"`), n)
 		}
 		fmt.Fprintf(&b, "%s_sum%s %s\n", m.family, labelSet(m.labels), jsonNumber(h.sumMs))
-		fmt.Fprintf(&b, "%s_count%s %d\n", m.family, labelSet(m.labels), h.cum[numBounds])
+		fmt.Fprintf(&b, "%s_count%s %d\n", m.family, labelSet(m.labels), h.count())
 	}
 	_, err := w.Write(b.Bytes())
 	return err

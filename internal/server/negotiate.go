@@ -61,12 +61,14 @@ func wantsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), binary.ContentType)
 }
 
-// rejectMedia emits the 415 envelope for a Content-Type the server does
-// not speak.
-func rejectMedia(w http.ResponseWriter, r *http.Request) {
+// bothEncodings is what the compile endpoints accept.
+const bothEncodings = "application/json or " + binary.ContentType
+
+// rejectMedia emits the 415 envelope for a Content-Type the endpoint
+// does not speak, naming those it does.
+func rejectMedia(w http.ResponseWriter, r *http.Request, accepted string) {
 	writeError(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
-		"unsupported Content-Type %q (use application/json or %s)",
-		r.Header.Get("Content-Type"), binary.ContentType)
+		"unsupported Content-Type %q (use %s)", r.Header.Get("Content-Type"), accepted)
 }
 
 // bodyPool recycles request-body buffers across requests; readBody and

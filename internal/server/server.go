@@ -397,9 +397,9 @@ func New(cfg Config) *Server {
 			s.startAntiEntropy(cfg.AntiEntropyInterval)
 		}
 	}
-	s.mux.HandleFunc("POST /v2/compile", s.handleCompile)
-	s.mux.HandleFunc("POST /v2/compile-batch", s.handleCompileBatch)
-	s.mux.HandleFunc("POST /v2/simulate", s.handleSimulate)
+	s.handleEndpoint("POST /v2/compile", &s.metrics.compile, s.handleCompile)
+	s.handleEndpoint("POST /v2/compile-batch", &s.metrics.batch, s.handleCompileBatch)
+	s.handleEndpoint("POST /v2/simulate", &s.metrics.simulate, s.handleSimulate)
 	s.mux.HandleFunc("GET /v2/artifacts/{hash}", s.handleArtifact)
 	s.mux.HandleFunc("GET /v2/artifacts/{hash}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v2/sync/digest", s.handleSyncDigest)
@@ -410,6 +410,17 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
+}
+
+// handleEndpoint registers h for pattern with its endpoint's instruments
+// ep, which ServeHTTP's epilogue records however h returns. They come
+// from registration, not the matched pattern: http.Request.Pattern is
+// Go 1.23.
+func (s *Server) handleEndpoint(pattern string, ep *endpointMetrics, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		w.(*muxErrorWriter).ep = ep
+		h(w, r)
+	})
 }
 
 // Metrics exposes the server's counters (tests and embedders).
@@ -467,8 +478,9 @@ func requestIDFrom(ctx context.Context) string {
 
 // ServeHTTP implements http.Handler. Every request is tagged with a
 // request ID (echoed in the X-Request-ID response header, passed
-// through when the caller supplied a valid one) and logged structured
-// on completion. Traced requests — callers sending wire.TraceHeader,
+// through when the caller supplied a valid one), counted and timed in
+// its endpoint's instruments, and logged structured on completion.
+// Traced requests — callers sending wire.TraceHeader,
 // plus a sampled slice of the rest — additionally record a span
 // timeline retained for GET /v2/requests/{trace-id}.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -484,12 +496,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
 	s.mux.ServeHTTP(&muxErrorWriter{statusWriter: sw}, r)
+	dur := time.Since(start)
+	if sw.ep != nil {
+		sw.ep.record(sw.Status(), dur)
+	}
 	if tr.On() {
 		root.End()
 		tr.Finish(r.Method+" "+r.URL.Path, sw.Status())
 		s.traces.Record(tr)
 	}
-	s.logRequest(ctx, id, tr.ID(), r, sw, time.Since(start))
+	s.logRequest(ctx, id, tr.ID(), r, sw, dur)
 }
 
 // startTrace decides whether this request is traced: a valid
@@ -645,10 +661,10 @@ func requestCtx(r *http.Request, serverTO time.Duration) (context.Context, conte
 	return context.WithTimeout(r.Context(), to)
 }
 
-// acquire takes a worker slot, respecting drain state, admission control
-// and the queue timeout. ctx must carry the request's effective deadline
-// (requestCtx). It returns false (with the response already written) on
-// failure.
+// acquire takes a worker slot for a single request, respecting drain
+// state, admission control and the queue timeout. ctx must carry the
+// request's effective deadline (requestCtx). It returns false (with the
+// response already written) on failure.
 func (s *Server) acquire(w http.ResponseWriter, ctx context.Context) bool {
 	if s.draining.Load() {
 		s.metrics.Rejected.Add(1)
@@ -671,25 +687,13 @@ func (s *Server) acquire(w http.ResponseWriter, ctx context.Context) bool {
 			}
 		}
 	}
-	s.shed.Enqueue()
-	defer s.shed.Dequeue()
 	qctx := ctx
 	if s.cfg.QueueTimeout > 0 {
 		var cancel context.CancelFunc
 		qctx, cancel = context.WithTimeout(ctx, s.cfg.QueueTimeout)
 		defer cancel()
 	}
-	acquired := false
-	s.stage(ctx, stageQueueWait, func(context.Context) string {
-		select {
-		case s.sem <- struct{}{}:
-			acquired = true
-			return ""
-		case <-qctx.Done():
-			return "timeout"
-		}
-	})
-	if acquired {
+	if s.waitSlot(qctx) {
 		return true
 	}
 	s.metrics.Rejected.Add(1)
@@ -704,6 +708,25 @@ func (s *Server) acquire(w http.ResponseWriter, ctx context.Context) bool {
 	wait := s.shed.MedianServiceTime()
 	writeUnavailable(w, wire.CodeOverloaded, wait, "worker pool saturated")
 	return false
+}
+
+// waitSlot is the queue_wait stage: it waits for a worker slot until ctx
+// ends, counted in the shedder's queue depth so requests behind the
+// wait are shed on a truthful estimate, and reports whether it took one.
+// Single requests and batch items both wait here.
+func (s *Server) waitSlot(ctx context.Context) (acquired bool) {
+	s.shed.Enqueue()
+	defer s.shed.Dequeue()
+	s.stage(ctx, stageQueueWait, func(context.Context) string {
+		select {
+		case s.sem <- struct{}{}:
+			acquired = true
+			return ""
+		case <-ctx.Done():
+			return "timeout"
+		}
+	})
+	return acquired
 }
 
 // runBounded executes fn on the calling goroutine's worker slot under
@@ -1011,7 +1034,7 @@ func (s *Server) compileStep(ctx context.Context, d *wire.Decoded, verify bool) 
 	}
 	s.stage(ctx, stageCompile, func(context.Context) string {
 		if c, err = ltsp.CompileContext(ctx, d.Loop, d.Options); err != nil {
-			return "error"
+			return outcomeError
 		}
 		return c.Outcome()
 	})
@@ -1030,14 +1053,12 @@ func (s *Server) compileStep(ctx context.Context, d *wire.Decoded, verify bool) 
 		check = hook
 	}
 	s.stage(ctx, stageVerify, func(context.Context) string {
-		s.metrics.VerifyRuns.Add(1)
 		if err = check(c); err != nil {
-			return "failed"
+			return outcomeFailed
 		}
 		return "passed"
 	})
 	if err != nil {
-		s.metrics.VerifyFailures.Add(1)
 		s.writeRepro(repro.Capture(repro.KindVerifyFailure, d.Canonical, nil, nil, err))
 		return nil, meta, &codedError{wire.CodeInternal, fmt.Errorf("kernel verification failed: %v", err)}
 	}
@@ -1070,17 +1091,13 @@ func decodeErr(err error) error {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.metrics.CompileRequests.Add(1)
-	start := time.Now()
 	enc := requestEncoding(r)
 	if enc == encUnknown {
-		s.metrics.CompileErrors.Add(1)
-		rejectMedia(w, r)
+		rejectMedia(w, r, bothEncodings)
 		return
 	}
 	body, ok := s.readBody(w, r)
 	if !ok {
-		s.metrics.CompileErrors.Add(1)
 		return
 	}
 	defer putBody(body)
@@ -1097,7 +1114,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		hotKey = hotKeyOf(enc, body.Bytes())
 		if s.serveHot(w, hotKey, bin) {
 			s.metrics.CacheHits.Add(1)
-			s.metrics.CompileLatency.Observe(time.Since(start))
 			return
 		}
 	}
@@ -1106,14 +1122,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		var err error
 		req, err = binary.DecodeCompileRequest(body.Bytes())
 		if err != nil {
-			s.metrics.CompileErrors.Add(1)
 			writeBinaryDecodeError(w, err)
 			return
 		}
 	} else {
 		req = new(wire.CompileRequest)
 		if !decodeJSONBody(w, body.Bytes(), req) {
-			s.metrics.CompileErrors.Add(1)
 			return
 		}
 	}
@@ -1130,32 +1144,30 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return respondCompile(cached, art), http.StatusOK, nil
 	})
 	if err != nil {
-		s.metrics.CompileErrors.Add(1)
 		status = statusForErr(err, status)
 		writeError(w, status, errCode(err, status), "compile: %v", err)
-	} else {
-		resp := v.(*wire.CompileResponse)
-		writeCompileResponse(w, bin, status, resp)
-		if useHot && status == http.StatusOK {
-			s.storeHot(hotKey, resp)
-		}
+		return
 	}
-	s.metrics.CompileLatency.Observe(time.Since(start))
+	resp := v.(*wire.CompileResponse)
+	writeCompileResponse(w, bin, status, resp)
+	if useHot && status == http.StatusOK {
+		s.storeHot(hotKey, resp)
+	}
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.metrics.SimulateRequests.Add(1)
-	start := time.Now()
+	if requestEncoding(r) != encJSON {
+		rejectMedia(w, r, "application/json")
+		return
+	}
 	body, ok := s.readBody(w, r)
 	if !ok {
-		s.metrics.SimulateErrors.Add(1)
 		return
 	}
 	var req wire.SimulateRequest
 	ok = decodeJSONBody(w, body.Bytes(), &req)
 	putBody(body)
 	if !ok {
-		s.metrics.SimulateErrors.Add(1)
 		return
 	}
 	ctx, cancel := requestCtx(r, s.cfg.SimulateTimeout)
@@ -1167,13 +1179,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return s.simulate(ctx, &req)
 	})
 	if err != nil {
-		s.metrics.SimulateErrors.Add(1)
 		status = statusForErr(err, status)
 		writeError(w, status, errCode(err, status), "simulate: %v", err)
-	} else {
-		writeJSON(w, status, v)
+		return
 	}
-	s.metrics.SimulateLatency.Observe(time.Since(start))
+	writeJSON(w, status, v)
 }
 
 var errUnknownArtifact = errors.New("unknown artifact hash (compile first, or send the loop inline)")

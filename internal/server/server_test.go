@@ -288,6 +288,9 @@ type metricsDoc struct {
 	CacheEvictions  int64 `json:"cache_evictions"`
 	CacheEntries    int   `json:"cache_entries"`
 	InFlight        int64 `json:"in_flight"`
+	BatchRequests   int64 `json:"batch_requests"`
+	VerifyRuns      int64 `json:"verify_runs"`
+	VerifyFailures  int64 `json:"verify_failures"`
 	CompileLatency  struct {
 		Count int64 `json:"count"`
 	} `json:"compile_latency"`

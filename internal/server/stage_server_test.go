@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ltsp/internal/cluster"
 	"ltsp/internal/server"
 	"ltsp/internal/store"
 	"ltsp/internal/wire"
@@ -22,6 +24,9 @@ type stageDoc struct {
 	Stages     map[string]struct {
 		Count int64 `json:"count"`
 	} `json:"stage_latency"`
+	Cluster struct {
+		SyncErrors int64 `json:"sync_errors"`
+	} `json:"cluster"`
 }
 
 func readStages(t *testing.T, base string) stageDoc {
@@ -58,14 +63,35 @@ func seedStore(t *testing.T, dir string, req *wire.CompileRequest) string {
 
 // TestStageSpansMatchHistograms: every serving stage records its span
 // and its stage_latency histogram in one call, so for a traced request
-// the number of spans of each stage equals the change in that stage's
-// histogram count.
+// — or an anti-entropy round, which is always traced — the number of
+// spans of each stage equals the change in that stage's histogram count.
 func TestStageSpansMatchHistograms(t *testing.T) {
-	stages := []string{"queue_wait", "mem_lookup", "disk_read", "compile", "verify", "write_through"}
+	stages := []string{"queue_wait", "mem_lookup", "disk_read", "compile", "verify", "write_through", "batch_item", "sync_peer"}
+	checkSpans := func(t *testing.T, before, after stageDoc, spans []wire.SpanJSON, want []string) {
+		t.Helper()
+		count := map[string]int64{}
+		for _, s := range spans {
+			count[s.Name]++
+		}
+		for _, st := range stages {
+			if delta := after.Stages[st].Count - before.Stages[st].Count; count[st] != delta {
+				t.Errorf("stage %s: %d spans, histogram count moved by %d", st, count[st], delta)
+			}
+		}
+		for _, st := range want {
+			if count[st] == 0 {
+				t.Errorf("stage %s: no span recorded", st)
+			}
+		}
+	}
 	dir := t.TempDir()
 	seeded := seedStore(t, dir, compileRequest(t, copyAddLoop(702)))
 	_, ts := newStoreServer(t, dir, server.Config{VerifySample: 1, TraceSample: -1})
 	cold := compileRequest(t, copyAddLoop(701))
+	item := func(k int64) wire.CompileItem {
+		r := compileRequest(t, copyAddLoop(k))
+		return wire.CompileItem{Loop: r.Loop, Options: r.Options}
+	}
 
 	cases := []struct {
 		name string
@@ -74,11 +100,17 @@ func TestStageSpansMatchHistograms(t *testing.T) {
 		// want lists the stages the request must pass through.
 		want []string
 	}{
-		{"cold compile", "/v2/compile", cold, stages},
+		{"cold compile", "/v2/compile", cold, stages[:6]},
 		{"warm compile", "/v2/compile", cold, []string{"queue_wait", "mem_lookup"}},
 		{"simulate from disk", "/v2/simulate",
 			&wire.SimulateRequest{Version: wire.Version, Hash: seeded, Trip: 16},
 			[]string{"queue_wait", "disk_read", "compile"}},
+		// Two distinct items and an exact copy: each distinct item waits
+		// for its slot under its own batch_item span; the copy runs no
+		// stage at all.
+		{"batch", "/v2/compile-batch",
+			&wire.CompileBatchRequest{Version: wire.Version, Items: []wire.CompileItem{item(703), item(704), item(703)}},
+			[]string{"batch_item", "queue_wait", "compile"}},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,23 +121,63 @@ func TestStageSpansMatchHistograms(t *testing.T) {
 				t.Fatalf("%s: %s", resp.Status, body)
 			}
 			after := readStages(t, ts.URL)
-			spans := map[string]int64{}
-			for _, s := range fetchTrace(t, ts.URL, id).Spans {
-				spans[s.Name]++
+			spans := fetchTrace(t, ts.URL, id).Spans
+			checkSpans(t, before, after, spans, tc.want)
+			if tc.path != "/v2/compile-batch" {
+				return
 			}
-			for _, st := range stages {
-				delta := after.Stages[st].Count - before.Stages[st].Count
-				if spans[st] != delta {
-					t.Errorf("stage %s: %d spans, histogram count moved by %d", st, spans[st], delta)
+			names := map[string]string{}
+			for _, s := range spans {
+				names[s.ID] = s.Name
+			}
+			waits := 0
+			for _, s := range spans {
+				if s.Name != "queue_wait" {
+					continue
+				}
+				waits++
+				if p := names[s.Parent]; p != "batch_item" {
+					t.Errorf("queue_wait span under %q, want batch_item", p)
 				}
 			}
-			for _, st := range tc.want {
-				if spans[st] == 0 {
-					t.Errorf("stage %s: no span recorded", st)
-				}
+			if waits != 2 {
+				t.Errorf("%d queue_wait spans, want one per distinct item (2)", waits)
 			}
 		})
 	}
+
+	// One anti-entropy round against a peer that fails every exchange:
+	// its sync_peer span is the stage's, and each error outcome is one
+	// cluster.sync_errors.
+	t.Run("sync round against a failing peer", func(t *testing.T) {
+		down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "down", http.StatusInternalServerError)
+		}))
+		t.Cleanup(down.Close)
+		peers := []cluster.Peer{{ID: "self", Addr: "http://127.0.0.1:1"}, {ID: "down", Addr: down.URL}}
+		srv, ts := newStoreServer(t, t.TempDir(), server.Config{Peers: peers, Self: "self", TraceSample: -1})
+		before := readStages(t, ts.URL)
+		rep := srv.SyncOnce(context.Background())
+		after := readStages(t, ts.URL)
+		var list wire.RequestListResponse
+		get(t, ts.URL+"/debug/requests", &list)
+		var spans []wire.SpanJSON
+		for _, sum := range list.Requests {
+			if sum.Name == "anti_entropy" {
+				spans = fetchTrace(t, ts.URL, sum.TraceID).Spans
+			}
+		}
+		checkSpans(t, before, after, spans, []string{"sync_peer"})
+		errs := int64(0)
+		for _, s := range spans {
+			if s.Name == "sync_peer" && s.Attrs["outcome"] == "error" {
+				errs++
+			}
+		}
+		if got := after.Cluster.SyncErrors - before.Cluster.SyncErrors; got != errs || errs != int64(rep.Errors) || errs != 1 {
+			t.Errorf("sync_errors moved by %d; %d sync_peer error spans; report %d errors; want 1 each", got, errs, rep.Errors)
+		}
+	})
 }
 
 // TestDiskReadsCountedAlike: compile, simulate by hash and the trace

@@ -157,7 +157,7 @@ func TestBinaryPanicBundleReplays(t *testing.T) {
 // envelope, counted, and captured as a verify_failure bundle.
 func TestVerifyFailureSurfaces(t *testing.T) {
 	reproDir := t.TempDir()
-	srv, ts := newTestServer(t, server.Config{VerifySample: 1, ReproDir: reproDir})
+	_, ts := newTestServer(t, server.Config{VerifySample: 1, ReproDir: reproDir})
 	server.SetTestVerifyHook(func(*ltsp.Compiled) error {
 		return errors.New("injected: op moved by one row")
 	})
@@ -171,9 +171,8 @@ func TestVerifyFailureSurfaces(t *testing.T) {
 	if e.Code != wire.CodeInternal {
 		t.Fatalf("envelope code = %q, want %q", e.Code, wire.CodeInternal)
 	}
-	if srv.Metrics().VerifyRuns.Load() != 1 || srv.Metrics().VerifyFailures.Load() != 1 {
-		t.Errorf("verify counters = %d runs / %d failures, want 1/1",
-			srv.Metrics().VerifyRuns.Load(), srv.Metrics().VerifyFailures.Load())
+	if m := verifyCounts(t, ts.URL); m.VerifyRuns != 1 || m.VerifyFailures != 1 {
+		t.Errorf("verify counters = %d runs / %d failures, want 1/1", m.VerifyRuns, m.VerifyFailures)
 	}
 	entries, err := os.ReadDir(reproDir)
 	if err != nil {
@@ -196,10 +195,17 @@ func TestVerifyFailureSurfaces(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean compile after verify failure: %s\n%s", resp.Status, body)
 	}
-	if srv.Metrics().VerifyRuns.Load() != 2 || srv.Metrics().VerifyFailures.Load() != 1 {
-		t.Errorf("verify counters after clean run = %d/%d, want 2/1",
-			srv.Metrics().VerifyRuns.Load(), srv.Metrics().VerifyFailures.Load())
+	if m := verifyCounts(t, ts.URL); m.VerifyRuns != 2 || m.VerifyFailures != 1 {
+		t.Errorf("verify counters after clean run = %d/%d, want 2/1", m.VerifyRuns, m.VerifyFailures)
 	}
+}
+
+// verifyCounts reads the verification counters from /metrics.
+func verifyCounts(t *testing.T, base string) metricsDoc {
+	t.Helper()
+	var m metricsDoc
+	get(t, base+"/metrics", &m)
+	return m
 }
 
 // TestVerifySampling checks the sampling policy: rate 1 verifies every
@@ -210,24 +216,24 @@ func TestVerifySampling(t *testing.T) {
 		rate float64
 		want int64
 	}{{0.5, 2}, {0.75, 4}} {
-		srv, ts := newTestServer(t, server.Config{VerifySample: tc.rate})
+		_, ts := newTestServer(t, server.Config{VerifySample: tc.rate})
 		for i := 0; i < 4; i++ {
 			resp, body := post(t, ts.URL+"/v2/compile", compileRequest(t, copyAddLoop(int64(120+i))))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("compile %d: %s\n%s", i, resp.Status, body)
 			}
 		}
-		if got := srv.Metrics().VerifyRuns.Load(); got != tc.want {
+		if got := verifyCounts(t, ts.URL).VerifyRuns; got != tc.want {
 			t.Errorf("VerifyRuns at rate %v over 4 compiles = %d, want %d", tc.rate, got, tc.want)
 		}
 	}
 
-	srvOff, tsOff := newTestServer(t, server.Config{VerifySample: -1})
+	_, tsOff := newTestServer(t, server.Config{VerifySample: -1})
 	resp, body := post(t, tsOff.URL+"/v2/compile", compileRequest(t, copyAddLoop(130)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s\n%s", resp.Status, body)
 	}
-	if got := srvOff.Metrics().VerifyRuns.Load(); got != 0 {
+	if got := verifyCounts(t, tsOff.URL).VerifyRuns; got != 0 {
 		t.Errorf("VerifyRuns with sampling disabled = %d, want 0", got)
 	}
 }

@@ -70,7 +70,8 @@ type Entry struct {
 	// response and trace sections; every decode recomputes and compares it.
 	Checksum string
 
-	// enc is the encoding DecodeEntry read the entry from.
+	// enc is the encoding DecodeEntry read the entry from, or the one
+	// Store.Put wrote.
 	enc []byte
 }
 
@@ -96,9 +97,9 @@ func EncodedSize(e *Entry) int64 {
 	return int64(headerSize + len(e.Request) + len(e.Response) + len(e.Trace))
 }
 
-// Encode returns the entry's encoding. An entry DecodeEntry returned
-// encodes to the bytes it was decoded from, uncopied, so such an entry
-// is read-only: build a new Entry to change one.
+// Encode returns the entry's encoding. An entry DecodeEntry returned, or
+// Store.Put wrote, encodes to those bytes, uncopied, so such an entry is
+// read-only: build a new Entry to change one.
 func (e *Entry) Encode() []byte {
 	if e.enc != nil {
 		return e.enc
@@ -127,6 +128,20 @@ func (e *Entry) encode(sum [sha256.Size]byte) []byte {
 		b = append(b, sec...)
 	}
 	return b
+}
+
+// keep makes data, e's encoding, the entry's one copy of its sections:
+// they alias it, as a decoded entry's do.
+func (e *Entry) keep(data []byte) {
+	rest := data[headerSize:]
+	for _, sec := range []*json.RawMessage{&e.Request, &e.Response, &e.Trace} {
+		n := len(*sec)
+		if n > 0 {
+			*sec = rest[:n:n]
+		}
+		rest = rest[n:]
+	}
+	e.enc = data
 }
 
 // DecodeEntry reads the entry encoded in data, which its holder expects

@@ -166,20 +166,27 @@ func (s *Store) path(hash string) string {
 }
 
 // Put persists an entry, atomically replacing any existing one, and
-// enforces the byte budget. The entry's Hash must be the content hash of
-// its canonical Request; Put recomputes and checks it, and stamps the
-// section checksum. It writes the entry's encoding (see Entry.Encode)
-// and returns the number of bytes written: the entry's EncodedSize.
+// enforces the byte budget. It writes the entry's encoding (see
+// Entry.Encode) and returns the number of bytes written: the entry's
+// EncodedSize. An entry DecodeEntry returned passed its checks there and
+// is written as the bytes it was decoded from. Any other entry's Hash
+// must be the content hash of its canonical Request: Put checks it,
+// stamps the section checksum and, once the file is written, keeps the
+// encoding as the entry's one copy of its sections (see DecodeEntry),
+// so the entry is read-only from then on.
 func (s *Store) Put(e *Entry) (int64, error) {
-	if !ValidHash(e.Hash) {
-		return 0, fmt.Errorf("store: malformed hash %q", e.Hash)
+	data := e.enc
+	if data == nil {
+		if !ValidHash(e.Hash) {
+			return 0, fmt.Errorf("store: malformed hash %q", e.Hash)
+		}
+		if sum := sha256.Sum256(e.Request); hex.EncodeToString(sum[:]) != e.Hash {
+			return 0, fmt.Errorf("store: request content hash %x does not match entry hash %s", sum, e.Hash)
+		}
+		sum := e.sectionSum()
+		e.Version, e.Checksum = EntryVersion, hex.EncodeToString(sum[:])
+		data = e.encode(sum)
 	}
-	if sum := sha256.Sum256(e.Request); hex.EncodeToString(sum[:]) != e.Hash {
-		return 0, fmt.Errorf("store: request content hash %x does not match entry hash %s", sum, e.Hash)
-	}
-	sum := e.sectionSum()
-	e.Version, e.Checksum = EntryVersion, hex.EncodeToString(sum[:])
-	data := e.encode(sum)
 	path := s.path(e.Hash)
 	shard := filepath.Dir(path)
 	if err := os.MkdirAll(shard, 0o755); err != nil {
@@ -220,6 +227,9 @@ func (s *Store) Put(e *Entry) (int64, error) {
 		}
 	}
 	s.writes.Add(1)
+	if e.enc == nil {
+		e.keep(data)
+	}
 
 	s.mu.Lock()
 	size := int64(len(data))

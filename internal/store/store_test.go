@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -365,4 +367,59 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPutWritesEntryEncodingOnce: an entry DecodeEntry returned — a peer
+// fill, an anti-entropy pull — is written as the bytes it was decoded
+// from, byte for byte, without hashing or encoding it again, so the
+// write allocates less than the entry does; and an entry Put encoded
+// itself keeps that encoding as its one copy — its sections alias it —
+// so serving it after the write copies nothing.
+func TestPutWritesEntryEncodingOnce(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	e := mkEntry(5)
+	e.Trace = json.RawMessage(`[` + strings.Repeat(`{"kind":"bump"},`, 4<<10) + `{}]`)
+	data := e.Encode()
+	d, err := DecodeEntry(e.Hash, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	size, err := s.Put(d)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(data)) {
+		t.Errorf("Put of a decoded %d-byte entry allocated %d bytes, want less than the entry", len(data), alloc)
+	}
+	file, err := os.ReadFile(s.path(e.Hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(len(data)) || !bytes.Equal(file, data) {
+		t.Errorf("wrote %d bytes; the file differs from the decoded bytes (%d vs %d)", size, len(file), len(data))
+	}
+
+	local := mkEntry(6)
+	if _, err := s.Put(local); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if file, err = os.ReadFile(s.path(local.Hash)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(local.Encode(), file) {
+		t.Error("Encode after Put differs from the file Put wrote")
+	}
+	if n := testing.AllocsPerRun(10, func() { local.Encode() }); n != 0 {
+		t.Errorf("Encode after Put allocated %v times, want the written encoding kept", n)
+	}
+	enc, off := local.Encode(), headerSize
+	for i, sec := range [][]byte{local.Request, local.Response, local.Trace} {
+		if len(sec) == 0 || &sec[0] != &enc[off] {
+			t.Errorf("section %d (%d bytes) does not alias the kept encoding at offset %d", i, len(sec), off)
+		}
+		off += len(sec)
+	}
 }

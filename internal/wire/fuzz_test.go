@@ -3,6 +3,8 @@ package wire_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ltsp"
@@ -12,11 +14,33 @@ import (
 	"ltsp/internal/workload"
 )
 
+// The decode's allocation bound, in two parts. Per input byte: the
+// costliest bytes measured are a setup or memDeps list of empty
+// entries, where each three-byte "{}," costs about 480 B (the wire
+// struct and its decoded copy, each in a slice grown by doubling, plus
+// its validation and canonical rendering), 160 per byte; a '<' in a
+// name or comment, re-escaped as \u003c through encoding/json, costs
+// about 60. 256 covers them with headroom, and any cost that grows
+// faster than the input still crosses it. Fixed: the body holds at most
+// ir.MaxWireBody decoded instructions, each measured at under 1 KiB
+// beyond its bytes' share whatever its spelling (the wire struct, the
+// Instr, its operand slices, the 96 bytes the canonical encoding
+// reserves for it); 1 KiB each also covers encoding/json's first-use
+// caches.
+const (
+	decodeAllocPerByte = 256
+	decodeAllocFixed   = ir.MaxWireBody << 10
+)
+
 // FuzzCompileLoop throws arbitrary bytes at the full wire path — JSON
 // decode, loop decode with semantic validation, option parsing, and the
 // compiler itself with verification enabled. Malformed input must come
 // back as an error; any panic is a finding. This is the service's actual
 // attack surface: every byte here is reachable from an HTTP body.
+//
+// The decode (json.Unmarshal and Decode, not the compile) must also
+// allocate at most decodeAllocPerByte times the input plus
+// decodeAllocFixed, whatever the input holds.
 func FuzzCompileLoop(f *testing.F) {
 	for _, s := range []struct {
 		size int64
@@ -42,13 +66,28 @@ func FuzzCompileLoop(f *testing.F) {
 	f.Add([]byte(`{"version":1,"loop":{}}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"v":1,"loop":{"v":1,"name":"b","body":[{"op":"add","dsts":["vr0"],"srcs":["vr0","vr1"]}]},"options":{"backend":"simplex"}}`))
+	// One instruction with 2,000 sources: rendering it for the arity
+	// error once cost the square of its operands.
+	f.Add([]byte(`{"v":1,"loop":{"v":1,"name":"s","body":[{"op":"add","dsts":["vr0"],"srcs":["vr1"` +
+		strings.Repeat(`,"vr1"`, 1999) + `]}]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		var req wire.CompileRequest
-		if err := json.Unmarshal(data, &req); err != nil {
+		uerr := json.Unmarshal(data, &req)
+		var d *wire.Decoded
+		err := uerr
+		if err == nil {
+			d, err = req.Decode()
+		}
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(decodeAllocPerByte*len(data)+decodeAllocFixed); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), alloc, limit)
+		}
+		if uerr != nil {
 			t.Skip()
 		}
-		d, err := req.Decode()
 		if err != nil {
 			return
 		}

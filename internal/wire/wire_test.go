@@ -2,9 +2,12 @@ package wire_test
 
 import (
 	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
 
 	"ltsp"
+	"ltsp/internal/ir"
 	"ltsp/internal/wire"
 	"ltsp/internal/workload"
 )
@@ -163,5 +166,47 @@ func TestBackendHashCanonicalization(t *testing.T) {
 	out, err := wire.Options{Backend: "exact"}.ToOptions()
 	if err != nil || out.Backend != ltsp.BackendExact {
 		t.Fatalf("backend round trip: %+v, %v", out, err)
+	}
+}
+
+// TestOversizedJSONBodyRefusedEarly: a 9.8 MB JSON request of 200,000
+// add instructions, far over ir.MaxWireBody, fails with the body-length
+// *ir.InvalidLoopError (the invalid_loop envelope) before decoding a
+// single instruction: the body is counted first, so the refusal
+// allocates about the body's bytes once, not the 25 times it took to
+// decode every instruction first.
+func TestOversizedJSONBodyRefusedEarly(t *testing.T) {
+	l := ir.NewLoop("huge")
+	a, b := l.NewGR(), l.NewGR()
+	for i := 0; i < 200_000; i++ {
+		l.Append(ir.Add(a, a, b))
+	}
+	req, err := wire.NewCompileRequest(l, ltsp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var back wire.CompileRequest
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	_, err = back.Decode()
+	runtime.ReadMemStats(&after)
+
+	var inv *ir.InvalidLoopError
+	if !errors.As(err, &inv) {
+		t.Fatalf("decode of %d instructions: got %v, want *ir.InvalidLoopError", len(l.Body), err)
+	}
+	if want := "ir: invalid loop: body has 200000 instructions (limit 4096)"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)); got > bound {
+		t.Fatalf("refusing a %d-byte request allocated %d bytes (bound %d)", len(data), got, bound)
 	}
 }
